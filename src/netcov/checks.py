@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import product
 
 from . import counting, covkernel
-from .digits import AT_LEAST_P, gamma_vector
+from .digits import AT_LEAST_P, gamma_vector, length_vectors
 from .nets import faure_net, verify_net
 from .scramble import ScrambleSeed, owen_scramble
 from .walsh import WalshIndex, enumerate_L_k, index_add, shell_size, wal_eval
@@ -36,15 +36,6 @@ class CheckResult:
     passed: bool
     detail: str
     seconds: float
-
-
-def _length_vectors(s: int, total_max: int):
-    if s == 0:
-        yield ()
-        return
-    for first in range(total_max + 1):
-        for rest in _length_vectors(s - 1, total_max - first):
-            yield (first,) + rest
 
 
 def _rational_grid(num: int, den: int):
@@ -121,7 +112,7 @@ def check_psi_hat_two_routes() -> str:
     checked = 0
     for b, m, s in [(2, 2, 2), (3, 2, 3)]:
         n = b ** m
-        for k_vec in _length_vectors(s, m + 3):
+        for k_vec in length_vectors(s, m + 3):
             for idx in enumerate_L_k(b, k_vec):
                 if idx.is_zero():
                     continue
@@ -139,7 +130,7 @@ def check_psi_hat_flat_zone() -> str:
     checked = 0
     for b, m in [(2, 3), (3, 2)]:
         n = b ** m
-        for k_vec in _length_vectors(2, m):
+        for k_vec in length_vectors(2, m):
             if sum(k_vec) == 0:
                 continue
             for idx in enumerate_L_k(b, k_vec):
@@ -267,7 +258,7 @@ def check_walsh_orthogonality() -> str:
             expect(abs(total) < 1e-9,
                    f"character sum over the base-{b} grid not zero at l={l}")
             checked += 1
-        for k_vec in _length_vectors(2, 3):
+        for k_vec in length_vectors(2, 3):
             expect(len(enumerate_L_k(b, k_vec)) == shell_size(b, k_vec),
                    f"shell size mismatch at base {b}, k={k_vec}")
             checked += 1

@@ -13,7 +13,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -22,73 +21,44 @@ from .covkernel import cov_polynomial, q_s
 from .digits import AT_LEAST_P, ConfigurationError, DigitPoint, gamma_vector
 from .estimators import ExperimentConfig, run_experiment
 from .nets import faure_net, load_point_set, save_point_set, verify_net
-from .scramble import ScrambleSeed, default_precision, owen_scramble
+from .scramble import replicate
 from . import checks
 
 PRIMES_TO_53 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 CRITICAL = "critical"  # marks a = (b-1)/b, resolved per swept base
+# --x-grid point cap: 100x the largest grid a figure or scan needs (1001)
+MAX_GRID_POINTS = 100_000
 
-
-@dataclass(frozen=True)
-class ScanSpec:
-    """One parameter sweep of the scaled covariance polynomial."""
-
-    vary: str                      # "base" | "m" | "s" | "a"
-    values: tuple
-    base: int | None
-    m: int | None
-    s: int | None
-    a: object                      # Fraction or CRITICAL
-    grid: tuple[Fraction, ...]
-    scale: bool
-
-    def __post_init__(self):
-        if self.vary not in ("base", "m", "s", "a"):
-            raise ConfigurationError(f"cannot sweep {self.vary!r}")
-        if not self.values:
-            raise ConfigurationError("empty sweep")
-        if not self.grid:
-            raise ConfigurationError("empty x-grid")
-
-
-def figure_scan(spec: ScanSpec) -> str:
-    """CSV with one row per (swept value, grid x); fixed parameters recorded
-    on the leading comment line."""
-    fixed = []
-    for name in ("base", "m", "s", "a"):
-        if name != spec.vary:
-            fixed.append(f"{name}={getattr(spec, name)}")
-    fixed.append(f"scale={'1/(b^m-1)' if spec.scale else 'none'}")
-    lines = ["# fixed: " + " ".join(fixed), f"{spec.vary},x,value"]
-    for val in spec.values:
-        b = val if spec.vary == "base" else spec.base
-        m = val if spec.vary == "m" else spec.m
-        s = val if spec.vary == "s" else spec.s
-        a = val if spec.vary == "a" else spec.a
-        if a == CRITICAL:
-            a = Fraction(b - 1, b)
-        poly = cov_polynomial(b, m, s, a)
-        scale = Fraction(1, b ** m - 1) if spec.scale else Fraction(1)
-        for x in spec.grid:
-            value = poly.eval(x) * scale
-            lines.append(f"{val},{float(x)!r},{float(value)!r}")
-    return "\n".join(lines) + "\n"
-
-
+# name -> (swept parameter, its values, fixed parameters); the fixed ones
+# keep base, m, s, a order, which the CSV comment line prints
 FIGURE_PRESETS = {
-    "3a": dict(vary="base", values=PRIMES_TO_53, m=3, s=3, a=CRITICAL),
-    "3b": dict(vary="m", values=tuple(range(1, 17)), base=3, s=3,
-               a=Fraction(2, 3)),
-    "3c": dict(vary="s", values=tuple(range(1, 17)), base=3, m=3,
-               a=Fraction(2, 3)),
-    "4": dict(vary="a", values=tuple(Fraction(j, 16) for j in range(1, 17)),
-              base=3, m=3, s=3),
-    "5a": dict(vary="base", values=PRIMES_TO_53, m=3, s=3, a=Fraction(1)),
-    "5b": dict(vary="m", values=tuple(range(1, 17)), base=3, s=3,
-               a=Fraction(1)),
-    "5c": dict(vary="s", values=tuple(range(1, 17)), base=3, m=3,
-               a=Fraction(1)),
+    "3a": ("base", PRIMES_TO_53, dict(m=3, s=3, a=CRITICAL)),
+    "3b": ("m", tuple(range(1, 17)), dict(base=3, s=3, a=Fraction(2, 3))),
+    "3c": ("s", tuple(range(1, 17)), dict(base=3, m=3, a=Fraction(2, 3))),
+    "4": ("a", tuple(Fraction(j, 16) for j in range(1, 17)),
+          dict(base=3, m=3, s=3)),
+    "5a": ("base", PRIMES_TO_53, dict(m=3, s=3, a=Fraction(1))),
+    "5b": ("m", tuple(range(1, 17)), dict(base=3, s=3, a=Fraction(1))),
+    "5c": ("s", tuple(range(1, 17)), dict(base=3, m=3, a=Fraction(1))),
 }
+
+
+def figure_scan(name: str, grid: Sequence[Fraction]) -> str:
+    """CSV of one preset sweep of the covariance polynomial scaled by
+    1/(b^m - 1): one row per (swept value, grid x), fixed parameters
+    recorded on the leading comment line."""
+    vary, values, fixed = FIGURE_PRESETS[name]
+    header = " ".join(f"{key}={val}" for key, val in fixed.items())
+    lines = [f"# fixed: {header} scale=1/(b^m-1)", f"{vary},x,value"]
+    for val in values:
+        params = {**fixed, vary: val}
+        b, m = params["base"], params["m"]
+        a = Fraction(b - 1, b) if params["a"] == CRITICAL else params["a"]
+        poly = cov_polynomial(b, m, params["s"], a)
+        scale = Fraction(1, b ** m - 1)
+        for x in grid:
+            lines.append(f"{val},{float(x)!r},{float(poly.eval(x) * scale)!r}")
+    return "\n".join(lines) + "\n"
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -106,12 +76,11 @@ def _parse_grid(text: str) -> tuple[Fraction, ...]:
     lo, hi, step = (_parse_fraction(p) for p in parts)
     if step <= 0 or hi < lo:
         raise argparse.ArgumentTypeError(f"bad grid bounds in {text!r}")
-    out = []
-    x = lo
-    while x <= hi:
-        out.append(x)
-        x += step
-    return tuple(out)
+    count = (hi - lo) // step + 1
+    if count > MAX_GRID_POINTS:
+        raise argparse.ArgumentTypeError(
+            f"grid {text!r} has {count} points, more than {MAX_GRID_POINTS}")
+    return tuple(lo + i * step for i in range(count))
 
 
 def _write(text: str, path: str | None) -> None:
@@ -149,11 +118,7 @@ def _cmd_net_verify(args) -> int:
 
 def _cmd_scramble(args) -> int:
     ps = _load_points(args.file)
-    precision = args.precision
-    if precision is None:
-        precision = default_precision(ps.b, ps.m)
-    for r in range(args.reps):
-        out = owen_scramble(ps, ScrambleSeed(args.seed, r), precision=precision)
+    for r, out in enumerate(replicate(ps, args.seed, args.reps, args.precision)):
         buf = io.StringIO()
         save_point_set(out, buf)
         if args.out_prefix:
@@ -217,14 +182,7 @@ def _cmd_qscan(args) -> int:
 def _cmd_figure_scan(args) -> int:
     names = [args.preset] if args.preset else sorted(FIGURE_PRESETS)
     for name in names:
-        preset = dict(FIGURE_PRESETS[name])
-        spec = ScanSpec(
-            vary=preset.pop("vary"), values=tuple(preset.pop("values")),
-            base=preset.pop("base", None), m=preset.pop("m", None),
-            s=preset.pop("s", None), a=preset.pop("a", CRITICAL),
-            grid=args.x_grid, scale=True,
-        )
-        csv_text = figure_scan(spec)
+        csv_text = figure_scan(name, args.x_grid)
         if args.out_dir:
             os.makedirs(args.out_dir, exist_ok=True)
             _write(csv_text, os.path.join(args.out_dir, f"fig{name}.csv"))
@@ -237,7 +195,6 @@ def _cmd_simulate(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     doc.setdefault("seed", args.seed)
-    doc.setdefault("threads", args.threads)
     cfg = ExperimentConfig.from_dict(doc)
     report = run_experiment(cfg)
     _write(_json(report.to_dict()), args.out)
@@ -273,8 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=0,
                         help="master seed for all randomized subcommands")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for replication loops")
     parser.add_argument("--format", choices=("csv", "json"), default=None,
                         help="output style for commands that support both")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -297,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_scr = sub.add_parser("scramble", help="scramble a point-set file")
     p_scr.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                        help="overrides the global --seed")
-    p_scr.add_argument("--reps", type=int, default=1)
+    p_scr.add_argument("--reps", type=int, default=1,
+                       help="number of replications, at least 1")
     p_scr.add_argument("--precision", type=int, default=None)
     p_scr.add_argument("--out-prefix", default=None,
                        help="write one file per replication with this prefix")
@@ -348,8 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="replication experiment")
     p_sim.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                        help="overrides the global --seed")
-    p_sim.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                       help="overrides the global --threads")
     p_sim.add_argument("--config", required=True)
     p_sim.add_argument("--out", default=None)
     p_sim.add_argument("--trace", default=None,

@@ -69,19 +69,14 @@ def Psi(b: int, r: int, c: int) -> Fraction:
     return -Fraction(1 - b) ** (1 - r) * total
 
 
-def psi_hat_zero_t(b: int, m: int, l_or_rc: WalshIndex | tuple[int, int]) -> Fraction:
-    """Walsh coefficient of the t = 0 net pair density for a nonzero index,
-    given either the index itself or its (support size, depth excess) pair."""
+def psi_hat_zero_t(b: int, m: int, idx: WalshIndex) -> Fraction:
+    """Walsh coefficient of the t = 0 net pair density for a nonzero index."""
     validate_base(b)
-    if isinstance(l_or_rc, WalshIndex):
-        if l_or_rc.b != b:
-            raise ConfigurationError(f"base mismatch: {l_or_rc.b} vs {b}")
-        if l_or_rc.is_zero():
-            raise ConfigurationError("the zero index carries the constant term 1")
-        r, c = l_or_rc.r, max(l_or_rc.k - m, 0)
-    else:
-        r, c = l_or_rc
-    return Psi(b, r, c) / (b ** m - 1)
+    if idx.b != b:
+        raise ConfigurationError(f"base mismatch: {idx.b} vs {b}")
+    if idx.is_zero():
+        raise ConfigurationError("the zero index carries the constant term 1")
+    return Psi(b, idx.r, max(idx.k - m, 0)) / (b ** m - 1)
 
 
 @dataclass(frozen=True)

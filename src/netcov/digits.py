@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class ConfigurationError(ValueError):
@@ -188,6 +188,17 @@ def volume_prefix_eq(b: int, i: Sequence[int]) -> Fraction:
     _check_nonnegative(i)
     s = len(i)
     return Fraction((b - 1) ** s, b ** (s + sum(i)))
+
+
+def length_vectors(s: int, total_max: int) -> Iterator[tuple[int, ...]]:
+    """All vectors in N^s with component sum <= total_max, first component
+    outermost; seeded callers draw in this order, so it must not change."""
+    if s == 0:
+        yield ()
+        return
+    for first in range(total_max + 1):
+        for rest in length_vectors(s - 1, total_max - first):
+            yield (first,) + rest
 
 
 def _check_nonnegative(vec: Sequence[int]) -> None:

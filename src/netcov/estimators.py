@@ -20,7 +20,7 @@ import numpy as np
 from .covkernel import psi_hat_zero_t
 from .digits import ConfigurationError
 from .nets import PointSet, faure_net
-from .scramble import ScrambleSeed, owen_scramble
+from .scramble import replicate
 from .walsh import Coefficient, WalshIndex, WalshPolynomial, random_decay_polynomial
 
 
@@ -73,7 +73,6 @@ class ExperimentConfig:
     seed: int
     function_spec: Mapping
     precision: int | None = None
-    threads: int = 1
 
     def __post_init__(self):
         if self.R < 2:
@@ -86,7 +85,6 @@ class ExperimentConfig:
             R=int(doc["R"]), seed=int(doc.get("seed", 0)),
             function_spec=dict(doc["function"]),
             precision=int(doc["precision"]) if "precision" in doc else None,
-            threads=int(doc.get("threads", 1)),
         )
 
     def build_function(self) -> WalshPolynomial:
@@ -136,9 +134,7 @@ class ExperimentReport:
             yield r, float(e.real), float(e.imag), float(t)
 
 
-def _replication_stats(base: PointSet, f: WalshPolynomial,
-                       seed: ScrambleSeed, precision: int):
-    ps = owen_scramble(base, seed, precision=precision)
+def _replication_stats(ps: PointSet, f: WalshPolynomial):
     values = f.eval_digit_matrix(ps.digits)
     n = ps.n
     total = values.sum()
@@ -181,16 +177,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         precision = max(cfg.m, f.max_digit_length(), 1)
     base = faure_net(cfg.b, cfg.m, cfg.s, precision=precision)
     n = base.n
-
-    def one(r: int):
-        return _replication_stats(base, f, ScrambleSeed(cfg.seed, r), precision)
-
-    if cfg.threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(one, range(cfg.R)))
-    else:
-        results = [one(r) for r in range(cfg.R)]
+    results = [_replication_stats(ps, f)
+               for ps in replicate(base, cfg.seed, cfg.R, precision)]
 
     estimates = np.array([e for e, _ in results], dtype=np.complex128)
     pair_terms = np.array([t for _, t in results], dtype=np.float64)

@@ -18,9 +18,11 @@ from typing import Iterator
 import numpy as np
 
 from .digits import (
+    DIGIT_CHARS,
     ConfigurationError,
     DigitPoint,
     digits_to_str,
+    length_vectors,
     str_to_digits,
     validate_base,
 )
@@ -66,6 +68,9 @@ class PointSet:
 
     def __post_init__(self):
         validate_base(self.b)
+        if self.b > 256:
+            raise ConfigurationError(
+                f"uint8 digit storage holds bases up to 256, got {self.b}")
         n, s, _ = self.digits.shape
         if s != self.s:
             raise ConfigurationError("digit array dimension does not match s")
@@ -202,16 +207,6 @@ class NetReport:
         return d
 
 
-def _k_vectors(s: int, budget: int):
-    """All k in N^s with k_1 + ... + k_s <= budget."""
-    if s == 0:
-        yield ()
-        return
-    for first in range(budget + 1):
-        for rest in _k_vectors(s - 1, budget - first):
-            yield (first,) + rest
-
-
 def verify_net(ps: PointSet, t: int) -> NetReport:
     """Exhaustively check the (t,m,s) equidistribution property.
 
@@ -237,7 +232,7 @@ def verify_net(ps: PointSet, t: int) -> NetReport:
 
     intervals = 0
     shapes = 0
-    for k in _k_vectors(s, budget):
+    for k in length_vectors(s, budget):
         if max(k, default=0) > ps.precision:
             raise ConfigurationError(
                 f"shape {k} needs more digits than the stored precision {ps.precision}"
@@ -265,9 +260,16 @@ def verify_net(ps: PointSet, t: int) -> NetReport:
                      shapes_checked=shapes, failure=None)
 
 
+def _check_text_base(b: int) -> None:
+    if b > len(DIGIT_CHARS):
+        raise ConfigurationError(
+            f"the text format holds bases up to {len(DIGIT_CHARS)}, got {b}")
+
+
 def save_point_set(ps: PointSet, fh) -> None:
     """Text format: header line ``b m s t P`` then one point per line,
     coordinates as base-b digit strings separated by spaces."""
+    _check_text_base(ps.b)
     fh.write(f"{ps.b} {ps.m} {ps.s} {ps.t} {ps.precision}\n")
     for i in range(ps.n):
         line = " ".join(digits_to_str(ps.digits[i, j]) for j in range(ps.s))
@@ -279,6 +281,7 @@ def load_point_set(fh) -> PointSet:
     if len(header) != 5:
         raise ConfigurationError("expected header line 'b m s t P'")
     b, m, s, t, p = (int(x) for x in header)
+    _check_text_base(b)
     rows = []
     for line in fh:
         line = line.strip()

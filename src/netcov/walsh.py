@@ -23,7 +23,13 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .digits import ConfigurationError, DigitPoint, PrecisionError, validate_base
+from .digits import (
+    ConfigurationError,
+    DigitPoint,
+    PrecisionError,
+    length_vectors,
+    validate_base,
+)
 
 # Indices per shell kept when spreading a shell weight over a large shell.
 SHELL_SUPPORT_CAP = 256
@@ -393,15 +399,6 @@ def _pythagorean_phase(rng: random.Random) -> tuple[Fraction, Fraction]:
     return c, s
 
 
-def _length_vectors(s: int, total_max: int):
-    if s == 0:
-        yield ()
-        return
-    for first in range(total_max + 1):
-        for rest in _length_vectors(s - 1, total_max - first):
-            yield (first,) + rest
-
-
 def _sample_shell(b: int, k_vec: tuple[int, ...], cap: int,
                   rng: random.Random) -> list[tuple[int, ...]]:
     if shell_size(b, k_vec) <= cap:
@@ -456,7 +453,7 @@ def random_decay_polynomial(
     terms: dict[tuple[int, ...], Coefficient] = {}
     zero = (0,) * s
     terms[zero] = Coefficient(Fraction(1), Fraction(0), root=alpha)
-    for k_vec in _length_vectors(s, k_max):
+    for k_vec in length_vectors(s, k_max):
         if k_vec == zero:
             continue
         k = sum(k_vec)

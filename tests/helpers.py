@@ -18,17 +18,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from netcov.counting import joint_pdf_closed_form
+from netcov.digits import length_vectors  # noqa: F401  (re-exported to the tests)
 from netcov.walsh import Coefficient, QComplex, WalshPolynomial, index_digits
-
-
-def length_vectors(s: int, total_max: int):
-    """All vectors in N^s with component sum <= total_max."""
-    if s == 0:
-        yield ()
-        return
-    for first in range(total_max + 1):
-        for rest in length_vectors(s - 1, total_max - first):
-            yield (first,) + rest
 
 
 def random_rational(rng: random.Random, num_abs: int = 8, den_max: int = 4) -> Fraction:

@@ -1,5 +1,6 @@
 """End-to-end command-line coverage, run in process."""
 
+import argparse
 import json
 from fractions import Fraction
 
@@ -35,6 +36,13 @@ def test_net_gen_writes_a_loadable_file(tmp_path, capsys):
 
 def test_net_gen_rejects_composite_base(tmp_path, capsys):
     code, _, err = run(capsys, "net", "gen", "--base", "4", "--m", "1",
+                       "--s", "1", "--out", str(tmp_path / "x.txt"))
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def test_net_gen_rejects_bases_past_the_text_digits(tmp_path, capsys):
+    code, _, err = run(capsys, "net", "gen", "--base", "67", "--m", "1",
                        "--s", "1", "--out", str(tmp_path / "x.txt"))
     assert code == 2
     assert err.startswith("error:")
@@ -105,6 +113,17 @@ def test_scramble_stdout_and_seed_sensitivity(tmp_path, capsys):
     _, out_b, _ = run(capsys, "scramble", "--seed", "2", str(net))
     assert out_a != out_b
     assert out_a.splitlines()[0].startswith("2 2 2 0 ")
+
+
+@pytest.mark.parametrize("reps", ["0", "-1"])
+def test_scramble_needs_a_replication(tmp_path, capsys, reps):
+    net = gen_net_file(tmp_path, capsys)
+    code, out, err = run(capsys, "scramble", "--reps", reps,
+                         "--out-prefix", str(tmp_path / "rep"), str(net))
+    assert code == 2
+    assert "replication count must be >= 1" in err
+    assert out == ""
+    assert not list(tmp_path.glob("rep*"))
 
 
 def test_psi_profile_counts(tmp_path, capsys):
@@ -281,6 +300,19 @@ def test_bad_grid_is_a_usage_error(capsys):
         cli.main(["qscan", "--base", "2", "--m", "1", "--s", "1",
                   "--x-grid", "nonsense"])
     assert exc.value.code == 2
+
+
+def test_grid_size_is_capped_before_it_is_built(capsys):
+    # a billion points: refused from the point count alone
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["qscan", "--base", "2", "--m", "1", "--s", "1",
+                  "--x-grid", "0:1:1/1000000000"])
+    assert exc.value.code == 2
+    assert "more than 100000" in capsys.readouterr().err
+    assert len(cli._parse_grid(f"0:{cli.MAX_GRID_POINTS - 1}:1")) \
+        == cli.MAX_GRID_POINTS
+    with pytest.raises(argparse.ArgumentTypeError):
+        cli._parse_grid(f"0:{cli.MAX_GRID_POINTS}:1")
 
 
 def test_unknown_command_is_a_usage_error(capsys):

@@ -68,17 +68,6 @@ def test_shell_coefficient_validation():
         Psi(4, 1, 0)
 
 
-def test_psi_hat_index_and_rc_forms_agree():
-    for b, m in [(2, 2), (3, 2)]:
-        for k_vec in length_vectors(2, m + 3):
-            for idx in enumerate_L_k(b, k_vec):
-                if idx.is_zero():
-                    continue
-                via_idx = psi_hat_zero_t(b, m, idx)
-                via_rc = psi_hat_zero_t(b, m, (idx.r, max(idx.k - m, 0)))
-                assert via_idx == via_rc
-
-
 def test_psi_hat_pinned_values():
     # below the depth threshold every coefficient is -1/(n-1)
     assert psi_hat_zero_t(2, 2, WalshIndex(2, (1, 0))) == Fraction(-1, 3)

@@ -12,6 +12,7 @@ from netcov.digits import (
     digits_to_str,
     gamma_scalar,
     gamma_vector,
+    length_vectors,
     str_to_digits,
     validate_base,
     volume_prefix_eq,
@@ -126,6 +127,14 @@ def test_sentinel_is_not_a_number():
 
 def test_sentinel_is_a_singleton():
     assert type(AT_LEAST_P)() is AT_LEAST_P
+
+
+def test_length_vectors_order_and_count():
+    # first component outermost: seeded series draw their terms in this order
+    assert list(length_vectors(2, 2)) == [
+        (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
+    assert list(length_vectors(0, 3)) == [()]
+    assert sum(1 for _ in length_vectors(3, 4)) == 35  # C(4 + 3, 3)
 
 
 def test_region_volumes():

@@ -78,7 +78,7 @@ def test_config_from_dict_and_validation():
     doc = {"b": 2, "m": 3, "s": 2, "R": 10, "function": WAL_SPEC}
     cfg = ExperimentConfig.from_dict(doc)
     assert (cfg.b, cfg.m, cfg.s, cfg.R) == (2, 3, 2, 10)
-    assert cfg.seed == 0 and cfg.threads == 1 and cfg.precision is None
+    assert cfg.seed == 0 and cfg.precision is None
     with pytest.raises(ConfigurationError):
         ExperimentConfig(b=2, m=1, s=1, R=1, seed=0,
                          function_spec={"kind": "wal", "l": [1]})
@@ -90,14 +90,6 @@ def test_experiments_are_deterministic():
     second = run_experiment(cfg)
     assert np.array_equal(first.estimates, second.estimates)
     assert np.array_equal(first.pair_terms, second.pair_terms)
-
-
-def test_threads_do_not_change_the_result():
-    base = dict(b=2, m=2, s=2, R=8, seed=3, function_spec=WAL_SPEC)
-    serial = run_experiment(ExperimentConfig(**base, threads=1))
-    pooled = run_experiment(ExperimentConfig(**base, threads=2))
-    assert np.array_equal(serial.estimates, pooled.estimates)
-    assert np.array_equal(serial.pair_terms, pooled.pair_terms)
 
 
 def test_character_experiment_hits_the_exact_covariance():

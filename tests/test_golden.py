@@ -1,0 +1,102 @@
+"""Golden digests of seeded and exact outputs.
+
+Each digest was recorded from the code as it stood before any rewrite of
+the paths that produce it, so a change that moves a random stream, a float
+or a CSV byte fails here by name instead of slipping past the statistical
+gates.
+"""
+
+import hashlib
+import json
+from fractions import Fraction
+
+import pytest
+
+from netcov import cli
+from netcov.nets import faure_net
+from netcov.scramble import ScrambleSeed, owen_scramble
+from netcov.walsh import random_decay_polynomial
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run(capsys, *argv):
+    code = cli.main(list(argv))
+    capsys.readouterr()
+    assert code == 0
+
+
+@pytest.mark.parametrize("b,m,s,r,shape,digest", [
+    (2, 4, 2, 0, (16, 2, 35),
+     "9678e596326262d15dc47ed4c04c78b433b8d36a013367fe8b3fb7fbafb087e9"),
+    (2, 4, 2, 5, (16, 2, 35),
+     "f2f0551f1490d71b454781aadec9eef16013ae2d53eb583f8168a418349ef548"),
+    (3, 3, 3, 0, (27, 3, 34),
+     "c97aca11576de1ee151d5a74aa24fd0e55125a7ccae8cb6575c7219c40b6a959"),
+    (3, 3, 3, 5, (27, 3, 34),
+     "1672f7a0cb73e251af6da86e42f5f1ada96b6d7659736217c83b37e0a5118855"),
+])
+def test_owen_scramble_digits_are_pinned(b, m, s, r, shape, digest):
+    out = owen_scramble(faure_net(b, m, s), ScrambleSeed(2020, r))
+    assert out.digits.shape == shape
+    assert sha256(out.digits.tobytes()) == digest
+
+
+def test_scramble_command_files_are_pinned(tmp_path, capsys):
+    net = tmp_path / "net.txt"
+    run(capsys, "net", "gen", "--base", "3", "--m", "2", "--s", "2",
+        "--out", str(net))
+    run(capsys, "scramble", "--seed", "7", "--reps", "2",
+        "--out-prefix", str(tmp_path / "rep"), str(net))
+    assert sorted(p.name for p in tmp_path.glob("rep*")) == \
+        ["rep000.txt", "rep001.txt"]
+    assert sha256((tmp_path / "rep000.txt").read_bytes()) == \
+        "47e9db5f4d577d7d9ff8c31bd7939f9dc2bfe92fcd07d361e4663973ff95a301"
+    assert sha256((tmp_path / "rep001.txt").read_bytes()) == \
+        "789d42f1f9469d2efe5ccd0c25b8dac189e99f36e442326571574e246b4e069a"
+
+
+def test_criterion_9_decay_polynomial_is_pinned():
+    f = random_decay_polynomial(b=2, s=2, kind="per-shell", a=Fraction(1, 2),
+                                x=Fraction(3, 20), alpha=Fraction(1),
+                                k_max=5, seed=7)
+    assert len(f.terms) == 112
+    assert sha256(f.to_json().encode()) == \
+        "4260c3c5edf48c5b5f32a6abc90680d41b004a76f90c31ed03970d6e479024c4"
+
+
+def test_simulate_report_and_trace_are_pinned(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "b": 2, "m": 3, "s": 2, "R": 8,
+        "function": {"kind": "decay", "decay": "per-shell", "a": "1/2",
+                     "x": "3/20", "alpha": "1", "k_max": 4, "seed": 3},
+    }), encoding="utf-8")
+    report, trace = tmp_path / "report.json", tmp_path / "trace.csv"
+    run(capsys, "--seed", "11", "simulate", "--config", str(config),
+        "--out", str(report), "--trace", str(trace))
+    assert sha256(report.read_bytes()) == \
+        "f256cd7e9d1de361a67f83b8fda7a522ae500f2167f6593039bcb349b1565b49"
+    assert sha256(trace.read_bytes()) == \
+        "2c648dab2aa1913000c513bde7827d5c23ddbe314d1ff51aab0adbcfd36f8abc"
+
+
+# the default-grid figure CSVs, as recorded with the benchmark's workloads
+FIGURE_DIGESTS = {
+    "fig3a.csv": "d6870539d6bc623f96e0d7262e5c685ee0641f5796231e5d9a9aa2a4bba282ce",
+    "fig3b.csv": "e2656581d5df7b133793da51af5972041b7721c7081c8be1590e998a4d9699ee",
+    "fig3c.csv": "d42c16f73c12883da06ed0f97e5c5ab8e6c8b3cb1745d67d4d8dfae450772aa3",
+    "fig4.csv": "c4a1d4671c045cb3a339fed20067a4316f423b04dfb9eae37f6cab97aa01be1e",
+    "fig5a.csv": "7097e85b9d81f1ebb97b54197f839f9511b4aecbe9738568f5c3ec806fa351b9",
+    "fig5b.csv": "3bcc1cc95e9dbdae6a8c6fd24c3e03482ed51c19b9e4b06e1e82d6542dd6b546",
+    "fig5c.csv": "f76d7b8ba0d58056526ed177b5aea336aebc76579abbb1958207e21521959d4f",
+}
+
+
+def test_figure_csvs_are_pinned(tmp_path, capsys):
+    out_dir = tmp_path / "figs"
+    run(capsys, "figure-scan", "--out-dir", str(out_dir))
+    written = {p.name: sha256(p.read_bytes()) for p in out_dir.iterdir()}
+    assert written == FIGURE_DIGESTS

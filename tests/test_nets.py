@@ -174,6 +174,19 @@ def test_load_rejects_wrong_digit_count():
         load_point_set(io.StringIO("2 1 1 0 2\n00\n1\n"))
 
 
+def test_point_set_refuses_bases_past_uint8_digits():
+    # digit 256 would wrap to 0 in the uint8 array
+    with pytest.raises(ConfigurationError):
+        faure_net(257, 1, 1)
+
+
+def test_text_format_refuses_bases_past_its_digit_characters():
+    with pytest.raises(ConfigurationError):
+        save_point_set(faure_net(67, 1, 1), io.StringIO())
+    with pytest.raises(ConfigurationError):
+        load_point_set(io.StringIO("67 0 1 0 1\n0\n"))
+
+
 def test_extended_precision_pads_with_zeros():
     ps = faure_net(2, 2, 2, precision=5)
     assert ps.precision == 5
