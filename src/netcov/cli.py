@@ -194,7 +194,8 @@ def _cmd_figure_scan(args) -> int:
 def _cmd_simulate(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    doc.setdefault("seed", args.seed)
+    if isinstance(doc, dict):
+        doc.setdefault("seed", args.seed)
     cfg = ExperimentConfig.from_dict(doc)
     report = run_experiment(cfg)
     _write(_json(report.to_dict()), args.out)

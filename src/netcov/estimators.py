@@ -31,6 +31,20 @@ def estimate(ps: PointSet, f: WalshPolynomial) -> complex:
     return complex(values.sum() / ps.n)
 
 
+def _object(doc, what: str) -> Mapping:
+    if not isinstance(doc, Mapping):
+        raise ConfigurationError(
+            f"{what} must be a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def _field(doc: Mapping, key: str, what: str):
+    try:
+        return doc[key]
+    except KeyError:
+        raise ConfigurationError(f"{what} is missing the key {key!r}") from None
+
+
 def build_function(b: int, s: int, spec: Mapping) -> WalshPolynomial:
     """Materialize an integrand from its config description.
 
@@ -38,9 +52,10 @@ def build_function(b: int, s: int, spec: Mapping) -> WalshPolynomial:
     from random_decay_polynomial; rational fields as strings), "file" (a
     saved coefficient map).
     """
+    spec = _object(spec, "function")
     kind = spec.get("kind")
     if kind == "wal":
-        l = tuple(int(v) for v in spec["l"])
+        l = tuple(int(v) for v in _field(spec, "l", "function"))
         if len(l) != s:
             raise ConfigurationError(f"index {l} has wrong dimension for s={s}")
         return WalshPolynomial(
@@ -51,15 +66,15 @@ def build_function(b: int, s: int, spec: Mapping) -> WalshPolynomial:
     if kind == "decay":
         return random_decay_polynomial(
             b=b, s=s,
-            kind=spec["decay"],
+            kind=_field(spec, "decay", "function"),
             a=Fraction(spec["a"]) if "a" in spec else None,
-            x=Fraction(spec["x"]),
+            x=Fraction(_field(spec, "x", "function")),
             alpha=Fraction(spec.get("alpha", 1)),
-            k_max=int(spec["k_max"]),
+            k_max=int(_field(spec, "k_max", "function")),
             seed=int(spec.get("seed", 0)),
         )
     if kind == "file":
-        with open(spec["path"], "r", encoding="utf-8") as fh:
+        with open(_field(spec, "path", "function"), "r", encoding="utf-8") as fh:
             return WalshPolynomial.from_json(fh.read())
     raise ConfigurationError(f"unknown function kind {kind!r}")
 
@@ -80,10 +95,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "ExperimentConfig":
+        doc = _object(doc, "config")
+        b, m, s, R = (int(_field(doc, key, "config")) for key in "bmsR")
         return cls(
-            b=int(doc["b"]), m=int(doc["m"]), s=int(doc["s"]),
-            R=int(doc["R"]), seed=int(doc.get("seed", 0)),
-            function_spec=dict(doc["function"]),
+            b=b, m=m, s=s, R=R, seed=int(doc.get("seed", 0)),
+            function_spec=dict(_object(_field(doc, "function", "config"),
+                                       "function")),
             precision=int(doc["precision"]) if "precision" in doc else None,
         )
 
@@ -142,23 +159,28 @@ def _replication_stats(ps: PointSet, f: WalshPolynomial):
     return total / n, pair
 
 
+def _shell_kernels(f: WalshPolynomial, b: int, m: int):
+    """(shell weight, psi_hat of the shell) for every nonzero shell of f: the
+    t = 0 kernel depends on an index only through (r, |k|), so one
+    representative index per shell stands for all of them."""
+    for k_vec, weight in f.shells().items():
+        if any(k_vec):
+            rep = tuple(f.b ** (kj - 1) if kj else 0 for kj in k_vec)
+            yield weight, psi_hat_zero_t(b, m, WalshIndex(f.b, rep))
+
+
 def analytic_covariance(f: WalshPolynomial, b: int, m: int) -> Fraction:
-    """Exact pair covariance of f over one scrambled t = 0 net."""
-    return f.covariance_analytic(lambda idx: psi_hat_zero_t(b, m, idx))
+    """Exact pair covariance of f over one scrambled t = 0 net, summed per
+    shell: weight times psi_hat."""
+    return sum((w * psi for w, psi in _shell_kernels(f, b, m)), Fraction(0))
 
 
 def analytic_variance(f: WalshPolynomial, b: int, m: int) -> Fraction:
-    """Exact estimator variance, assembled per index: each nonzero index
+    """Exact estimator variance, assembled per shell: each nonzero shell
     contributes its weight times (1 + (n-1) psi_hat)/n."""
     n = b ** m
-    total = Fraction(0)
-    zero = (0,) * f.s
-    for l, coef in f.terms.items():
-        if l == zero:
-            continue
-        idx = WalshIndex(f.b, l)
-        total += coef.weight * (1 + (n - 1) * psi_hat_zero_t(b, m, idx)) / n
-    return total
+    return sum((w * (1 + (n - 1) * psi) / n for w, psi in _shell_kernels(f, b, m)),
+               Fraction(0))
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:

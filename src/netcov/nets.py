@@ -56,9 +56,12 @@ class GeneratingMatrices:
         return self.mats[0].shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointSet:
-    """n = b^m points as an (n, s, precision) array of exact digits."""
+    """n = b^m points as an (n, s, precision) array of exact digits.
+
+    Compared and hashed by identity: the digit array makes field-wise
+    equality unusable, and the frozen digits let a point set key a cache."""
 
     b: int
     m: int
@@ -277,26 +280,28 @@ def save_point_set(ps: PointSet, fh) -> None:
 
 
 def load_point_set(fh) -> PointSet:
+    """Read the text format of ``save_point_set``; a malformed line is named
+    by its 1-based line number."""
     header = fh.readline().split()
     if len(header) != 5:
-        raise ConfigurationError("expected header line 'b m s t P'")
+        raise ConfigurationError("line 1: expected header line 'b m s t P'")
     b, m, s, t, p = (int(x) for x in header)
     _check_text_base(b)
     rows = []
-    for line in fh:
-        line = line.strip()
-        if not line:
-            continue
+    for lineno, line in enumerate(fh, start=2):
         parts = line.split()
-        if len(parts) != s:
-            raise ConfigurationError(f"expected {s} coordinates, got {len(parts)}")
-        row = []
-        for part in parts:
-            if len(part) != p:
+        if not parts:
+            continue
+        try:
+            if len(parts) != s:
                 raise ConfigurationError(
-                    f"expected {p} digits per coordinate, got {len(part)}"
-                )
-            row.append(str_to_digits(part, b))
-        rows.append(row)
+                    f"expected {s} coordinates, got {len(parts)}")
+            for part in parts:
+                if len(part) != p:
+                    raise ConfigurationError(
+                        f"expected {p} digits per coordinate, got {len(part)}")
+            rows.append([str_to_digits(part, b) for part in parts])
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"line {lineno}: {exc}") from None
     digits = np.array(rows, dtype=np.uint8).reshape(len(rows), s, p)
     return PointSet(b=b, m=m, s=s, t=t, digits=digits)

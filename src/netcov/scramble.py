@@ -8,12 +8,17 @@ while each point becomes marginally uniform on [0,1)^s.
 Randomness is counter-mode hashing: every tree node (coordinate, input digit
 prefix) keys a blake2b digest of the seed, and the node's permutation is
 drawn from that digest.  This gives bit-reproducible output for a given
-(master seed, replication index), O(nodes visited) memory, and safe parallel
-replication, with no dependence on any global RNG state.
+(master seed, replication index), O(nodes visited) memory, and no dependence
+on any global RNG state.
+
+The tree's shape depends only on the input digits, so it is built once per
+net (``_tree``) and shared by every replication; a replication only draws
+the permutations of its nodes.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -52,20 +57,22 @@ def default_precision(b: int, m: int) -> int:
     return max(m, min(m + GUARD_DIGITS, cap))
 
 
-def _byte_stream(key: bytes, node: bytes) -> Iterator[int]:
+def _byte_stream(keyed, node: bytes) -> Iterator[int]:
+    """Bytes of blake2b(node + counter) under the seed's key, for counter =
+    0, 1, ...; ``keyed`` holds the keyed initial state and is copied, never
+    updated."""
     counter = 0
     while True:
-        digest = hashlib.blake2b(
-            node + counter.to_bytes(4, "big"), key=key, digest_size=32
-        ).digest()
-        yield from digest
+        h = keyed.copy()
+        h.update(node + counter.to_bytes(4, "big"))
+        yield from h.digest()
         counter += 1
 
 
-def _permutation(b: int, key: bytes, node: bytes) -> np.ndarray:
+def _permutation(b: int, keyed, node: bytes) -> list[int]:
     """A permutation of {0..b-1} drawn from the node's digest stream via
     Fisher-Yates with rejection sampling (stable across platforms)."""
-    stream = _byte_stream(key, node)
+    stream = _byte_stream(keyed, node)
     perm = list(range(b))
     for i in range(b - 1, 0, -1):
         bound = i + 1
@@ -76,7 +83,41 @@ def _permutation(b: int, key: bytes, node: bytes) -> np.ndarray:
                 break
         j = r % bound
         perm[i], perm[j] = perm[j], perm[i]
-    return np.array(perm, dtype=np.uint8)
+    return perm
+
+
+@functools.lru_cache(maxsize=1)
+def _tree(ps: PointSet, p_out: int):
+    """The permutation trees of every coordinate, as far as they depend on
+    the input digits alone; the last net's trees are kept for its next
+    replication (point sets hash by identity and their digits are frozen).
+
+    Returns (digits, keys, levels): the input digits cut or zero-padded to
+    p_out; keys[j][i], the coordinate tag followed by point i's digits, so
+    that keys[j][i][:2 + d] names the node holding point i at depth d; and
+    levels[j][d] = (node index of each point, one point per node).  Past the
+    input digits, or once every point has a node of its own, the nodes stop
+    splitting and the depths share one pair of arrays.
+    """
+    n, s, b = ps.n, ps.s, ps.b
+    p_in = min(ps.precision, p_out)
+    digits = np.zeros((n, s, p_out), dtype=np.uint8)
+    digits[:, :, :p_in] = ps.digits[:, :, :p_in]
+    keys, levels = [], []
+    for j in range(s):
+        tag = j.to_bytes(2, "big")
+        keys.append([tag + row.tobytes() for row in digits[:, j]])
+        node = np.zeros(n, dtype=np.int64)
+        first = np.zeros(1, dtype=np.int64)
+        per_depth = []
+        for d in range(p_out):
+            per_depth.append((node, first))
+            if len(first) < n and d < p_in:
+                _, first, node = np.unique(node * b + digits[:, j, d],
+                                           return_index=True,
+                                           return_inverse=True)
+        levels.append(per_depth)
+    return digits, keys, levels
 
 
 def owen_scramble(ps: PointSet, seed: ScrambleSeed, precision: int | None = None) -> PointSet:
@@ -90,28 +131,15 @@ def owen_scramble(ps: PointSet, seed: ScrambleSeed, precision: int | None = None
     p_out = default_precision(b, m) if precision is None else precision
     if p_out < m:
         raise ConfigurationError(f"output precision {p_out} must be >= m = {m}")
-    n = ps.n
-    p_in = ps.precision
-    key = seed.key()
-    out = np.empty((n, ps.s, p_out), dtype=np.uint8)
-    zeros = np.zeros(n, dtype=np.int64)
+    digits, keys, levels = _tree(ps, p_out)
+    keyed = hashlib.blake2b(key=seed.key(), digest_size=32)
+    out = np.empty((ps.n, ps.s, p_out), dtype=np.uint8)
     for j in range(ps.s):
-        coord_tag = j.to_bytes(2, "big")
-        # group_of[i] = index of the tree node point i sits at; node_prefix
-        # holds that node's input digit prefix as raw bytes
-        group_of = np.zeros(n, dtype=np.int64)
-        node_prefix = [b""]
-        for d in range(p_out):
-            digit_in = ps.digits[:, j, d].astype(np.int64) if d < p_in else zeros
-            perms = np.stack(
-                [_permutation(b, key, coord_tag + pre) for pre in node_prefix]
-            )
-            out[:, j, d] = perms[group_of, digit_in]
-            child = group_of * b + digit_in
-            uniq, group_of = np.unique(child, return_inverse=True)
-            node_prefix = [
-                node_prefix[int(u) // b] + bytes([int(u) % b]) for u in uniq
-            ]
+        for d, (node, first) in enumerate(levels[j]):
+            perms = np.array(
+                [_permutation(b, keyed, keys[j][i][:2 + d]) for i in first.tolist()],
+                dtype=np.uint8)
+            out[:, j, d] = perms[node, digits[:, j, d]]
     return PointSet(b=b, m=m, s=ps.s, t=ps.t, digits=out)
 
 

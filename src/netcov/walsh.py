@@ -13,12 +13,14 @@ per-coordinate base-b digit lengths equal k (the digit length of 0 is 0).
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -256,13 +258,12 @@ def enumerate_L_k(b: int, k_vec: Sequence[int]) -> tuple[WalshIndex, ...]:
     return tuple(WalshIndex(b, combo) for combo in product(*ranges))
 
 
-def _as_mapping(terms) -> Mapping[tuple[int, ...], Coefficient]:
-    return dict(terms)
-
-
 @dataclass(frozen=True)
 class WalshPolynomial:
-    """A finitely supported Walsh coefficient map on [0,1)^s."""
+    """A finitely supported Walsh coefficient map on [0,1)^s.
+
+    ``terms`` is stored read-only, so the evaluation plan built from it on
+    first use stays valid."""
 
     b: int
     s: int
@@ -271,7 +272,7 @@ class WalshPolynomial:
 
     def __post_init__(self):
         validate_base(self.b)
-        object.__setattr__(self, "terms", _as_mapping(self.terms))
+        object.__setattr__(self, "terms", MappingProxyType(dict(self.terms)))
         for l in self.terms:
             if len(l) != self.s:
                 raise ConfigurationError(f"index {l} has wrong dimension")
@@ -338,6 +339,23 @@ class WalshPolynomial:
             total += coef.to_complex() * root_of_unity(self.b, e)
         return total
 
+    @functools.cached_property
+    def _plan(self):
+        """(digits needed, index digit matrix of shape (s * need, terms),
+        coefficient values, the b roots of unity), terms in sorted order."""
+        need = self.max_digit_length()
+        ls = sorted(self.terms)
+        lam = np.zeros((self.s * need, len(ls)), dtype=np.int64)
+        for t, l in enumerate(ls):
+            for j, lj in enumerate(l):
+                for d, digit in enumerate(index_digits(self.b, lj)):
+                    lam[j * need + d, t] = digit
+        coefs = np.array([self.terms[l].to_complex() for l in ls],
+                         dtype=np.complex128)
+        roots = np.array([root_of_unity(self.b, e) for e in range(self.b)],
+                         dtype=np.complex128)
+        return need, lam, coefs, roots
+
     def eval_digit_matrix(self, digits: np.ndarray) -> np.ndarray:
         """Evaluate at every row of an (n, s, P) digit array at once.
 
@@ -347,21 +365,11 @@ class WalshPolynomial:
         n, s, p = digits.shape
         if s != self.s:
             raise ConfigurationError(f"point dimension {s}, function dimension {self.s}")
-        need = self.max_digit_length()
+        need, lam, coefs, roots = self._plan
         if p < need:
             raise PrecisionError(f"function needs {need} digits, points carry {p}")
-        ls = sorted(self.terms)
-        lam = np.zeros((len(ls), s * p), dtype=np.int64)
-        for t, l in enumerate(ls):
-            for j, lj in enumerate(l):
-                for d, digit in enumerate(index_digits(self.b, lj)):
-                    lam[t, j * p + d] = digit
-        flat = digits.reshape(n, s * p).astype(np.int64)
-        exps = (flat @ lam.T) % self.b  # (n, terms)
-        roots = np.array([root_of_unity(self.b, e) for e in range(self.b)],
-                         dtype=np.complex128)
-        coefs = np.array([self.terms[l].to_complex() for l in ls],
-                         dtype=np.complex128)
+        flat = digits[:, :, :need].reshape(n, s * need).astype(np.int64)
+        exps = (flat @ lam) % self.b  # (n, terms)
         return roots[exps] @ coefs
 
     def to_json(self) -> str:

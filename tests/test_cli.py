@@ -2,11 +2,15 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import netcov
 from netcov import checks, cli
 from netcov.nets import PointSet, load_point_set, save_point_set
 
@@ -326,3 +330,51 @@ def test_analysis_errors_exit_cleanly(capsys):
                        "--s", "1", "--a", "1/2")
     assert code == 2
     assert err.startswith("error:")
+
+
+DECAY_SPEC = {"kind": "decay", "decay": "per-shell", "a": "1/2", "x": "3/20",
+              "alpha": "1", "k_max": 3, "seed": 0}
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({"b": 2, "m": 2, "s": 2, "function": DECAY_SPEC},
+     "config is missing the key 'R'"),
+    ({"b": 2, "m": 2, "s": 2, "R": 4},
+     "config is missing the key 'function'"),
+    ({"b": 2, "m": 2, "s": 2, "R": 4,
+      "function": {k: v for k, v in DECAY_SPEC.items() if k != "x"}},
+     "function is missing the key 'x'"),
+    ({"b": 2, "m": 2, "s": 2, "R": 4, "function": {"kind": "wal"}},
+     "function is missing the key 'l'"),
+])
+def test_simulate_config_missing_a_key_is_a_usage_error(tmp_path, capsys, doc, message):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    code, _, err = run(capsys, "simulate", "--config", str(config))
+    assert code == 2
+    assert message in err
+
+
+@pytest.mark.parametrize("doc,message", [
+    ([1, 2], "config must be a JSON object, got list"),
+    ("R", "config must be a JSON object, got str"),
+    ({"b": 2, "m": 2, "s": 2, "R": 4, "function": 5},
+     "function must be a JSON object, got int"),
+])
+def test_simulate_config_that_is_not_an_object_is_a_usage_error(
+        tmp_path, capsys, doc, message):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    code, _, err = run(capsys, "simulate", "--config", str(config))
+    assert code == 2
+    assert message in err
+
+
+def test_module_entry_point_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(netcov.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "netcov", "--help"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: netcov")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import random_walsh_polynomial
+from netcov.covkernel import psi_hat_zero_t
 from netcov.digits import ConfigurationError
 from netcov.estimators import (
     ExperimentConfig,
@@ -18,7 +19,7 @@ from netcov.estimators import (
     variance_identity_check,
 )
 from netcov.nets import faure_net
-from netcov.walsh import Coefficient, WalshPolynomial
+from netcov.walsh import Coefficient, WalshIndex, WalshPolynomial
 
 WAL_SPEC = {"kind": "wal", "l": [1, 1]}
 
@@ -157,3 +158,20 @@ def test_function_base_must_match_the_config(tmp_path):
                            function_spec={"kind": "file", "path": str(path)})
     with pytest.raises(ConfigurationError):
         run_experiment(cfg)
+
+
+def test_per_shell_references_equal_per_index_sums():
+    # the kernel depends on an index only through its shell, so summing it
+    # per shell must give the very same rationals as summing per index
+    rng = random.Random(21)
+    for b, m, s in [(2, 2, 2), (3, 2, 2), (5, 1, 3)]:
+        n = b ** m
+        for _ in range(3):
+            f = random_walsh_polynomial(rng, b, s, 3, 12)
+            per_index = f.covariance_analytic(lambda idx: psi_hat_zero_t(b, m, idx))
+            assert analytic_covariance(f, b, m) == per_index
+            variance = sum(
+                (c.weight * (1 + (n - 1) * psi_hat_zero_t(b, m, WalshIndex(b, l))) / n
+                 for l, c in f.terms.items() if any(l)),
+                Fraction(0))
+            assert analytic_variance(f, b, m) == variance

@@ -14,7 +14,7 @@ import pytest
 
 from netcov import cli
 from netcov.nets import faure_net
-from netcov.scramble import ScrambleSeed, owen_scramble
+from netcov.scramble import ScrambleSeed, owen_scramble, replicate
 from netcov.walsh import random_decay_polynomial
 
 
@@ -82,6 +82,65 @@ def test_simulate_report_and_trace_are_pinned(tmp_path, capsys):
     assert sha256(trace.read_bytes()) == \
         "2c648dab2aa1913000c513bde7827d5c23ddbe314d1ff51aab0adbcfd36f8abc"
 
+
+
+@pytest.mark.parametrize("b,m,s,k_max,R,report_digest,trace_digest", [
+    # the benchmark's replicate shape: criterion 9's per-shell decay
+    (2, 4, 2, 5, 50,
+     "c01a17993ff12f39674326aa124af6820b9b140e9c9bee9db41a6d4dba18c3cb",
+     "284a75b997a0cd9638fe70baeae8336f8b4ed0f46d0fc0992fa48ff47225c9ec"),
+    (3, 3, 3, 4, 20,
+     "8b6214cb5637252abc128fcd148c95ac2ca06a08f0b1ee699d7478498f18be1d",
+     "b14b9f902506ae46d64567c5631c80eb7096df548f8de0da94e7864360c6f4d5"),
+    (5, 2, 3, 4, 20,
+     "b0f42977d042f531d7f733b4612f426f71bb366c18adf14d58144d3b78f2d388",
+     "dccb0cb8c8b5b3480c0969aec3bb84564172b27ae289a386ec50df644111ca38"),
+])
+def test_simulate_decay_runs_are_pinned(tmp_path, capsys, b, m, s, k_max, R,
+                                        report_digest, trace_digest):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "b": b, "m": m, "s": s, "R": R,
+        "function": {"kind": "decay", "decay": "per-shell", "a": "1/2",
+                     "x": "3/20", "alpha": "1", "k_max": k_max, "seed": 7},
+    }), encoding="utf-8")
+    report, trace = tmp_path / "report.json", tmp_path / "trace.csv"
+    run(capsys, "--seed", "5", "simulate", "--config", str(config),
+        "--out", str(report), "--trace", str(trace))
+    assert sha256(report.read_bytes()) == report_digest
+    assert sha256(trace.read_bytes()) == trace_digest
+
+
+@pytest.mark.parametrize("b,m,s,shape,digest", [
+    # b > 32: a node's Fisher-Yates shuffle can need more than one
+    # 32-byte digest, so these pin the digest counter too
+    (53, 1, 2, (53, 2, 10),
+     "daf18988591bb11973f43b920ff85033c99ef13b26981650226ccc1ca9571c31"),
+    (31, 1, 31, (31, 31, 12),
+     "05ee1985cdc6e8a333b8236108bfe9503274b2e1cb0622de615ddf22f29a2188"),
+])
+def test_replicate_digits_in_large_bases_are_pinned(b, m, s, shape, digest):
+    h = hashlib.sha256()
+    for ps in replicate(faure_net(b, m, s), 2020, 3):
+        assert ps.digits.shape == shape
+        h.update(ps.digits.tobytes())
+    assert h.hexdigest() == digest
+
+
+def test_scramble_command_files_at_guard_precision_are_pinned(tmp_path, capsys):
+    # n = 1024 at the default 10 + 31 digits: a wide tree, mostly guard digits
+    net = tmp_path / "net.txt"
+    run(capsys, "net", "gen", "--base", "2", "--m", "10", "--s", "2",
+        "--out", str(net))
+    run(capsys, "scramble", "--seed", "7", "--reps", "3",
+        "--out-prefix", str(tmp_path / "rep"), str(net))
+    written = {p.name: sha256(p.read_bytes()) for p in tmp_path.glob("rep*")}
+    assert written == {
+        "rep000.txt": "0993256c1b462b8f3914ef1239566d3515164432e8774a3e0386a4a4151758c7",
+        "rep001.txt": "3ff97978f7787dcd2fc20f7750602a4018e0ebb3c74ea8cfe17cca7562d3f8e5",
+        "rep002.txt": "6a66e487bfcaf89d14920ee70c5149fad52c2d02b718633cc36800fc0b39bf4d",
+    }
+    assert (tmp_path / "rep000.txt").read_text().splitlines()[0] == "2 10 2 0 41"
 
 # the default-grid figure CSVs, as recorded with the benchmark's workloads
 FIGURE_DIGESTS = {

@@ -1,6 +1,7 @@
 """Net construction and the exhaustive equidistribution verifier."""
 
 import io
+import re
 from fractions import Fraction
 from math import comb
 
@@ -208,3 +209,14 @@ def test_generate_points_checks_parameters():
     g = faure_matrices(2, 2, 1)
     with pytest.raises(ConfigurationError):
         generate_points(g, 2, 3)
+
+
+@pytest.mark.parametrize("text,line", [
+    ("2 1 2 0 1\n0 1\n\n1\n", "line 4: expected 2 coordinates, got 1"),
+    ("2 1 1 0 2\n00\n1\n", "line 3: expected 2 digits per coordinate, got 1"),
+    ("2 1 1 0 1\n0\n2\n", "line 3: invalid digit character '2'"),
+    ("2 1 1 0 1\n?\n1\n", "line 2: invalid digit character '?'"),
+])
+def test_load_errors_name_the_line(text, line):
+    with pytest.raises(ConfigurationError, match=re.escape(line)):
+        load_point_set(io.StringIO(text))

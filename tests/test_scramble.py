@@ -12,6 +12,7 @@ from netcov.scramble import (
     GUARD_DIGITS,
     ScrambleSeed,
     default_precision,
+    _tree,
     owen_scramble,
     replicate,
 )
@@ -136,3 +137,27 @@ def test_first_digit_marginal_is_uniform():
     expected = reps / b
     chi2 = float(((counts - expected) ** 2 / expected).sum())
     assert chi2 < 18.42
+
+
+def test_tree_memo_follows_the_net_it_was_built_for():
+    # same shape, different digits: a stale tree would scramble B (or A, on
+    # the way back) through the other net's nodes
+    net_a = faure_net(3, 2, 2, precision=4)
+    net_b = PointSet(b=3, m=2, s=2, t=0, digits=net_a.digits[:, ::-1, :].copy())
+    assert not np.array_equal(net_a.digits, net_b.digits)
+    seed = ScrambleSeed(31, 2)
+
+    def scrambles(ps):
+        return [owen_scramble(ps, seed, 9).digits] + \
+            [out.digits for out in replicate(ps, 31, 3, 9)]
+
+    def fresh_scrambles(ps):
+        _tree.cache_clear()
+        return scrambles(PointSet(b=ps.b, m=ps.m, s=ps.s, t=ps.t,
+                                  digits=ps.digits.copy()))
+
+    want = {"a": fresh_scrambles(net_a), "b": fresh_scrambles(net_b)}
+    _tree.cache_clear()
+    for name, ps in (("a", net_a), ("b", net_b), ("a", net_a)):
+        got = scrambles(ps)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want[name]))

@@ -10,6 +10,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -429,3 +430,16 @@ def test_decay_parameter_validation():
     with pytest.raises(ConfigurationError):
         random_decay_polynomial(2, 1, "per-shell", Fraction(3, 2),
                                 Fraction(1, 4), Fraction(1), 2, seed=0)
+
+
+def test_polynomial_terms_are_read_only():
+    # the evaluation plan is built once from terms, so neither the stored
+    # map nor the caller's dict may change them afterwards
+    source = {(1,): Coefficient(Fraction(1), Fraction(0))}
+    f = WalshPolynomial(b=2, s=1, terms=source)
+    digits = np.array([[[0]], [[1]]], dtype=np.uint8)
+    values = f.eval_digit_matrix(digits)
+    with pytest.raises(TypeError):
+        f.terms[(1,)] = Coefficient(Fraction(2), Fraction(0))
+    source[(1,)] = Coefficient(Fraction(2), Fraction(0))
+    assert np.array_equal(f.eval_digit_matrix(digits), values)
