@@ -4,19 +4,24 @@ Each check exercises one cross-module identity with exact arithmetic (or an
 exhaustive small enumeration) and reports a one-line detail.  The suite backs
 the `verify` subcommand: any failure names the identity that broke, which
 also makes the suite a mutation detector for the analytic kernel.
+
+The functions named after an identity are its only implementation: the
+checks, the acceptance criteria and the unit tests call them, one case at a
+time, on their own grids.  Each raises CheckFailure naming the failing case
+and returns the number of comparisons it made.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from functools import lru_cache
+from itertools import permutations, product
 
 from . import counting, covkernel
 from .digits import AT_LEAST_P, gamma_vector, length_vectors
-from .nets import faure_net, verify_net
+from .nets import PointSet, faure_net, verify_net
 from .scramble import ScrambleSeed, owen_scramble
 from .walsh import WalshIndex, enumerate_L_k, index_add, shell_size, wal_eval
 
@@ -30,16 +35,95 @@ def expect(cond: bool, msg: str) -> None:
         raise CheckFailure(msg)
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
-    seconds: float
+def profile_matches_closed_forms(ps: PointSet) -> int:
+    """Brute-force exact and dominated pair counts of a scrambled (0,m,s)-net
+    equal the closed forms for every vector below the stored precision."""
+    b, m, s = ps.b, ps.m, ps.s
+    profile = counting.profile_bruteforce(ps)
+    for i in product(range(ps.precision), repeat=s):
+        expect(profile.exact_count(i) == counting.N_closed_form(b, m, s, i),
+               f"exact-count mismatch at {(b, m, s)}, i={i}")
+        expect(profile.at_least_count(i) == counting.M_closed_form(b, m, i),
+               f"dominated-count mismatch at {(b, m, s)}, k={i}")
+    return 2 * ps.precision ** s
 
 
-def _rational_grid(num: int, den: int):
-    return [Fraction(i, den) for i in range(num + 1)]
+def psi_hat_routes_agree(b: int, m: int, s: int, depth: int) -> int:
+    """psi_hat_general over M_closed_form equals psi_hat_zero_t on every
+    nonzero index of every shell with |k| <= depth."""
+    indices = [idx for k_vec in length_vectors(s, depth)
+               for idx in enumerate_L_k(b, k_vec) if not idx.is_zero()]
+    for idx in indices:
+        general = covkernel.psi_hat_general(
+            lambda k: counting.M_closed_form(b, m, k), idx, b ** m)
+        shell = covkernel.psi_hat_zero_t(b, m, idx)
+        expect(general == shell, f"routes disagree at {(b, m, s)}, "
+               f"l={idx.l}: {general} vs {shell}")
+    return len(indices)
+
+
+def witness_difference_holds(b: int, m: int, s: int, x: Fraction) -> int:
+    """delta_s telescopes q_{s-1} - q_s, splits into its parts, is >= 0."""
+    closed = covkernel.delta_s(b, m, s, x)
+    expect(covkernel.q_s(b, m, s - 1, x) - covkernel.q_s(b, m, s, x) == closed,
+           f"difference mismatch at {(b, m, s)}, x={x}")
+    parts = (covkernel.delta_first_part(b, m, s, x)
+             + covkernel.delta_second_part(b, m, s, x)
+             - covkernel.delta_second_part(b, m, s - 1, x))
+    expect(parts == closed, f"part split mismatch at {(b, m, s)}, x={x}")
+    expect(closed >= 0, f"negative difference at {(b, m, s)}, x={x}")
+    return 3
+
+
+def beta_forms_agree(a: int, b: int, x: Fraction) -> int:
+    """I_x(a, b) = 1 - I_{1-x}(b, a), and it equals its derivative form."""
+    direct = covkernel.inc_beta(a, b, x)
+    expect(direct == 1 - covkernel.inc_beta(b, a, 1 - x),
+           f"reflection fails at ({a}, {b}, {x})")
+    expect(direct == covkernel.inc_beta_derivative_form(a, b, x),
+           f"derivative form differs at ({a}, {b}, {x})")
+    return 2
+
+
+def assembly_matches_witness(b: int, m: int, s: int, x: Fraction) -> int:
+    """The hypergeometric assembly equals q_s (0 < x < 1, x != 1/b)."""
+    expect(covkernel.recmain_eval(b, m, s, x) == covkernel.q_s(b, m, s, x),
+           f"assembly differs at {(b, m, s)}, x={x}")
+    return 1
+
+
+@lru_cache(maxsize=1024)
+def _critical_polynomial(b: int, m: int, s: int) -> covkernel.CovPolynomial:
+    # each polynomial serves four windows at every x of a grid
+    return covkernel.cov_polynomial(b, m, s, Fraction(b - 1, b))
+
+
+def recurrence_vanishes(b: int, m: int, s: int, x: Fraction) -> int:
+    """The recurrence annihilates the windows s..s+3 of both solutions at x:
+    the covariance polynomial at a = (b-1)/b and the witness q_s."""
+    window = [_critical_polynomial(b, m, t).eval(x) for t in range(s, s + 4)]
+    res = covkernel.recurrence_residual(b, m, s, x, window)
+    expect(res == 0, f"polynomial residual {res} at {(b, m, s)}, x={x}")
+    window = [covkernel.q_s(b, m, t, x) for t in range(s, s + 4)]
+    res = covkernel.recurrence_residual(b, m, s, x, window)
+    expect(res == 0, f"witness residual {res} at {(b, m, s)}, x={x}")
+    return 2
+
+
+def gamma_preserved(base: PointSet, scrambled: PointSet) -> int:
+    """Every ordered pair of distinct points keeps its common-digit vector,
+    clamped at base.precision: agreement past it is scramble randomness."""
+    def clamped(v):
+        cap = base.precision
+        return tuple(cap if c is AT_LEAST_P else min(c, cap) for c in v)
+
+    before, after = list(base), list(scrambled)
+    for i, j in permutations(range(base.n), 2):
+        old, _ = gamma_vector(before[i], before[j])
+        new, _ = gamma_vector(after[i], after[j])
+        expect(clamped(old) == clamped(new),
+               f"pair ({i},{j}) gamma changed: {old} -> {new}")
+    return base.n * (base.n - 1)
 
 
 def check_net_equidistribution() -> str:
@@ -67,36 +151,16 @@ def check_scramble_gamma_preservation() -> str:
     pairs = 0
     for b, m, s in [(2, 3, 2), (3, 2, 3)]:
         base = faure_net(b, m, s)
-        ps = owen_scramble(base, ScrambleSeed(17), precision=m + 2)
-
-        def clamp(v):
-            # agreement beyond the m input digits is scramble randomness
-            return m if v is AT_LEAST_P else min(v, m)
-
-        for i in range(base.n):
-            for j in range(base.n):
-                if i == j:
-                    continue
-                before, _ = gamma_vector(base.point(i), base.point(j))
-                after, _ = gamma_vector(ps.point(i), ps.point(j))
-                expect(tuple(clamp(v) for v in before)
-                       == tuple(clamp(v) for v in after),
-                       f"pair ({i},{j}) gamma changed: {before} -> {after}")
-                pairs += 1
+        pairs += gamma_preserved(
+            base, owen_scramble(base, ScrambleSeed(17), precision=m + 2))
     return f"gamma preserved on {pairs} ordered pairs"
 
 
 def check_profile_closed_forms() -> str:
-    checked = 0
-    for b, m, s in [(2, 3, 2), (3, 2, 2), (3, 1, 3)]:
-        ps = owen_scramble(faure_net(b, m, s), ScrambleSeed(5), precision=m + 2)
-        profile = counting.profile_bruteforce(ps)
-        for i in product(range(m + 2), repeat=s):
-            expect(profile.exact_count(i) == counting.N_closed_form(b, m, s, i),
-                   f"exact-count mismatch at {(b, m, s)}, i={i}")
-            expect(profile.at_least_count(i) == counting.M_closed_form(b, m, i),
-                   f"dominated-count mismatch at {(b, m, s)}, k={i}")
-            checked += 2
+    checked = sum(
+        profile_matches_closed_forms(owen_scramble(
+            faure_net(b, m, s), ScrambleSeed(5), precision=m + 2))
+        for b, m, s in [(2, 3, 2), (3, 2, 2), (3, 1, 3)])
     return f"{checked} profile counts equal their closed forms"
 
 
@@ -109,20 +173,8 @@ def check_pdf_normalization() -> str:
 
 
 def check_psi_hat_two_routes() -> str:
-    checked = 0
-    for b, m, s in [(2, 2, 2), (3, 2, 3)]:
-        n = b ** m
-        for k_vec in length_vectors(s, m + 3):
-            for idx in enumerate_L_k(b, k_vec):
-                if idx.is_zero():
-                    continue
-                general = covkernel.psi_hat_general(
-                    lambda k: counting.M_closed_form(b, m, k), idx, n)
-                shell = covkernel.psi_hat_zero_t(b, m, idx)
-                expect(general == shell,
-                       f"routes disagree at {(b, m, s)}, l={idx.l}: "
-                       f"{general} vs {shell}")
-                checked += 1
+    checked = sum(psi_hat_routes_agree(b, m, s, m + 3)
+                  for b, m, s in [(2, 2, 2), (3, 2, 3)])
     return f"{checked} indices agree across both coefficient routes"
 
 
@@ -144,91 +196,48 @@ def check_psi_hat_flat_zone() -> str:
 def check_covariance_vs_witness() -> str:
     checked = 0
     xs = [Fraction(1, 7), Fraction(1, 3), Fraction(2, 3), Fraction(9, 10)]
-    for b in (2, 3):
-        for m in range(1, 4):
-            for s in range(1, 4):
-                poly = covkernel.cov_polynomial(b, m, s, Fraction(b - 1, b))
-                for x in xs:
-                    expect(poly.eval(x) == covkernel.q_s(b, m, s, x),
-                           f"polynomial and witness differ at {(b, m, s)}, x={x}")
-                    checked += 1
+    for b, m, s in product((2, 3), range(1, 4), range(1, 4)):
+        poly = covkernel.cov_polynomial(b, m, s, Fraction(b - 1, b))
+        for x in xs:
+            expect(poly.eval(x) == covkernel.q_s(b, m, s, x),
+                   f"polynomial and witness differ at {(b, m, s)}, x={x}")
+            checked += 1
     return f"{checked} evaluations match the witness exactly"
 
 
 def check_witness_sign() -> str:
     points = 0
-    for b in (2, 3):
-        for m in range(1, 5):
-            for s in range(1, 5):
-                for x in _rational_grid(50, 50):
-                    v = covkernel.q_s(b, m, s, x)
-                    expect(v <= 0, f"positive witness at {(b, m, s)}, x={x}: {v}")
-                    points += 1
-                expect(covkernel.q_s(b, m, s, 0) == 0, f"nonzero at x=0, {(b, m, s)}")
-                expect(covkernel.q_s(b, m, s, 1) == 1 - b ** m,
-                       f"wrong endpoint at x=1, {(b, m, s)}")
+    for b, m, s in product((2, 3), range(1, 5), range(1, 5)):
+        for x in (Fraction(i, 50) for i in range(51)):
+            v = covkernel.q_s(b, m, s, x)
+            expect(v <= 0, f"positive witness at {(b, m, s)}, x={x}: {v}")
+            points += 1
+        expect(covkernel.q_s(b, m, s, 0) == 0, f"nonzero at x=0, {(b, m, s)}")
+        expect(covkernel.q_s(b, m, s, 1) == 1 - b ** m,
+               f"wrong endpoint at x=1, {(b, m, s)}")
     return f"witness nonpositive at {points} grid points, endpoints exact"
 
 
 def check_witness_difference() -> str:
-    checked = 0
     xs = [Fraction(1, 10), Fraction(1, 2), Fraction(4, 5)]
-    for b in (2, 3):
-        for m in range(1, 4):
-            for s in range(1, 5):
-                for x in xs:
-                    diff = (covkernel.q_s(b, m, s - 1, x)
-                            - covkernel.q_s(b, m, s, x))
-                    closed = covkernel.delta_s(b, m, s, x)
-                    expect(diff == closed,
-                           f"difference mismatch at {(b, m, s)}, x={x}")
-                    parts = (covkernel.delta_first_part(b, m, s, x)
-                             + covkernel.delta_second_part(b, m, s, x)
-                             - covkernel.delta_second_part(b, m, s - 1, x))
-                    expect(parts == closed,
-                           f"part split mismatch at {(b, m, s)}, x={x}")
-                    expect(closed >= 0,
-                           f"negative difference at {(b, m, s)}, x={x}")
-                    checked += 1
-    return f"{checked} difference evaluations telescope exactly"
+    cases = list(product((2, 3), range(1, 4), range(1, 5), xs))
+    for case in cases:
+        witness_difference_holds(*case)
+    return f"{len(cases)} difference evaluations telescope exactly"
 
 
 def check_beta_identities() -> str:
     rng = random.Random(2024)
-    checked = 0
     for _ in range(40):
-        a = rng.randint(1, 6)
-        bb = rng.randint(1, 6)
-        x = Fraction(rng.randint(-8, 12), rng.randint(1, 9))
-        direct = covkernel.inc_beta(a, bb, x)
-        expect(direct == 1 - covkernel.inc_beta(bb, a, 1 - x),
-               f"reflection fails at ({a}, {bb}, {x})")
-        expect(direct == covkernel.inc_beta_derivative_form(a, bb, x),
-               f"derivative form differs at ({a}, {bb}, {x})")
-        checked += 1
-    return f"{checked} random beta identities hold"
+        a, bb = rng.randint(1, 6), rng.randint(1, 6)
+        beta_forms_agree(a, bb, Fraction(rng.randint(-8, 12), rng.randint(1, 9)))
+    return "40 random beta identities hold"
 
 
 def check_recurrence_solution() -> str:
-    checked = 0
     xs = [Fraction(1, 4), Fraction(1, 2), Fraction(5, 7)]
-    for b in (2, 3):
-        for m in (1, 2, 3):
-            a = Fraction(b - 1, b)
-            for s in (1, 2, 3):
-                polys = {t: covkernel.cov_polynomial(b, m, t, a)
-                         for t in range(s, s + 4)}
-                for x in xs:
-                    window = [polys[t].eval(x) for t in range(s, s + 4)]
-                    res = covkernel.recurrence_residual(b, m, s, x, window)
-                    expect(res == 0,
-                           f"polynomial residual {res} at {(b, m, s)}, x={x}")
-                    window_q = [covkernel.q_s(b, m, t, x)
-                                for t in range(s, s + 4)]
-                    res_q = covkernel.recurrence_residual(b, m, s, x, window_q)
-                    expect(res_q == 0,
-                           f"witness residual {res_q} at {(b, m, s)}, x={x}")
-                    checked += 2
+    checked = sum(recurrence_vanishes(*case)
+                  for case in product((2, 3), (1, 2, 3), (1, 2, 3), xs))
     return f"{checked} recurrence windows vanish exactly"
 
 
@@ -242,9 +251,7 @@ def check_hypergeometric_assembly() -> str:
         x = Fraction(rng.randint(1, 23), 24)
         if x == Fraction(1, b):
             continue
-        expect(covkernel.recmain_eval(b, m, s, x) == covkernel.q_s(b, m, s, x),
-               f"assembly differs at {(b, m, s)}, x={x}")
-        checked += 1
+        checked += assembly_matches_witness(b, m, s, x)
     return f"{checked} assembled values equal the witness"
 
 
@@ -310,22 +317,11 @@ def verify_all() -> dict:
     for name, fn in CHECKS:
         start = time.perf_counter()
         try:
-            detail = fn()
-            passed = True
+            detail, passed = fn(), True
         except CheckFailure as exc:
-            detail = str(exc)
-            passed = False
+            detail, passed = str(exc), False
         except Exception as exc:  # a crash is a failure, not an abort
-            detail = f"{type(exc).__name__}: {exc}"
-            passed = False
-        results.append(CheckResult(
-            name=name, passed=passed, detail=detail,
-            seconds=time.perf_counter() - start))
-    return {
-        "passed": all(r.passed for r in results),
-        "checks": [
-            {"name": r.name, "passed": r.passed,
-             "detail": r.detail, "seconds": round(r.seconds, 4)}
-            for r in results
-        ],
-    }
+            detail, passed = f"{type(exc).__name__}: {exc}", False
+        results.append({"name": name, "passed": passed, "detail": detail,
+                        "seconds": round(time.perf_counter() - start, 4)})
+    return {"passed": all(r["passed"] for r in results), "checks": results}

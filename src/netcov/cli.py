@@ -231,8 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=0,
                         help="master seed for all randomized subcommands")
-    parser.add_argument("--format", choices=("csv", "json"), default=None,
-                        help="output style for commands that support both")
+    parser.add_argument("--format", choices=("text", "json"), default="text",
+                        help="report style of verify")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_net = sub.add_parser("net", help="generate or verify digital nets")

@@ -112,12 +112,22 @@ def _gamma_matrix(digits_j: np.ndarray) -> np.ndarray:
     return gam
 
 
+# n(n-1)s cap for profile_bruteforce, which peaks near 25 bytes per pair cell
+MAX_PAIR_CELLS = 2 ** 22
+
+
 def profile_bruteforce(ps: PointSet) -> PairProfile:
     """Exhaustive profile over all ordered distinct pairs of a point set.
 
     A component equal to the stored precision records a pair whose coordinate
-    agrees through every stored digit (the observable cap).
+    agrees through every stored digit (the observable cap).  Point sets
+    past MAX_PAIR_CELLS are refused before any allocation.
     """
+    cells = ps.n * (ps.n - 1) * ps.s
+    if cells > MAX_PAIR_CELLS:
+        raise ConfigurationError(
+            f"profile of {ps.n} points in {ps.s} dimensions needs {cells} "
+            f"pair cells, more than {MAX_PAIR_CELLS}")
     mats = [_gamma_matrix(ps.digits[:, j, :]) for j in range(ps.s)]
     off_diag = ~np.eye(ps.n, dtype=bool)
     vecs = np.stack([g[off_diag] for g in mats], axis=1)

@@ -11,6 +11,7 @@ known number, never against another simulation.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
@@ -38,11 +39,18 @@ def _object(doc, what: str) -> Mapping:
     return doc
 
 
-def _field(doc: Mapping, key: str, what: str):
+def _field(doc: Mapping, key: str, what: str, convert=lambda v: v, default=...):
+    """doc[key] passed through convert.  A missing key without a default, or
+    a value of the wrong JSON type, is a ConfigurationError naming the key."""
+    if key not in doc:
+        if default is ...:
+            raise ConfigurationError(f"{what} is missing the key {key!r}")
+        return default
     try:
-        return doc[key]
-    except KeyError:
-        raise ConfigurationError(f"{what} is missing the key {key!r}") from None
+        return convert(doc[key])
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ConfigurationError(
+            f"{what} key {key!r} has a bad value: {exc}") from None
 
 
 def build_function(b: int, s: int, spec: Mapping) -> WalshPolynomial:
@@ -55,7 +63,7 @@ def build_function(b: int, s: int, spec: Mapping) -> WalshPolynomial:
     spec = _object(spec, "function")
     kind = spec.get("kind")
     if kind == "wal":
-        l = tuple(int(v) for v in _field(spec, "l", "function"))
+        l = _field(spec, "l", "function", lambda v: tuple(int(c) for c in v))
         if len(l) != s:
             raise ConfigurationError(f"index {l} has wrong dimension for s={s}")
         return WalshPolynomial(
@@ -67,14 +75,15 @@ def build_function(b: int, s: int, spec: Mapping) -> WalshPolynomial:
         return random_decay_polynomial(
             b=b, s=s,
             kind=_field(spec, "decay", "function"),
-            a=Fraction(spec["a"]) if "a" in spec else None,
-            x=Fraction(_field(spec, "x", "function")),
-            alpha=Fraction(spec.get("alpha", 1)),
-            k_max=int(_field(spec, "k_max", "function")),
-            seed=int(spec.get("seed", 0)),
+            a=_field(spec, "a", "function", Fraction, None),
+            x=_field(spec, "x", "function", Fraction),
+            alpha=_field(spec, "alpha", "function", Fraction, Fraction(1)),
+            k_max=_field(spec, "k_max", "function", int),
+            seed=_field(spec, "seed", "function", int, 0),
         )
     if kind == "file":
-        with open(_field(spec, "path", "function"), "r", encoding="utf-8") as fh:
+        with open(_field(spec, "path", "function", os.fspath), "r",
+                  encoding="utf-8") as fh:
             return WalshPolynomial.from_json(fh.read())
     raise ConfigurationError(f"unknown function kind {kind!r}")
 
@@ -96,12 +105,12 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, doc: Mapping) -> "ExperimentConfig":
         doc = _object(doc, "config")
-        b, m, s, R = (int(_field(doc, key, "config")) for key in "bmsR")
+        b, m, s, R = (_field(doc, key, "config", int) for key in "bmsR")
         return cls(
-            b=b, m=m, s=s, R=R, seed=int(doc.get("seed", 0)),
+            b=b, m=m, s=s, R=R, seed=_field(doc, "seed", "config", int, 0),
             function_spec=dict(_object(_field(doc, "function", "config"),
                                        "function")),
-            precision=int(doc["precision"]) if "precision" in doc else None,
+            precision=_field(doc, "precision", "config", int, None),
         )
 
     def build_function(self) -> WalshPolynomial:

@@ -77,10 +77,14 @@ class PointSet:
         n, s, _ = self.digits.shape
         if s != self.s:
             raise ConfigurationError("digit array dimension does not match s")
-        if n != self.b ** self.m:
+        # b^m > n once m passes n's bit length: a huge m is refused before
+        # b^m is computed
+        if not 0 <= self.m <= n.bit_length() or n != self.b ** self.m:
             raise ConfigurationError(
-                f"point count {n} is not b^m = {self.b ** self.m}"
-            )
+                f"point count {n} is not b^m = {self.b}^{self.m}")
+        if not 0 <= self.t <= self.m:
+            raise ConfigurationError(
+                f"quality parameter t={self.t} must lie in 0..m={self.m}")
         if self.digits.size and int(self.digits.max()) >= self.b:
             raise ConfigurationError("digit value out of range for base")
         self.digits.flags.writeable = False
@@ -267,6 +271,7 @@ def _check_text_base(b: int) -> None:
     if b > len(DIGIT_CHARS):
         raise ConfigurationError(
             f"the text format holds bases up to {len(DIGIT_CHARS)}, got {b}")
+    validate_base(b)
 
 
 def save_point_set(ps: PointSet, fh) -> None:
@@ -281,12 +286,18 @@ def save_point_set(ps: PointSet, fh) -> None:
 
 def load_point_set(fh) -> PointSet:
     """Read the text format of ``save_point_set``; a malformed line is named
-    by its 1-based line number."""
+    by its 1-based line number.  The header is line 1, which also takes the
+    blame when its m or t does not fit the points below it."""
     header = fh.readline().split()
-    if len(header) != 5:
-        raise ConfigurationError("line 1: expected header line 'b m s t P'")
-    b, m, s, t, p = (int(x) for x in header)
-    _check_text_base(b)
+    try:
+        if len(header) != 5:
+            raise ConfigurationError("expected header line 'b m s t P'")
+        b, m, s, t, p = (int(x) for x in header)
+        _check_text_base(b)
+        if s < 1 or p < 1:
+            raise ConfigurationError(f"need s >= 1 and P >= 1, got s={s}, P={p}")
+    except ValueError as exc:  # ConfigurationError is a ValueError too
+        raise ConfigurationError(f"line 1: {exc}") from None
     rows = []
     for lineno, line in enumerate(fh, start=2):
         parts = line.split()
@@ -303,5 +314,10 @@ def load_point_set(fh) -> PointSet:
             rows.append([str_to_digits(part, b) for part in parts])
         except ConfigurationError as exc:
             raise ConfigurationError(f"line {lineno}: {exc}") from None
+    if not rows:
+        raise ConfigurationError("line 1: no point lines follow the header")
     digits = np.array(rows, dtype=np.uint8).reshape(len(rows), s, p)
-    return PointSet(b=b, m=m, s=s, t=t, digits=digits)
+    try:
+        return PointSet(b=b, m=m, s=s, t=t, digits=digits)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"line 1: {exc}") from None

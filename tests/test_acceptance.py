@@ -25,30 +25,21 @@ import conftest
 from helpers import (
     GammaGrid,
     first_sign_violation,
-    length_vectors,
     random_walsh_polynomial,
     run_with_rerun,
 )
 from netcov import cli
-from netcov.counting import (
-    M_closed_form,
-    N_closed_form,
-    pdf_normalization,
-    profile_bruteforce,
+from netcov.checks import (
+    assembly_matches_witness,
+    beta_forms_agree,
+    gamma_preserved,
+    profile_matches_closed_forms,
+    psi_hat_routes_agree,
+    recurrence_vanishes,
+    witness_difference_holds,
 )
-from netcov.covkernel import (
-    cov_polynomial,
-    delta_s,
-    inc_beta,
-    inc_beta_derivative_form,
-    psi_hat_general,
-    psi_hat_zero_t,
-    q_s,
-    q_s_polynomial,
-    recmain_eval,
-    recurrence_residual,
-)
-from netcov.digits import gamma_vector
+from netcov.counting import pdf_normalization
+from netcov.covkernel import cov_polynomial, psi_hat_zero_t, q_s_polynomial
 from netcov.estimators import (
     ExperimentConfig,
     run_experiment,
@@ -56,7 +47,6 @@ from netcov.estimators import (
 )
 from netcov.nets import faure_net, verify_net
 from netcov.scramble import ScrambleSeed, owen_scramble
-from netcov.walsh import WalshIndex
 
 # small nets where brute force is instant
 NET_FAMILY = (
@@ -100,13 +90,9 @@ def test_criterion_01_pair_counts_match_closed_forms():
         checked = 0
         for b, m, s in NET_FAMILY:
             precision = m + 3
-            ps = owen_scramble(faure_net(b, m, s, precision=precision),
-                               ScrambleSeed(31, 10 * m + s), precision=precision)
-            profile = profile_bruteforce(ps)
-            for i in product(range(m + 3), repeat=s):
-                assert profile.exact_count(i) == N_closed_form(b, m, s, i)
-                assert profile.at_least_count(i) == M_closed_form(b, m, i)
-                checked += 2
+            checked += profile_matches_closed_forms(owen_scramble(
+                faure_net(b, m, s, precision=precision),
+                ScrambleSeed(31, 10 * m + s), precision=precision))
         info["detail"] = f"{len(NET_FAMILY)} scrambled nets, {checked} exact counts"
 
 
@@ -119,24 +105,10 @@ def test_criterion_02_pair_density_normalizes():
 
 def test_criterion_03_density_coefficient_routes_agree():
     with criterion(3, "both routes to the density coefficients agree", 5.0) as info:
-        shells = 0
-        for b, m, s in SHELL_FAMILY:
-            n = b ** m
-
-            def count(k, _b=b, _m=m):
-                return M_closed_form(_b, _m, k)
-
-            # the coefficient is constant on each shell (both routes consume
-            # only the length and support patterns), so the minimal index
-            # represents the whole shell
-            for k_vec in length_vectors(s, m + 3):
-                if sum(k_vec) == 0:
-                    continue
-                l = tuple(b ** (kj - 1) if kj else 0 for kj in k_vec)
-                idx = WalshIndex(b, l)
-                assert psi_hat_general(count, idx, n) == psi_hat_zero_t(b, m, idx)
-                shells += 1
-        info["detail"] = f"{shells} shells across {len(SHELL_FAMILY)} configurations"
+        indices = sum(psi_hat_routes_agree(b, m, s, m + 3)
+                      for b, m, s in SHELL_FAMILY)
+        info["detail"] = (f"{indices} indices across {len(SHELL_FAMILY)} "
+                          "configurations")
 
 
 def test_criterion_04_coefficient_covariance_equals_grid_integral():
@@ -191,19 +163,10 @@ def test_criterion_07_recurrence_annihilates_covariance_values():
     with criterion(7, "recurrence annihilates covariance windows", 10.0) as info:
         xs = (Fraction(1, 7), Fraction(2, 5), Fraction(1, 2),
               Fraction(3, 4), Fraction(9, 10))
-        residuals = 0
-        for b in (2, 3):
-            a = Fraction(b - 1, b)
-            for m in range(1, 7):
-                polys = {sigma: cov_polynomial(b, m, sigma, a)
-                         for sigma in range(1, 16)}
-                for s in range(1, 13):
-                    for x in xs:
-                        window = [polys[sigma].eval(x)
-                                  for sigma in range(s, s + 4)]
-                        assert recurrence_residual(b, m, s, x, window) == 0
-                        residuals += 1
-        info["detail"] = f"{residuals} residuals, all exactly zero"
+        residuals = sum(recurrence_vanishes(*case) for case in product(
+            (2, 3), range(1, 7), range(1, 13), xs))
+        info["detail"] = (f"{residuals} polynomial and witness residuals, "
+                          "all exactly zero")
 
 
 def test_criterion_08_difference_derivative_and_assembly_forms():
@@ -211,19 +174,12 @@ def test_criterion_08_difference_derivative_and_assembly_forms():
         done = 0
         xs = (Fraction(0), Fraction(1, 8), Fraction(1, 3), Fraction(1, 2),
               Fraction(7, 9), Fraction(1))
-        for b in (2, 3, 5):
-            for m in range(1, 6):
-                for s in range(1, 6):
-                    for x in xs:
-                        assert delta_s(b, m, s, x) == (
-                            q_s(b, m, s - 1, x) - q_s(b, m, s, x))
-                        done += 1
-        for a in range(1, 9):
-            for b in range(1, 9):
-                for x in (Fraction(-1, 3), Fraction(0), Fraction(2, 7),
-                          Fraction(1), Fraction(5, 4)):
-                    assert inc_beta_derivative_form(a, b, x) == inc_beta(a, b, x)
-                    done += 1
+        for case in product((2, 3, 5), range(1, 6), range(1, 6), xs):
+            done += witness_difference_holds(*case)
+        for case in product(range(1, 9), range(1, 9), (
+                Fraction(-1, 3), Fraction(0), Fraction(2, 7), Fraction(1),
+                Fraction(5, 4))):
+            done += beta_forms_agree(*case)
         rng = random.Random(88)
         hits = 0
         while hits < 50:
@@ -233,10 +189,8 @@ def test_criterion_08_difference_derivative_and_assembly_forms():
             x = Fraction(rng.randint(1, 239), 240)
             if x == Fraction(1, b):
                 continue
-            assert recmain_eval(b, m, s, x) == q_s(b, m, s, x)
-            hits += 1
-            done += 1
-        info["detail"] = f"{done} exact identities"
+            hits += assembly_matches_witness(b, m, s, x)
+        info["detail"] = f"{done + hits} exact identities"
 
 
 def test_criterion_09_simulation_matches_analytic_predictions():
@@ -289,11 +243,8 @@ def test_criterion_10_scrambling_preserves_structure():
         for b, m, s in ((2, 3, 2), (3, 2, 3)):
             precision = m + 2
             base = faure_net(b, m, s, precision=precision)
-            scr = owen_scramble(base, ScrambleSeed(404), precision=precision)
-            for i in range(base.n):
-                for j in range(i + 1, base.n):
-                    assert gamma_vector(base.point(i), base.point(j)) \
-                        == gamma_vector(scr.point(i), scr.point(j))
+            gamma_preserved(
+                base, owen_scramble(base, ScrambleSeed(404), precision=precision))
         seeds_checked = 0
         for b, m, s in ((2, 3, 2), (3, 2, 3)):
             base = faure_net(b, m, s)

@@ -1,0 +1,53 @@
+"""Each shared identity function passes its case, then fails it once a fault
+is planted in what it compares."""
+
+from fractions import Fraction
+
+import pytest
+
+from netcov import checks, counting, covkernel, scramble
+from netcov.nets import PointSet, faure_net
+
+X = Fraction(1, 3)
+BASE = faure_net(2, 2, 2, precision=4)
+
+
+def _plant(module, name, fault):
+    original = getattr(module, name)
+    return lambda mp: mp.setattr(module, name, lambda *a, **k: fault(original(*a, **k)))
+
+
+def _scrambled():
+    return scramble.owen_scramble(BASE, scramble.ScrambleSeed(1), precision=4)
+
+
+def _rows_swapped(ps):
+    digits = ps.digits.copy()
+    digits[[0, 1]] = digits[[1, 0]]
+    return PointSet(b=ps.b, m=ps.m, s=ps.s, t=ps.t, digits=digits)
+
+
+@pytest.mark.parametrize("plant,call", [
+    pytest.param(_plant(counting, "N_closed_form", lambda v: v + 1),
+                 lambda: checks.profile_matches_closed_forms(_scrambled()),
+                 id="N_closed_form"),
+    pytest.param(_plant(covkernel, "Psi", lambda v: -v),
+                 lambda: checks.psi_hat_routes_agree(2, 2, 2, 5), id="Psi-routes"),
+    pytest.param(_plant(covkernel, "Psi", lambda v: -v),
+                 checks.check_psi_hat_flat_zone, id="Psi-flat-zone"),
+    pytest.param(_plant(covkernel, "delta_s", lambda v: v + 1),
+                 lambda: checks.witness_difference_holds(2, 2, 2, X), id="delta_s"),
+    pytest.param(_plant(covkernel, "inc_beta_derivative_form", lambda v: v + 1),
+                 lambda: checks.beta_forms_agree(2, 3, X), id="derivative-form"),
+    pytest.param(_plant(covkernel, "recmain_eval", lambda v: v + 1),
+                 lambda: checks.assembly_matches_witness(2, 2, 2, X), id="assembly"),
+    pytest.param(_plant(covkernel, "recurrence_residual", lambda v: v + 1),
+                 lambda: checks.recurrence_vanishes(2, 2, 2, X), id="residual"),
+    pytest.param(_plant(scramble, "owen_scramble", _rows_swapped),
+                 lambda: checks.gamma_preserved(BASE, _scrambled()), id="swapped-rows"),
+])
+def test_planted_faults_are_caught(monkeypatch, plant, call):
+    call()
+    plant(monkeypatch)
+    with pytest.raises(checks.CheckFailure):
+        call()

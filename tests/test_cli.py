@@ -5,13 +5,13 @@ import json
 import os
 import subprocess
 import sys
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import netcov
 from netcov import checks, cli
+from netcov.counting import MAX_PAIR_CELLS
 from netcov.nets import PointSet, load_point_set, save_point_set
 
 
@@ -289,8 +289,7 @@ def test_verify_suite_catches_a_kernel_mutation(capsys, monkeypatch):
     # flip the sign of the shell coefficient; the dual-route identities must
     # name the lie instead of agreeing with it
     import netcov.covkernel as covkernel
-    original = covkernel.Psi.__wrapped__ if hasattr(covkernel.Psi, "__wrapped__") \
-        else covkernel.Psi
+    original = covkernel.Psi
     monkeypatch.setattr("netcov.covkernel.Psi",
                         lambda b, r, c: -original(b, r, c))
     code, out, _ = run(capsys, "verify")
@@ -317,6 +316,22 @@ def test_grid_size_is_capped_before_it_is_built(capsys):
         == cli.MAX_GRID_POINTS
     with pytest.raises(argparse.ArgumentTypeError):
         cli._parse_grid(f"0:{cli.MAX_GRID_POINTS}:1")
+
+
+def test_format_csv_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--format", "csv", "verify"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", [["psi", "profile"],
+                                     ["psi", "eval", "--x", "0,0", "--y", "0,0"]])
+def test_psi_refuses_profiles_past_the_memory_cap(tmp_path, capsys, command):
+    # 2048 points in 2 dimensions: 8,386,560 pair cells, refused before any
+    # allocation; the largest nets the benchmark profiles stay admitted
+    assert max(1024 * 1023 * 2, 729 * 728 * 3) <= MAX_PAIR_CELLS
+    code, _, err = run(capsys, *command, str(gen_net_file(tmp_path, capsys, m=11)))
+    assert code == 2 and f"more than {MAX_PAIR_CELLS}" in err
 
 
 def test_unknown_command_is_a_usage_error(capsys):
@@ -360,6 +375,12 @@ def test_simulate_config_missing_a_key_is_a_usage_error(tmp_path, capsys, doc, m
     ("R", "config must be a JSON object, got str"),
     ({"b": 2, "m": 2, "s": 2, "R": 4, "function": 5},
      "function must be a JSON object, got int"),
+    ({"b": 2, "m": 2, "s": 2, "R": None, "function": DECAY_SPEC},
+     "config key 'R' has a bad value"),
+    ({"b": 2, "m": 2, "s": 2, "R": 4, "function": {"kind": "wal", "l": 5}},
+     "function key 'l' has a bad value"),
+    ({"b": 2, "m": 2, "s": 2, "R": 4, "function": {**DECAY_SPEC, "x": [1]}},
+     "function key 'x' has a bad value"),
 ])
 def test_simulate_config_that_is_not_an_object_is_a_usage_error(
         tmp_path, capsys, doc, message):

@@ -16,12 +16,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import GammaGrid, length_vectors, random_walsh_polynomial
-from netcov.counting import M_closed_form, profile_bruteforce
+from netcov.checks import (
+    assembly_matches_witness,
+    beta_forms_agree,
+    check_psi_hat_flat_zone,
+    psi_hat_routes_agree,
+    recurrence_vanishes,
+    witness_difference_holds,
+)
+from netcov.counting import profile_bruteforce
 from netcov.covkernel import (
-    CovPolynomial,
     Psi,
     cov_polynomial,
-    delta_first_part,
     delta_s,
     delta_second_part,
     inc_beta,
@@ -88,13 +94,7 @@ def test_psi_hat_rejects_misuse():
 
 @pytest.mark.parametrize("b,m,s", [(2, 2, 2), (3, 1, 2)])
 def test_psi_hat_routes_agree_on_formula_counts(b, m, s):
-    n = b ** m
-    for k_vec in length_vectors(s, m + 3):
-        for idx in enumerate_L_k(b, k_vec):
-            if idx.is_zero():
-                continue
-            general = psi_hat_general(lambda k: M_closed_form(b, m, k), idx, n)
-            assert general == psi_hat_zero_t(b, m, idx)
+    psi_hat_routes_agree(b, m, s, m + 3)
 
 
 def test_psi_hat_from_measured_counts():
@@ -113,13 +113,7 @@ def test_psi_hat_from_measured_counts():
 
 
 def test_psi_hat_flat_below_the_depth_threshold():
-    for b, m in [(2, 3), (3, 2)]:
-        n = b ** m
-        for k_vec in length_vectors(2, m):
-            if sum(k_vec) == 0:
-                continue
-            for idx in enumerate_L_k(b, k_vec):
-                assert psi_hat_zero_t(b, m, idx) == Fraction(-1, n - 1)
+    check_psi_hat_flat_zone()
 
 
 # covariance polynomial
@@ -258,14 +252,14 @@ def test_inc_beta_validation():
 @given(st.integers(1, 8), st.integers(1, 8),
        st.fractions(min_value=Fraction(-2), max_value=Fraction(2)))
 def test_inc_beta_reflection(a, b, x):
-    # polynomial identity, so it holds on all rationals, not only [0,1]
-    assert inc_beta(a, b, x) == 1 - inc_beta(b, a, 1 - x)
+    # polynomial identities, so they hold on all rationals, not only [0,1]
+    beta_forms_agree(a, b, x)
 
 
 @given(st.integers(1, 8), st.integers(1, 8),
        st.fractions(min_value=Fraction(-1), max_value=Fraction(2)))
 def test_inc_beta_derivative_form_agrees(a, b, x):
-    assert inc_beta_derivative_form(a, b, x) == inc_beta(a, b, x)
+    beta_forms_agree(a, b, x)
 
 
 # the witness
@@ -346,13 +340,8 @@ def test_witness_polynomial_agrees_with_the_beta_form():
 def test_difference_telescopes():
     xs = (Fraction(0), Fraction(1, 8), Fraction(1, 3), Fraction(1, 2),
           Fraction(4, 5), Fraction(1))
-    for b in (2, 3, 5):
-        for m in range(1, 5):
-            for s in range(1, 5):
-                for x in xs:
-                    assert delta_s(b, m, s, x) == (
-                        q_s(b, m, s - 1, x) - q_s(b, m, s, x)
-                    )
+    for case in product((2, 3, 5), range(1, 5), range(1, 5), xs):
+        witness_difference_holds(*case)
 
 
 def test_difference_pinned_value():
@@ -361,19 +350,13 @@ def test_difference_pinned_value():
 
 def test_difference_splits_into_parts():
     xs = (Fraction(1, 7), Fraction(2, 5), Fraction(6, 7))
-    for b, m, s in [(2, 2, 1), (2, 3, 2), (3, 2, 3)]:
-        for x in xs:
-            whole = delta_s(b, m, s, x)
-            parts = (delta_first_part(b, m, s, x)
-                     + delta_second_part(b, m, s, x)
-                     - delta_second_part(b, m, s - 1, x))
-            assert whole == parts
+    for (b, m, s), x in product([(2, 2, 1), (2, 3, 2), (3, 2, 3)], xs):
+        witness_difference_holds(b, m, s, x)
 
 
 def test_difference_is_nonnegative_on_the_unit_interval():
-    for b, m, s in [(2, 3, 2), (3, 2, 3), (5, 2, 1)]:
-        for i in range(51):
-            assert delta_s(b, m, s, Fraction(i, 50)) >= 0
+    for (b, m, s), i in product([(2, 3, 2), (3, 2, 3), (5, 2, 1)], range(51)):
+        witness_difference_holds(b, m, s, Fraction(i, 50))
 
 
 def test_difference_validation():
@@ -390,22 +373,14 @@ def test_difference_validation():
 
 def test_recurrence_annihilates_witness_windows():
     xs = (Fraction(1, 7), Fraction(1, 3), Fraction(5, 8))
-    for b, m in [(2, 2), (3, 1), (5, 3)]:
-        for s in range(1, 5):
-            for x in xs:
-                window = [q_s(b, m, sigma, x) for sigma in range(s, s + 4)]
-                assert recurrence_residual(b, m, s, x, window) == 0
+    for (b, m), s, x in product([(2, 2), (3, 1), (5, 3)], range(1, 5), xs):
+        recurrence_vanishes(b, m, s, x)
 
 
 def test_recurrence_annihilates_polynomial_windows():
     xs = (Fraction(1, 9), Fraction(2, 3))
-    for b, m in [(2, 3), (3, 2)]:
-        a = Fraction(b - 1, b)
-        for s in range(1, 4):
-            for x in xs:
-                window = [cov_polynomial(b, m, sigma, a).eval(x)
-                          for sigma in range(s, s + 4)]
-                assert recurrence_residual(b, m, s, x, window) == 0
+    for (b, m), s, x in product([(2, 3), (3, 2)], range(1, 4), xs):
+        recurrence_vanishes(b, m, s, x)
 
 
 def test_recurrence_rejects_perturbed_windows():
@@ -437,8 +412,7 @@ def test_assembly_matches_witness_at_random_rationals():
         x = Fraction(rng.randint(1, 199), 200)
         if x == Fraction(1, b):
             continue
-        assert recmain_eval(b, m, s, x) == q_s(b, m, s, x)
-        hits += 1
+        hits += assembly_matches_witness(b, m, s, x)
 
 
 def test_assembly_order_zero_vanishes():

@@ -7,6 +7,7 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from netcov.digits import ConfigurationError
 from netcov.nets import (
@@ -160,21 +161,6 @@ def test_load_rejects_bad_header():
         load_point_set(io.StringIO("2 1 2 0\n"))
 
 
-def test_load_rejects_bad_digits():
-    with pytest.raises(ConfigurationError):
-        load_point_set(io.StringIO("2 1 1 0 1\n0\n2\n"))
-
-
-def test_load_rejects_wrong_coordinate_count():
-    with pytest.raises(ConfigurationError):
-        load_point_set(io.StringIO("2 1 2 0 1\n0\n1\n"))
-
-
-def test_load_rejects_wrong_digit_count():
-    with pytest.raises(ConfigurationError):
-        load_point_set(io.StringIO("2 1 1 0 2\n00\n1\n"))
-
-
 def test_point_set_refuses_bases_past_uint8_digits():
     # digit 256 would wrap to 0 in the uint8 array
     with pytest.raises(ConfigurationError):
@@ -216,7 +202,37 @@ def test_generate_points_checks_parameters():
     ("2 1 1 0 2\n00\n1\n", "line 3: expected 2 digits per coordinate, got 1"),
     ("2 1 1 0 1\n0\n2\n", "line 3: invalid digit character '2'"),
     ("2 1 1 0 1\n?\n1\n", "line 2: invalid digit character '?'"),
+    ("2 1 2 0 1\n0\n1\n", "line 2: expected 2 coordinates, got 1"),
+    ("2 x 1 0 1\n0\n1\n", "line 1: invalid literal for int() with base 10: 'x'"),
+    ("2 1 1 0 -1\n0\n1\n", "line 1: need s >= 1 and P >= 1"),
+    ("2 1 1 -5 1\n0\n1\n", "line 1: quality parameter t=-5"),
+    ("2 99999999 1 0 1\n0\n1\n", "line 1: point count 2 is not b^m"),
+    ("2 1 1 0 1\n\n", "line 1: no point lines follow the header"),
 ])
 def test_load_errors_name_the_line(text, line):
     with pytest.raises(ConfigurationError, match=re.escape(line)):
         load_point_set(io.StringIO(text))
+
+
+VALID = "2 2 2 0 2\n00 00\n10 11\n01 10\n11 01\n"
+
+
+@given(st.text(max_size=40) | st.builds(  # or a valid file with a span replaced
+    lambda i, j, new: VALID[:i] + new + VALID[j:], st.integers(0, 12),
+    st.integers(0, len(VALID)), st.text("0123 -\nx", max_size=3)))
+def test_any_short_text_loads_or_is_a_configuration_error(text):
+    try:
+        load_point_set(io.StringIO(text))
+    except ConfigurationError:
+        pass
+
+
+@given(st.sampled_from([2, 3, 5]), st.integers(0, 2), st.integers(1, 3),
+       st.integers(1, 4), st.integers(0, 2), st.integers(0))
+def test_save_then_load_round_trips(b, m, s, p, t, seed):
+    digits = np.random.default_rng(seed).integers(0, b, (b ** m, s, p), dtype=np.uint8)
+    buf = io.StringIO()
+    save_point_set(PointSet(b=b, m=m, s=s, t=min(t, m), digits=digits), buf)
+    back = load_point_set(io.StringIO(buf.getvalue()))
+    assert (back.b, back.m, back.s, back.t) == (b, m, s, min(t, m))
+    assert np.array_equal(back.digits, digits)
