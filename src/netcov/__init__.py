@@ -47,6 +47,7 @@ from .counting import (
     PairProfile,
     joint_pdf,
     joint_pdf_closed_form,
+    pair_profile,
     pdf_normalization,
     profile_bruteforce,
 )
@@ -114,6 +115,7 @@ __all__ = [
     "joint_pdf_closed_form",
     "load_point_set",
     "owen_scramble",
+    "pair_profile",
     "pdf_normalization",
     "profile_bruteforce",
     "psi_hat_general",

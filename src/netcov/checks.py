@@ -36,10 +36,13 @@ def expect(cond: bool, msg: str) -> None:
 
 
 def profile_matches_closed_forms(ps: PointSet) -> int:
-    """Brute-force exact and dominated pair counts of a scrambled (0,m,s)-net
-    equal the closed forms for every vector below the stored precision."""
+    """The prefix-cell profile of a scrambled (0,m,s)-net equals the
+    pairwise oracle, and its exact and dominated pair counts equal the closed
+    forms for every vector below the stored precision."""
     b, m, s = ps.b, ps.m, ps.s
-    profile = counting.profile_bruteforce(ps)
+    profile = counting.pair_profile(ps)
+    expect(profile.counts == counting.profile_bruteforce(ps).counts,
+           f"prefix-cell and pairwise profiles differ at {(b, m, s)}")
     for i in product(range(ps.precision), repeat=s):
         expect(profile.exact_count(i) == counting.N_closed_form(b, m, s, i),
                f"exact-count mismatch at {(b, m, s)}, i={i}")

@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 from typing import Sequence
 
-from .counting import joint_pdf, profile_bruteforce
+from .counting import joint_pdf, pair_profile
 from .covkernel import cov_polynomial, q_s
 from .digits import AT_LEAST_P, ConfigurationError, DigitPoint, gamma_vector
 from .estimators import ExperimentConfig, run_experiment
@@ -129,7 +129,7 @@ def _cmd_scramble(args) -> int:
 
 
 def _cmd_psi_profile(args) -> int:
-    profile = profile_bruteforce(_load_points(args.file))
+    profile = pair_profile(_load_points(args.file))
     _write(_json(profile.to_dict()), args.out)
     return 0
 
@@ -141,7 +141,7 @@ def _parse_point(text: str, b: int, precision: int) -> DigitPoint:
 
 def _cmd_psi_eval(args) -> int:
     ps = _load_points(args.file)
-    profile = profile_bruteforce(ps)
+    profile = pair_profile(ps)
     x = _parse_point(args.x, ps.b, ps.precision)
     y = _parse_point(args.y, ps.b, ps.precision)
     parts, total = gamma_vector(x, y)
@@ -263,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_psi = sub.add_parser("psi", help="pair-profile and density inspection")
     psi_sub = p_psi.add_subparsers(dest="psi_command", required=True)
-    p_prof = psi_sub.add_parser("profile", help="brute-force pair profile")
+    p_prof = psi_sub.add_parser("profile", help="pair profile (prefix cells)")
     p_prof.add_argument("--out", default=None)
     p_prof.add_argument("file")
     p_prof.set_defaults(fn=_cmd_psi_profile)

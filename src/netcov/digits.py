@@ -46,10 +46,6 @@ class _AtLeastP:
 
 AT_LEAST_P = _AtLeastP()
 
-# A per-coordinate common-prefix count: an int, or AT_LEAST_P when the
-# coordinates agree on all stored digits.
-GammaValue = "int | _AtLeastP"
-
 # Digit characters for the text format, covering digit values 0..61
 # (bases up to 53 need at most 52).
 DIGIT_CHARS = "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"

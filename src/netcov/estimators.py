@@ -53,6 +53,28 @@ def _field(doc: Mapping, key: str, what: str, convert=lambda v: v, default=...):
             f"{what} key {key!r} has a bad value: {exc}") from None
 
 
+def _integer(v) -> int:
+    """A JSON integer; a float, a string or a bool is refused, not truncated."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise TypeError(f"expected an integer, got {type(v).__name__}")
+    return v
+
+
+def _rational(v) -> Fraction:
+    """A JSON integer or a rational string such as "3/20"."""
+    if isinstance(v, bool) or not isinstance(v, (int, str)):
+        raise TypeError(
+            f"expected an integer or a rational string, got {type(v).__name__}")
+    return Fraction(v)
+
+
+def _index(v) -> tuple[int, ...]:
+    """A JSON list of integers."""
+    if not isinstance(v, list):
+        raise TypeError(f"expected a list of integers, got {type(v).__name__}")
+    return tuple(_integer(c) for c in v)
+
+
 def build_function(b: int, s: int, spec: Mapping) -> WalshPolynomial:
     """Materialize an integrand from its config description.
 
@@ -63,7 +85,7 @@ def build_function(b: int, s: int, spec: Mapping) -> WalshPolynomial:
     spec = _object(spec, "function")
     kind = spec.get("kind")
     if kind == "wal":
-        l = _field(spec, "l", "function", lambda v: tuple(int(c) for c in v))
+        l = _field(spec, "l", "function", _index)
         if len(l) != s:
             raise ConfigurationError(f"index {l} has wrong dimension for s={s}")
         return WalshPolynomial(
@@ -75,11 +97,11 @@ def build_function(b: int, s: int, spec: Mapping) -> WalshPolynomial:
         return random_decay_polynomial(
             b=b, s=s,
             kind=_field(spec, "decay", "function"),
-            a=_field(spec, "a", "function", Fraction, None),
-            x=_field(spec, "x", "function", Fraction),
-            alpha=_field(spec, "alpha", "function", Fraction, Fraction(1)),
-            k_max=_field(spec, "k_max", "function", int),
-            seed=_field(spec, "seed", "function", int, 0),
+            a=_field(spec, "a", "function", _rational, None),
+            x=_field(spec, "x", "function", _rational),
+            alpha=_field(spec, "alpha", "function", _rational, Fraction(1)),
+            k_max=_field(spec, "k_max", "function", _integer),
+            seed=_field(spec, "seed", "function", _integer, 0),
         )
     if kind == "file":
         with open(_field(spec, "path", "function", os.fspath), "r",
@@ -105,12 +127,12 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, doc: Mapping) -> "ExperimentConfig":
         doc = _object(doc, "config")
-        b, m, s, R = (_field(doc, key, "config", int) for key in "bmsR")
+        b, m, s, R = (_field(doc, key, "config", _integer) for key in "bmsR")
         return cls(
-            b=b, m=m, s=s, R=R, seed=_field(doc, "seed", "config", int, 0),
+            b=b, m=m, s=s, R=R, seed=_field(doc, "seed", "config", _integer, 0),
             function_spec=dict(_object(_field(doc, "function", "config"),
                                        "function")),
-            precision=_field(doc, "precision", "config", int, None),
+            precision=_field(doc, "precision", "config", _integer, None),
         )
 
     def build_function(self) -> WalshPolynomial:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 

@@ -21,6 +21,11 @@ def _scrambled():
     return scramble.owen_scramble(BASE, scramble.ScrambleSeed(1), precision=4)
 
 
+def _one_pair_more(dominated):
+    k = max(dominated)
+    return {**dominated, k: dominated[k] + 1}
+
+
 def _rows_swapped(ps):
     digits = ps.digits.copy()
     digits[[0, 1]] = digits[[1, 0]]
@@ -31,6 +36,9 @@ def _rows_swapped(ps):
     pytest.param(_plant(counting, "N_closed_form", lambda v: v + 1),
                  lambda: checks.profile_matches_closed_forms(_scrambled()),
                  id="N_closed_form"),
+    pytest.param(_plant(counting, "_dominated_counts", _one_pair_more),
+                 lambda: checks.profile_matches_closed_forms(_scrambled()),
+                 id="dominated-count"),
     pytest.param(_plant(covkernel, "Psi", lambda v: -v),
                  lambda: checks.psi_hat_routes_agree(2, 2, 2, 5), id="Psi-routes"),
     pytest.param(_plant(covkernel, "Psi", lambda v: -v),

@@ -11,7 +11,7 @@ import pytest
 
 import netcov
 from netcov import checks, cli
-from netcov.counting import MAX_PAIR_CELLS
+from netcov.counting import MAX_PROFILE_WORK
 from netcov.nets import PointSet, load_point_set, save_point_set
 
 
@@ -327,11 +327,18 @@ def test_format_csv_is_a_usage_error(capsys):
 @pytest.mark.parametrize("command", [["psi", "profile"],
                                      ["psi", "eval", "--x", "0,0", "--y", "0,0"]])
 def test_psi_refuses_profiles_past_the_memory_cap(tmp_path, capsys, command):
-    # 2048 points in 2 dimensions: 8,386,560 pair cells, refused before any
-    # allocation; the largest nets the benchmark profiles stay admitted
-    assert max(1024 * 1023 * 2, 729 * 728 * 3) <= MAX_PAIR_CELLS
-    code, _, err = run(capsys, *command, str(gen_net_file(tmp_path, capsys, m=11)))
-    assert code == 2 and f"more than {MAX_PAIR_CELLS}" in err
+    # 2048 points in 2 dimensions count in 66 shapes, well inside the cap
+    code, out, _ = run(capsys, *command, str(gen_net_file(tmp_path, capsys, m=11)))
+    assert code == 0
+    if command[1] == "profile":
+        assert sum(json.loads(out)["counts"].values()) == 2048 * 2047
+    # 1024 identical points share every cell: 41^3 shapes at 40 digits, so
+    # the work passes the cap and the command stops there
+    same = tmp_path / "same.txt"
+    same.write_text("2 10 3 0 40\n" + f"{'0' * 40} {'0' * 40} {'0' * 40}\n" * 1024,
+                    encoding="utf-8")
+    code, _, err = run(capsys, *command, str(same))
+    assert code == 2 and f"more than {MAX_PROFILE_WORK}" in err
 
 
 def test_unknown_command_is_a_usage_error(capsys):
@@ -381,6 +388,24 @@ def test_simulate_config_missing_a_key_is_a_usage_error(tmp_path, capsys, doc, m
      "function key 'l' has a bad value"),
     ({"b": 2, "m": 2, "s": 2, "R": 4, "function": {**DECAY_SPEC, "x": [1]}},
      "function key 'x' has a bad value"),
+    # convertible values of the wrong JSON type are refused, not coerced
+    ({"b": 2, "m": 2, "s": 2, "R": 2.9, "function": DECAY_SPEC},
+     "config key 'R' has a bad value: expected an integer, got float"),
+    ({"b": 2, "m": 2, "s": 2, "R": True, "function": DECAY_SPEC},
+     "config key 'R' has a bad value: expected an integer, got bool"),
+    ({"b": "2", "m": 2, "s": 2, "R": 4, "function": DECAY_SPEC},
+     "config key 'b' has a bad value: expected an integer, got str"),
+    ({"b": 2, "m": 2, "s": 2, "R": 4, "precision": 6.0, "function": DECAY_SPEC},
+     "config key 'precision' has a bad value: expected an integer, got float"),
+    ({"b": 2, "m": 2, "s": 2, "R": 4, "function": {**DECAY_SPEC, "k_max": "3"}},
+     "function key 'k_max' has a bad value: expected an integer, got str"),
+    ({"b": 2, "m": 2, "s": 2, "R": 4, "function": {**DECAY_SPEC, "x": 0.15}},
+     "function key 'x' has a bad value: expected an integer or a rational "
+     "string, got float"),
+    ({"b": 2, "m": 2, "s": 2, "R": 4, "function": {"kind": "wal", "l": "11"}},
+     "function key 'l' has a bad value: expected a list of integers, got str"),
+    ({"b": 2, "m": 2, "s": 2, "R": 4, "function": {"kind": "wal", "l": [1, 1.5]}},
+     "function key 'l' has a bad value: expected an integer, got float"),
 ])
 def test_simulate_config_that_is_not_an_object_is_a_usage_error(
         tmp_path, capsys, doc, message):

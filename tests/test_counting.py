@@ -5,6 +5,9 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from netcov.checks import profile_matches_closed_forms
 from netcov.counting import (
@@ -12,6 +15,7 @@ from netcov.counting import (
     N_closed_form,
     joint_pdf,
     joint_pdf_closed_form,
+    pair_profile,
     pdf_normalization,
     profile_bruteforce,
 )
@@ -182,3 +186,21 @@ def test_pdf_normalization_validates():
         pdf_normalization(2, 0, 1)
     with pytest.raises(ConfigurationError):
         pdf_normalization(9, 2, 1)
+
+
+@given(st.data())
+def test_prefix_cells_equal_the_pairwise_oracle(data):
+    b = data.draw(st.sampled_from([2, 3, 5]), label="b")
+    m = data.draw(st.integers(0, {2: 5, 3: 3, 5: 2}[b]), label="m")
+    s = data.draw(st.integers(1, 3), label="s")
+    p = data.draw(st.integers(1, 5), label="P")
+    n = b ** m
+    digits = data.draw(arrays(np.uint8, (n, s, p),
+                              elements=st.integers(0, b - 1)), label="digits")
+    # forced duplicates: row dst becomes a copy of row src
+    for src, dst in data.draw(st.lists(st.tuples(
+            st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n),
+            label="copies"):
+        digits[dst] = digits[src]
+    ps = PointSet(b=b, m=m, s=s, t=m, digits=digits)
+    assert pair_profile(ps).counts == profile_bruteforce(ps).counts

@@ -159,3 +159,45 @@ def test_figure_csvs_are_pinned(tmp_path, capsys):
     run(capsys, "figure-scan", "--out-dir", str(out_dir))
     written = {p.name: sha256(p.read_bytes()) for p in out_dir.iterdir()}
     assert written == FIGURE_DIGESTS
+
+
+def _profile_digest(tmp_path, capsys, points):
+    out = tmp_path / "profile.json"
+    run(capsys, "psi", "profile", "--out", str(out), str(points))
+    return sha256(out.read_bytes())
+
+
+@pytest.mark.parametrize("b,m,s,digest", [
+    # the benchmark's largest profiles, at the default m + 31 digits
+    (2, 10, 2, "242b39bd6dccf19e6a1d6fd275080ef4180c3f0711cb012015902753c2b80390"),
+    (3, 6, 3, "d910a29aee10defe0588b6449e7b50694518c37fed3524cf683040d2e29fff56"),
+])
+def test_psi_profiles_of_scrambled_nets_are_pinned(tmp_path, capsys, b, m, s,
+                                                   digest):
+    net = tmp_path / "net.txt"
+    run(capsys, "net", "gen", "--base", str(b), "--m", str(m), "--s", str(s),
+        "--out", str(net))
+    run(capsys, "scramble", "--seed", "7", "--out-prefix",
+        str(tmp_path / "rep"), str(net))
+    assert _profile_digest(tmp_path, capsys, tmp_path / "rep000.txt") == digest
+
+
+PLANTED_SETS = {
+    # t = 2: repeated points, and coordinates agreeing through all P digits
+    "duplicates-and-saturation": (
+        "3 2 2 2 2\n00 00\n00 00\n00 12\n01 12\n01 12\n22 21\n20 21\n11 00\n"
+        "11 01\n",
+        "e46f92fccc98a35906d5f83e0876807d67650982fdfb7552b327de5c9925ea65"),
+    # a single point has no pairs
+    "one-point": (
+        "2 0 2 0 3\n101 011\n",
+        "adbfae330d791f72deb474222ce2e977ae166912c85df1e36566b116f39101b8"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLANTED_SETS))
+def test_psi_profiles_of_planted_sets_are_pinned(tmp_path, capsys, name):
+    text, digest = PLANTED_SETS[name]
+    points = tmp_path / "points.txt"
+    points.write_text(text, encoding="utf-8")
+    assert _profile_digest(tmp_path, capsys, points) == digest
