@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 class ConfigurationError(ValueError):
@@ -66,6 +66,51 @@ def is_prime(n: int) -> bool:
 def validate_base(b: int) -> None:
     if not isinstance(b, int) or not is_prime(b):
         raise ConfigurationError(f"base must be a prime integer, got {b!r}")
+
+
+# JSON input (configs, coefficient files): a wrong value is a
+# ConfigurationError naming its key, never a KeyError or TypeError
+
+def json_object(doc, what: str) -> Mapping:
+    if not isinstance(doc, Mapping):
+        raise ConfigurationError(
+            f"{what} must be a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def json_field(doc: Mapping, key: str, what: str, convert=lambda v: v, default=...):
+    """doc[key] passed through convert.  A missing key without a default, or
+    a value of the wrong JSON type, is a ConfigurationError naming the key."""
+    if key not in doc:
+        if default is ...:
+            raise ConfigurationError(f"{what} is missing the key {key!r}")
+        return default
+    try:
+        return convert(doc[key])
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ConfigurationError(
+            f"{what} key {key!r} has a bad value: {exc}") from None
+
+
+def _json_typed(types: tuple, expected: str, convert=lambda v: v):
+    """A converter that takes only values of the given JSON types; a bool
+    is never taken for a number."""
+    def check(v):
+        if isinstance(v, bool) or not isinstance(v, types):
+            raise TypeError(f"expected {expected}, got {type(v).__name__}")
+        return convert(v)
+    return check
+
+
+# a float, a string or a bool is refused, not truncated
+json_integer = _json_typed((int,), "an integer")
+# e.g. 3 or "3/20"
+json_rational = _json_typed((int, str), "an integer or a rational string", Fraction)
+# a finite number, as the exact rational it denotes
+json_number = _json_typed((int, float), "a number", Fraction)
+json_list = _json_typed((list,), "a list")
+json_index = _json_typed((list,), "a list of integers",
+                         lambda v: tuple(json_integer(c) for c in v))
 
 
 @dataclass(frozen=True)

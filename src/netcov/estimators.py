@@ -19,7 +19,8 @@ from typing import Mapping
 import numpy as np
 
 from .covkernel import psi_hat_zero_t
-from .digits import ConfigurationError
+from .digits import (
+    ConfigurationError, json_field, json_index, json_integer, json_object, json_rational)
 from .nets import PointSet, faure_net
 from .scramble import replicate
 from .walsh import Coefficient, WalshIndex, WalshPolynomial, random_decay_polynomial
@@ -32,49 +33,6 @@ def estimate(ps: PointSet, f: WalshPolynomial) -> complex:
     return complex(values.sum() / ps.n)
 
 
-def _object(doc, what: str) -> Mapping:
-    if not isinstance(doc, Mapping):
-        raise ConfigurationError(
-            f"{what} must be a JSON object, got {type(doc).__name__}")
-    return doc
-
-
-def _field(doc: Mapping, key: str, what: str, convert=lambda v: v, default=...):
-    """doc[key] passed through convert.  A missing key without a default, or
-    a value of the wrong JSON type, is a ConfigurationError naming the key."""
-    if key not in doc:
-        if default is ...:
-            raise ConfigurationError(f"{what} is missing the key {key!r}")
-        return default
-    try:
-        return convert(doc[key])
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ConfigurationError(
-            f"{what} key {key!r} has a bad value: {exc}") from None
-
-
-def _integer(v) -> int:
-    """A JSON integer; a float, a string or a bool is refused, not truncated."""
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise TypeError(f"expected an integer, got {type(v).__name__}")
-    return v
-
-
-def _rational(v) -> Fraction:
-    """A JSON integer or a rational string such as "3/20"."""
-    if isinstance(v, bool) or not isinstance(v, (int, str)):
-        raise TypeError(
-            f"expected an integer or a rational string, got {type(v).__name__}")
-    return Fraction(v)
-
-
-def _index(v) -> tuple[int, ...]:
-    """A JSON list of integers."""
-    if not isinstance(v, list):
-        raise TypeError(f"expected a list of integers, got {type(v).__name__}")
-    return tuple(_integer(c) for c in v)
-
-
 def build_function(b: int, s: int, spec: Mapping) -> WalshPolynomial:
     """Materialize an integrand from its config description.
 
@@ -82,10 +40,10 @@ def build_function(b: int, s: int, spec: Mapping) -> WalshPolynomial:
     from random_decay_polynomial; rational fields as strings), "file" (a
     saved coefficient map).
     """
-    spec = _object(spec, "function")
+    spec = json_object(spec, "function")
     kind = spec.get("kind")
     if kind == "wal":
-        l = _field(spec, "l", "function", _index)
+        l = json_field(spec, "l", "function", json_index)
         if len(l) != s:
             raise ConfigurationError(f"index {l} has wrong dimension for s={s}")
         return WalshPolynomial(
@@ -96,15 +54,15 @@ def build_function(b: int, s: int, spec: Mapping) -> WalshPolynomial:
     if kind == "decay":
         return random_decay_polynomial(
             b=b, s=s,
-            kind=_field(spec, "decay", "function"),
-            a=_field(spec, "a", "function", _rational, None),
-            x=_field(spec, "x", "function", _rational),
-            alpha=_field(spec, "alpha", "function", _rational, Fraction(1)),
-            k_max=_field(spec, "k_max", "function", _integer),
-            seed=_field(spec, "seed", "function", _integer, 0),
+            kind=json_field(spec, "decay", "function"),
+            a=json_field(spec, "a", "function", json_rational, None),
+            x=json_field(spec, "x", "function", json_rational),
+            alpha=json_field(spec, "alpha", "function", json_rational, Fraction(1)),
+            k_max=json_field(spec, "k_max", "function", json_integer),
+            seed=json_field(spec, "seed", "function", json_integer, 0),
         )
     if kind == "file":
-        with open(_field(spec, "path", "function", os.fspath), "r",
+        with open(json_field(spec, "path", "function", os.fspath), "r",
                   encoding="utf-8") as fh:
             return WalshPolynomial.from_json(fh.read())
     raise ConfigurationError(f"unknown function kind {kind!r}")
@@ -126,13 +84,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "ExperimentConfig":
-        doc = _object(doc, "config")
-        b, m, s, R = (_field(doc, key, "config", _integer) for key in "bmsR")
+        doc = json_object(doc, "config")
+        b, m, s, R = (json_field(doc, key, "config", json_integer) for key in "bmsR")
         return cls(
-            b=b, m=m, s=s, R=R, seed=_field(doc, "seed", "config", _integer, 0),
-            function_spec=dict(_object(_field(doc, "function", "config"),
+            b=b, m=m, s=s, R=R, seed=json_field(doc, "seed", "config", json_integer, 0),
+            function_spec=dict(json_object(json_field(doc, "function", "config"),
                                        "function")),
-            precision=_field(doc, "precision", "config", _integer, None),
+            precision=json_field(doc, "precision", "config", json_integer, None),
         )
 
     def build_function(self) -> WalshPolynomial:

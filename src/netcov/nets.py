@@ -28,8 +28,21 @@ from .digits import (
 )
 
 
+# Most digits n * s * P (one byte each) a generated or scrambled point set
+# holds; at the cap `net gen` took 5 s and 210 MiB on a 2-core Xeon VM
+MAX_POINT_DIGITS = 2 ** 24
+
+
 class UnsupportedConstructionError(ConfigurationError):
     """The requested parameters fall outside what this generator covers."""
+
+
+def check_point_digits(b: int, m: int, s: int, precision: int) -> None:
+    """Refuse, before allocating, b^m points of s coordinates and P digits
+    past MAX_POINT_DIGITS; b^m >= 2^m, so a huge m never computes b^m."""
+    if m >= MAX_POINT_DIGITS.bit_length() or b ** m * s * precision > MAX_POINT_DIGITS:
+        raise ConfigurationError(f"{b}^{m} points x {s} coordinates x {precision} "
+                                 f"digits is more than {MAX_POINT_DIGITS} digits")
 
 
 @dataclass(frozen=True)
@@ -61,7 +74,7 @@ class PointSet:
     """n = b^m points as an (n, s, precision) array of exact digits.
 
     Compared and hashed by identity: the digit array makes field-wise
-    equality unusable, and the frozen digits let a point set key a cache."""
+    equality unusable."""
 
     b: int
     m: int
@@ -140,6 +153,7 @@ def faure_matrices(b: int, m: int, s: int, precision: int | None = None) -> Gene
     p = m if precision is None else precision
     if p < m:
         raise ConfigurationError(f"precision {p} smaller than m={m}")
+    check_point_digits(b, m, s, p)
     mats = []
     for j in range(s):
         top = pascal_matrix_power(b, m, j)
@@ -168,6 +182,7 @@ def generate_points(g: GeneratingMatrices, b: int, m: int) -> PointSet:
     """
     if b != g.b or m != g.m:
         raise ConfigurationError("matrices built for different (b, m)")
+    check_point_digits(b, m, g.s, g.precision)
     n = b ** m
     dmat = index_digit_matrix(b, m)  # (m, n)
     out = np.empty((n, g.s, g.precision), dtype=np.uint8)

@@ -5,32 +5,59 @@ applied to the digit at depth d depends on the input digits at depths
 1..d-1.  Pairs of points therefore keep their exact common-prefix profile
 while each point becomes marginally uniform on [0,1)^s.
 
-Randomness is counter-mode hashing: every tree node (coordinate, input digit
-prefix) keys a blake2b digest of the seed, and the node's permutation is
-drawn from that digest.  This gives bit-reproducible output for a given
-(master seed, replication index), O(nodes visited) memory, and no dependence
-on any global RNG state.
-
-The tree's shape depends only on the input digits, so it is built once per
-net (``_tree``) and shared by every replication; a replication only draws
-the permutations of its nodes.
+Randomness is counter-based hashing of numpy uint64 arrays by the splitmix64
+finalizer, as in hash-based Owen scrambling (Laine & Karras 2011; Burley
+2020).  A node is keyed by (master seed, replication, coordinate, depth,
+node), the node being a rolling hash of the point's own input-digit prefix,
+so no tree is built and points that share a prefix share the node.  At an
+input depth the output digit is the rank of the input digit among the
+node's b symbol hashes, which the bijective finalizer keeps distinct: a true
+permutation.  At a guard depth, past the stored precision, every input digit
+is the zero pad, so one hash per (replication, prefix, depth) gives sigma(0)
+by a 32-bit multiply-high.  Output depends only on (master seed,
+replication), never on global RNG state or on how replications are blocked.
 """
 
 from __future__ import annotations
 
-import functools
-import hashlib
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .digits import ConfigurationError
-from .nets import PointSet
+from .nets import PointSet, check_point_digits
 
 # Default number of uniform guard digits appended past the input precision.
 GUARD_DIGITS = 31
+# uint64 words per temporary array of a block of replications; each
+# replication is charged n * s * (P + 1) words: one hash per point and
+# coordinate, and its output digits
+BLOCK_WORDS = 2 ** 18
+
+_U64 = np.uint64
+# 0-d arrays, which numpy applies faster than scalars
+_GOLDEN, _MUL1, _MUL2, _S27, _S30, _S31, _S32 = (np.array(c, dtype=_U64) for c in (
+    0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 27, 30, 31, 32))
+
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """The splitmix64 finalizer, a bijection of uint64, applied in place."""
+    z ^= z >> _S30
+    z *= _MUL1
+    z ^= z >> _S27
+    z *= _MUL2
+    z ^= z >> _S31
+    return z
+
+
+def _words(values) -> np.ndarray:
+    """Distinct pseudo-random uint64 words for distinct integers below 2^64."""
+    return _mix((np.asarray(values, dtype=_U64) + _U64(1)) * _GOLDEN)
+
+
+_SYMBOLS = _words(np.arange(256))  # one word per digit value
 
 
 @dataclass(frozen=True)
@@ -43,81 +70,49 @@ class ScrambleSeed:
     def __post_init__(self):
         if not 0 <= self.master < 2 ** 64:
             raise ConfigurationError("master seed must fit in 64 bits")
-        if self.replication < 0:
-            raise ConfigurationError("replication index must be >= 0")
-
-    def key(self) -> bytes:
-        return self.master.to_bytes(8, "big") + self.replication.to_bytes(8, "big")
+        if not 0 <= self.replication < 2 ** 64:
+            raise ConfigurationError("replication index must fit in 64 bits")
 
 
 def default_precision(b: int, m: int) -> int:
-    """Input precision plus guard digits, capped so prefix codes stay inside
-    exact 62-bit integer arithmetic per coordinate."""
+    """Input precision plus guard digits, capped at b^P <= 2^62."""
     cap = int(62 / math.log2(b))
     return max(m, min(m + GUARD_DIGITS, cap))
 
 
-def _byte_stream(keyed, node: bytes) -> Iterator[int]:
-    """Bytes of blake2b(node + counter) under the seed's key, for counter =
-    0, 1, ...; ``keyed`` holds the keyed initial state and is copied, never
-    updated."""
-    counter = 0
-    while True:
-        h = keyed.copy()
-        h.update(node + counter.to_bytes(4, "big"))
-        yield from h.digest()
-        counter += 1
+def _output_precision(ps: PointSet, precision: int | None) -> int:
+    p_out = default_precision(ps.b, ps.m) if precision is None else precision
+    if p_out < ps.m:
+        raise ConfigurationError(f"output precision {p_out} must be >= m = {ps.m}")
+    check_point_digits(ps.b, ps.m, ps.s, p_out)
+    return p_out
 
 
-def _permutation(b: int, keyed, node: bytes) -> list[int]:
-    """A permutation of {0..b-1} drawn from the node's digest stream via
-    Fisher-Yates with rejection sampling (stable across platforms)."""
-    stream = _byte_stream(keyed, node)
-    perm = list(range(b))
-    for i in range(b - 1, 0, -1):
-        bound = i + 1
-        limit = 256 - 256 % bound
-        while True:
-            r = next(stream)
-            if r < limit:
-                break
-        j = r % bound
-        perm[i], perm[j] = perm[j], perm[i]
-    return perm
-
-
-@functools.lru_cache(maxsize=1)
-def _tree(ps: PointSet, p_out: int):
-    """The permutation trees of every coordinate, as far as they depend on
-    the input digits alone; the last net's trees are kept for its next
-    replication (point sets hash by identity and their digits are frozen).
-
-    Returns (digits, keys, levels): the input digits cut or zero-padded to
-    p_out; keys[j][i], the coordinate tag followed by point i's digits, so
-    that keys[j][i][:2 + d] names the node holding point i at depth d; and
-    levels[j][d] = (node index of each point, one point per node).  Past the
-    input digits, or once every point has a node of its own, the nodes stop
-    splitting and the depths share one pair of arrays.
-    """
-    n, s, b = ps.n, ps.s, ps.b
+def _scramble_block(ps: PointSet, master: int, reps: Sequence[int],
+                    p_out: int) -> np.ndarray:
+    """Output digits of replications ``reps``: (len(reps), n, s, p_out) uint8."""
+    counter = _words(np.arange(max(ps.s, p_out)))
+    seeds = _words([master, *reps])
+    key = _mix(_mix(seeds[:1]) ^ seeds[1:])
+    key = _mix(key[:, None] ^ counter[:ps.s])
+    key = _mix(key[:, :, None] ^ counter[:p_out])  # (replication, coordinate, depth)
+    out = np.empty((len(reps), ps.n, ps.s, p_out), dtype=np.uint8)
     p_in = min(ps.precision, p_out)
-    digits = np.zeros((n, s, p_out), dtype=np.uint8)
-    digits[:, :, :p_in] = ps.digits[:, :, :p_in]
-    keys, levels = [], []
-    for j in range(s):
-        tag = j.to_bytes(2, "big")
-        keys.append([tag + row.tobytes() for row in digits[:, j]])
-        node = np.zeros(n, dtype=np.int64)
-        first = np.zeros(1, dtype=np.int64)
-        per_depth = []
-        for d in range(p_out):
-            per_depth.append((node, first))
-            if len(first) < n and d < p_in:
-                _, first, node = np.unique(node * b + digits[:, j, d],
-                                           return_index=True,
-                                           return_inverse=True)
-        levels.append(per_depth)
-    return digits, keys, levels
+    prefix = np.zeros((ps.n, ps.s), dtype=_U64)
+    for d in range(p_in):
+        symbol = _SYMBOLS[ps.digits[:, :, d]]
+        node = _mix(prefix ^ key[:, None, :, d])
+        mine = _mix(node ^ symbol)
+        rank = np.zeros(node.shape, dtype=np.uint8)
+        for word in _SYMBOLS[:ps.b]:
+            rank += _mix(node ^ word) < mine
+        out[..., d] = rank
+        prefix = _mix(prefix ^ symbol)
+    step = max(1, BLOCK_WORDS // prefix.size // len(reps))
+    for d in range(p_in, p_out, step):
+        node = _mix(prefix[None, :, :, None] ^ key[:, None, :, d:d + step])
+        out[..., d:d + step] = ((node >> _S32) * _U64(ps.b)) >> _S32
+    return out
 
 
 def owen_scramble(ps: PointSet, seed: ScrambleSeed, precision: int | None = None) -> PointSet:
@@ -127,27 +122,22 @@ def owen_scramble(ps: PointSet, seed: ScrambleSeed, precision: int | None = None
     from a permutation keyed by a prefix that already distinguishes the
     points).  The result is again a valid point set with the same claimed t.
     """
-    b, m = ps.b, ps.m
-    p_out = default_precision(b, m) if precision is None else precision
-    if p_out < m:
-        raise ConfigurationError(f"output precision {p_out} must be >= m = {m}")
-    digits, keys, levels = _tree(ps, p_out)
-    keyed = hashlib.blake2b(key=seed.key(), digest_size=32)
-    out = np.empty((ps.n, ps.s, p_out), dtype=np.uint8)
-    for j in range(ps.s):
-        for d, (node, first) in enumerate(levels[j]):
-            perms = np.array(
-                [_permutation(b, keyed, keys[j][i][:2 + d]) for i in first.tolist()],
-                dtype=np.uint8)
-            out[:, j, d] = perms[node, digits[:, j, d]]
-    return PointSet(b=b, m=m, s=ps.s, t=ps.t, digits=out)
+    p_out = _output_precision(ps, precision)
+    digits = _scramble_block(ps, seed.master, [seed.replication], p_out)[0]
+    return PointSet(b=ps.b, m=ps.m, s=ps.s, t=ps.t, digits=digits)
 
 
 def replicate(ps: PointSet, master_seed: int, count: int,
               precision: int | None = None) -> Iterator[PointSet]:
     """Stream of independent scrambles; replication r uses
-    (master_seed, r), so any prefix of the stream is run-length independent."""
+    (master_seed, r), so any prefix of the stream is run-length independent.
+    Replications are drawn a block of up to BLOCK_WORDS words at a time."""
     if count < 1:
         raise ConfigurationError(f"replication count must be >= 1, got {count}")
-    for r in range(count):
-        yield owen_scramble(ps, ScrambleSeed(master_seed, r), precision)
+    ScrambleSeed(master_seed)
+    p_out = _output_precision(ps, precision)
+    block = max(1, BLOCK_WORDS // (ps.n * ps.s * (p_out + 1)))
+    for start in range(0, count, block):
+        reps = range(start, min(start + block, count))
+        for digits in _scramble_block(ps, master_seed, reps, p_out):
+            yield PointSet(b=ps.b, m=ps.m, s=ps.s, t=ps.t, digits=digits)

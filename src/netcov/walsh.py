@@ -29,6 +29,12 @@ from .digits import (
     ConfigurationError,
     DigitPoint,
     PrecisionError,
+    json_field,
+    json_index,
+    json_integer,
+    json_list,
+    json_number,
+    json_object,
     length_vectors,
     validate_base,
 )
@@ -384,15 +390,20 @@ class WalshPolynomial:
 
     @classmethod
     def from_json(cls, text: str) -> "WalshPolynomial":
-        doc = json.loads(text)
+        """The map to_json wrote; a malformed file is a ConfigurationError
+        naming the field."""
+        doc = json_object(json.loads(text), "coefficient file")
         terms = {}
-        for row in doc["terms"]:
-            l = tuple(int(v) for v in row["l"])
+        for i, row in enumerate(json_field(doc, "terms", "coefficient file", json_list)):
+            row, what = json_object(row, f"term {i}"), f"term {i}"
             # binary floats are exact rationals, so the reconstructed map is
             # exact for the values that were written
-            terms[l] = Coefficient(Fraction(row["re"]), Fraction(row["im"]))
-        return cls(b=int(doc["b"]), s=int(doc["s"]), terms=terms,
-                   metadata=doc.get("metadata", {}))
+            terms[json_field(row, "l", what, json_index)] = Coefficient(
+                json_field(row, "re", what, json_number),
+                json_field(row, "im", what, json_number))
+        b, s = (json_field(doc, key, "coefficient file", json_integer) for key in "bs")
+        return cls(b=b, s=s, terms=terms, metadata=json_object(
+            doc.get("metadata", {}), "coefficient file metadata"))
 
 
 def _pythagorean_phase(rng: random.Random) -> tuple[Fraction, Fraction]:

@@ -4,8 +4,8 @@ The centerpiece is GammaGrid, an independent oracle for the pair covariance:
 it integrates (psi - 1) f(x) conj(f(y)) over the full digit grid in exact
 rational arithmetic, never touching the coefficient-space shortcut it is
 meant to check.  The rest is small: random rational Walsh series, an integer
-sign scan for dense polynomial grids, and the rerun policy for statistical
-gates.
+sign scan for dense polynomial grids, the chi-square tail, and the rerun
+policy for statistical gates.
 """
 
 from __future__ import annotations
@@ -165,6 +165,25 @@ def first_sign_violation(coeffs: Sequence[int], den: int) -> int | None:
         if acc > 0:
             return i
     return None
+
+
+def chi2_sf(x: float, df: int) -> float:
+    """Upper tail P(X >= x) of the chi-square law with integer df >= 1, in
+    closed form: a Poisson sum for even df, erfc plus half-integer terms for
+    odd df."""
+    half = x / 2
+    if df % 2 == 0:
+        term = total = 1.0
+        for k in range(1, df // 2):
+            term *= half / k
+            total += term
+        return math.exp(-half) * total
+    term = math.sqrt(half) / math.gamma(1.5)
+    total = 0.0
+    for k in range(1, (df + 1) // 2):
+        total += term
+        term *= half / (k + 0.5)
+    return math.erfc(math.sqrt(half)) + math.exp(-half) * total
 
 
 def run_with_rerun(make_report: Callable[[int], object],

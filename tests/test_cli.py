@@ -12,7 +12,14 @@ import pytest
 import netcov
 from netcov import checks, cli
 from netcov.counting import MAX_PROFILE_WORK
-from netcov.nets import PointSet, load_point_set, save_point_set
+from netcov.digits import ConfigurationError
+from netcov.nets import (
+    MAX_POINT_DIGITS,
+    PointSet,
+    check_point_digits,
+    load_point_set,
+    save_point_set,
+)
 
 
 def run(capsys, *argv):
@@ -414,6 +421,50 @@ def test_simulate_config_that_is_not_an_object_is_a_usage_error(
     code, _, err = run(capsys, "simulate", "--config", str(config))
     assert code == 2
     assert message in err
+
+
+@pytest.mark.parametrize("text,message", [
+    ('{"b": 2, "s": 2}', "coefficient file is missing the key 'terms'"),
+    ('{"b": 2, "s": 2, "terms": [{"l": [1, 1], "im": 0}]}',
+     "term 0 is missing the key 're'"),
+    ("[]", "coefficient file must be a JSON object, got list"),
+    ('{"b": 2, "s": 2, "terms": [{"l": [1, 1], "re": 1e400, "im": 0}]}',
+     "term 0 key 're' has a bad value"),
+])
+def test_simulate_malformed_coefficient_file_is_a_usage_error(
+        tmp_path, capsys, text, message):
+    coefficients = tmp_path / "coef.json"
+    coefficients.write_text(text, encoding="utf-8")
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "b": 2, "m": 2, "s": 2, "R": 4,
+        "function": {"kind": "file", "path": str(coefficients)}}), encoding="utf-8")
+    code, _, err = run(capsys, "simulate", "--config", str(config))
+    assert code == 2
+    assert message in err
+
+
+@pytest.mark.parametrize("argv", [
+    # 2^40 points: refused before the index digits are built
+    ["net", "gen", "--base", "2", "--m", "40", "--s", "2"],
+    # a billion digits per coordinate: refused before the matrices are built
+    ["net", "gen", "--base", "2", "--m", "3", "--s", "2", "--precision", "1000000000"],
+])
+def test_oversized_nets_are_refused(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and f"more than {MAX_POINT_DIGITS} digits" in err
+
+
+def test_oversized_scrambles_are_refused(tmp_path, capsys):
+    net = gen_net_file(tmp_path, capsys, m=4)
+    code, _, err = run(capsys, "scramble", "--precision", "20000000", str(net))
+    assert code == 2 and f"more than {MAX_POINT_DIGITS} digits" in err
+
+
+def test_the_digit_cap_admits_the_largest_net_it_names():
+    check_point_digits(2, 18, 2, 32)  # 2^24 digits
+    with pytest.raises(ConfigurationError):
+        check_point_digits(2, 18, 2, 33)
 
 
 def test_module_entry_point_runs_the_cli():

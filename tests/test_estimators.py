@@ -1,10 +1,13 @@
 """Replication experiments against exact reference values."""
 
+import copy
+import json
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from helpers import random_walsh_polynomial
 from netcov.covkernel import psi_hat_zero_t
@@ -175,3 +178,67 @@ def test_per_shell_references_equal_per_index_sums():
                  for l, c in f.terms.items() if any(l)),
                 Fraction(0))
             assert analytic_variance(f, b, m) == variance
+
+
+# any JSON value, floats including NaN and the infinities; integers stay
+# small so a fuzzed base or dimension cannot stand for a slow build
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 60) | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6)
+DELETE = object()
+
+
+def _edited(doc, path, value):
+    """A deep copy of doc with the entry at path set to value, or deleted."""
+    doc = copy.deepcopy(doc)
+    *parents, last = path
+    owner = doc
+    for key in parents:
+        owner = owner[key]
+    if value is DELETE:
+        del owner[last]
+    else:
+        owner[last] = value
+    return doc
+
+
+def _fuzzed(valid, paths):
+    """Any JSON value, or a valid document with one entry replaced or
+    deleted."""
+    return JSON_VALUES | st.builds(_edited, st.just(valid), st.sampled_from(paths),
+                                   JSON_VALUES | st.just(DELETE))
+
+
+VALID_CONFIG = {"b": 2, "m": 2, "s": 2, "R": 4, "seed": 1, "precision": 3,
+                "function": {**WAL_SPEC, "a": "1/2", "x": "3/20",
+                             "alpha": "1", "decay": "per-shell", "seed": 0}}
+CONFIG_PATHS = [(key,) for key in VALID_CONFIG] + [
+    ("function", key) for key in VALID_CONFIG["function"]]
+
+
+@given(_fuzzed(VALID_CONFIG, CONFIG_PATHS))
+def test_any_config_json_loads_or_is_a_configuration_error(doc):
+    try:
+        cfg = ExperimentConfig.from_dict(json.loads(json.dumps(doc)))
+        if cfg.function_spec.get("kind") == "wal":
+            cfg.build_function()
+    except ConfigurationError:
+        pass
+
+
+VALID_COEFFICIENTS = json.loads(WalshPolynomial(
+    b=3, s=2, terms={(0, 0): Coefficient(1, 0), (1, 4): Coefficient(Fraction(1, 2), -1)},
+    metadata={"kind": "test"}).to_json())
+COEFFICIENT_PATHS = [("b",), ("s",), ("terms",), ("metadata",), ("terms", 1)] + [
+    ("terms", 1, key) for key in ("l", "re", "im")]
+
+
+@given(_fuzzed(VALID_COEFFICIENTS, COEFFICIENT_PATHS))
+def test_any_coefficient_json_loads_or_is_a_configuration_error(doc):
+    try:
+        WalshPolynomial.from_json(json.dumps(doc))
+    except ConfigurationError:
+        pass

@@ -3,7 +3,8 @@
 Each digest was recorded from the code as it stood before any rewrite of
 the paths that produce it, so a change that moves a random stream, a float
 or a CSV byte fails here by name instead of slipping past the statistical
-gates.
+gates.  The scramble digests pin the counter-based (splitmix64) stream; the
+pair-profile digests do not depend on the stream.
 """
 
 import hashlib
@@ -30,14 +31,14 @@ def run(capsys, *argv):
 
 @pytest.mark.parametrize("b,m,s,r,shape,digest", [
     (2, 4, 2, 0, (16, 2, 35),
-     "9678e596326262d15dc47ed4c04c78b433b8d36a013367fe8b3fb7fbafb087e9"),
+     "2c0b15875a8e61a53657faec1981c3b0f3acb5602770ab3a5ae2924baed5eb43"),
     (2, 4, 2, 5, (16, 2, 35),
-     "f2f0551f1490d71b454781aadec9eef16013ae2d53eb583f8168a418349ef548"),
+     "0e132e77e114caddfe3923c0b071e0c00763089072e638eef3352b060975089d"),
     (3, 3, 3, 0, (27, 3, 34),
-     "c97aca11576de1ee151d5a74aa24fd0e55125a7ccae8cb6575c7219c40b6a959"),
+     "3f43cd270291cf71a22a0e703d84659c63b3eee61bd41a07b5171faccc9dac87"),
     (3, 3, 3, 5, (27, 3, 34),
-     "1672f7a0cb73e251af6da86e42f5f1ada96b6d7659736217c83b37e0a5118855"),
-])
+     "8d5ac327fa45ef2642297e7b610f4db702f87781da7961a27a654b5af951fb8e"),
+], ids=["2-4-2-r0", "2-4-2-r5", "3-3-3-r0", "3-3-3-r5"])
 def test_owen_scramble_digits_are_pinned(b, m, s, r, shape, digest):
     out = owen_scramble(faure_net(b, m, s), ScrambleSeed(2020, r))
     assert out.digits.shape == shape
@@ -53,9 +54,9 @@ def test_scramble_command_files_are_pinned(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.glob("rep*")) == \
         ["rep000.txt", "rep001.txt"]
     assert sha256((tmp_path / "rep000.txt").read_bytes()) == \
-        "47e9db5f4d577d7d9ff8c31bd7939f9dc2bfe92fcd07d361e4663973ff95a301"
+        "e4f7d6cc231520d65f4d08279d768aa439b491a682089e38cafd3b0c89dfcefe"
     assert sha256((tmp_path / "rep001.txt").read_bytes()) == \
-        "789d42f1f9469d2efe5ccd0c25b8dac189e99f36e442326571574e246b4e069a"
+        "50a4dd0682f2f0cdfcf9311d25ed040bb0f609c738b848d8f8fbe2878a7ce791"
 
 
 def test_criterion_9_decay_polynomial_is_pinned():
@@ -78,24 +79,24 @@ def test_simulate_report_and_trace_are_pinned(tmp_path, capsys):
     run(capsys, "--seed", "11", "simulate", "--config", str(config),
         "--out", str(report), "--trace", str(trace))
     assert sha256(report.read_bytes()) == \
-        "f256cd7e9d1de361a67f83b8fda7a522ae500f2167f6593039bcb349b1565b49"
+        "4bc303de0fc8460e26973edee200deee8c8863cde7f070644662b5725daff1e2"
     assert sha256(trace.read_bytes()) == \
-        "2c648dab2aa1913000c513bde7827d5c23ddbe314d1ff51aab0adbcfd36f8abc"
+        "2545db23f2ea2b175ef5a084ccb079b67d935369ec8b91e513265caeb8a13784"
 
 
 
 @pytest.mark.parametrize("b,m,s,k_max,R,report_digest,trace_digest", [
     # the benchmark's replicate shape: criterion 9's per-shell decay
     (2, 4, 2, 5, 50,
-     "c01a17993ff12f39674326aa124af6820b9b140e9c9bee9db41a6d4dba18c3cb",
-     "284a75b997a0cd9638fe70baeae8336f8b4ed0f46d0fc0992fa48ff47225c9ec"),
+     "4bee4babca6da834ba6c2042dd769400aca57cad2daa248835f018ca9f20bd77",
+     "9c6210240b5bad06766e3b3c26b0985eaebaa5a99bf2e665658f55b4e1642596"),
     (3, 3, 3, 4, 20,
-     "8b6214cb5637252abc128fcd148c95ac2ca06a08f0b1ee699d7478498f18be1d",
-     "b14b9f902506ae46d64567c5631c80eb7096df548f8de0da94e7864360c6f4d5"),
+     "9978070e394e4dc4fcb29643fda61a2297a724a9411dfb6c536106d04c840788",
+     "3a987c6aa0cd01f7ec20b92d88094a795b5c0550719d655df35d1016521fa91c"),
     (5, 2, 3, 4, 20,
-     "b0f42977d042f531d7f733b4612f426f71bb366c18adf14d58144d3b78f2d388",
-     "dccb0cb8c8b5b3480c0969aec3bb84564172b27ae289a386ec50df644111ca38"),
-])
+     "a72e2b6d5ee41d99e5a8e87d0a003545890bc23a837d2552ed3191673bcc5673",
+     "2b5ee96ff0c89d63426f7f1fe74ffe563069b88f2e75ccc646117a043ab8a6d9"),
+], ids=["2-4-2-R50", "3-3-3-R20", "5-2-3-R20"])
 def test_simulate_decay_runs_are_pinned(tmp_path, capsys, b, m, s, k_max, R,
                                         report_digest, trace_digest):
     config = tmp_path / "cfg.json"
@@ -112,13 +113,12 @@ def test_simulate_decay_runs_are_pinned(tmp_path, capsys, b, m, s, k_max, R,
 
 
 @pytest.mark.parametrize("b,m,s,shape,digest", [
-    # b > 32: a node's Fisher-Yates shuffle can need more than one
-    # 32-byte digest, so these pin the digest counter too
+    # large bases: b symbol hashes per node, up to 31 coordinates
     (53, 1, 2, (53, 2, 10),
-     "daf18988591bb11973f43b920ff85033c99ef13b26981650226ccc1ca9571c31"),
+     "2aeaba45c6d0480c1157b289118846a35fbee378be60be0239f96d15a56ab1d9"),
     (31, 1, 31, (31, 31, 12),
-     "05ee1985cdc6e8a333b8236108bfe9503274b2e1cb0622de615ddf22f29a2188"),
-])
+     "0a973dece443c575fcc8d2a8f68ec491d83fa502b29b8c0538311cb01022a403"),
+], ids=["53-1-2", "31-1-31"])
 def test_replicate_digits_in_large_bases_are_pinned(b, m, s, shape, digest):
     h = hashlib.sha256()
     for ps in replicate(faure_net(b, m, s), 2020, 3):
@@ -136,9 +136,9 @@ def test_scramble_command_files_at_guard_precision_are_pinned(tmp_path, capsys):
         "--out-prefix", str(tmp_path / "rep"), str(net))
     written = {p.name: sha256(p.read_bytes()) for p in tmp_path.glob("rep*")}
     assert written == {
-        "rep000.txt": "0993256c1b462b8f3914ef1239566d3515164432e8774a3e0386a4a4151758c7",
-        "rep001.txt": "3ff97978f7787dcd2fc20f7750602a4018e0ebb3c74ea8cfe17cca7562d3f8e5",
-        "rep002.txt": "6a66e487bfcaf89d14920ee70c5149fad52c2d02b718633cc36800fc0b39bf4d",
+        "rep000.txt": "7b2f23d40bbc69130906ab84e3f68db0c139019a4b62c5993f360b1c3f49d33e",
+        "rep001.txt": "dcba1232fcaca267b3423c9e93b4a6ab7b2caf8eebd6e14fbbfb951dc8df1430",
+        "rep002.txt": "78a460573a8c39eeb89e3577bd722afb3c6007cfa0508f40ec1f2e6020085a70",
     }
     assert (tmp_path / "rep000.txt").read_text().splitlines()[0] == "2 10 2 0 41"
 

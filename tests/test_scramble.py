@@ -5,18 +5,23 @@ import math
 import numpy as np
 import pytest
 
+from helpers import chi2_sf
+from netcov import scramble
 from netcov.checks import gamma_preserved
 from netcov.counting import profile_bruteforce
 from netcov.digits import AT_LEAST_P, ConfigurationError, gamma_vector
-from netcov.nets import PointSet, faure_net, verify_net
+from netcov.nets import MAX_POINT_DIGITS, PointSet, faure_net, verify_net
 from netcov.scramble import (
     GUARD_DIGITS,
     ScrambleSeed,
     default_precision,
-    _tree,
     owen_scramble,
     replicate,
 )
+
+# family-wise tail of each statistical test below, split Bonferroni-style
+# over its chi-square statistics
+FAMILY_ALPHA = 1e-6
 
 
 def test_seed_validation():
@@ -26,7 +31,8 @@ def test_seed_validation():
         ScrambleSeed(2 ** 64)
     with pytest.raises(ConfigurationError):
         ScrambleSeed(0, -1)
-    assert len(ScrambleSeed(7, 3).key()) == 16
+    with pytest.raises(ConfigurationError):
+        ScrambleSeed(0, 2 ** 64)
 
 
 def test_scramble_is_reproducible():
@@ -47,6 +53,13 @@ def test_replication_index_changes_output():
     ps = faure_net(3, 2, 2)
     a = owen_scramble(ps, ScrambleSeed(5, 0), precision=4)
     b = owen_scramble(ps, ScrambleSeed(5, 1), precision=4)
+    assert not np.array_equal(a.digits, b.digits)
+
+
+def test_master_seed_and_replication_index_do_not_commute():
+    ps = faure_net(2, 3, 2)
+    a = owen_scramble(ps, ScrambleSeed(5, 7), precision=6)
+    b = owen_scramble(ps, ScrambleSeed(7, 5), precision=6)
     assert not np.array_equal(a.digits, b.digits)
 
 
@@ -133,25 +146,86 @@ def test_first_digit_marginal_is_uniform():
     assert chi2 < 18.42
 
 
-def test_tree_memo_follows_the_net_it_was_built_for():
-    # same shape, different digits: a stale tree would scramble B (or A, on
-    # the way back) through the other net's nodes
-    net_a = faure_net(3, 2, 2, precision=4)
-    net_b = PointSet(b=3, m=2, s=2, t=0, digits=net_a.digits[:, ::-1, :].copy())
-    assert not np.array_equal(net_a.digits, net_b.digits)
-    seed = ScrambleSeed(31, 2)
+def _all_digits(ps, seed, count, precision):
+    """(count, n, s, P) output digits of replications 0..count-1."""
+    return np.stack([rep.digits for rep in replicate(ps, seed, count, precision)])
 
-    def scrambles(ps):
-        return [owen_scramble(ps, seed, 9).digits] + \
-            [out.digits for out in replicate(ps, 31, 3, 9)]
 
-    def fresh_scrambles(ps):
-        _tree.cache_clear()
-        return scrambles(PointSet(b=ps.b, m=ps.m, s=ps.s, t=ps.t,
-                                  digits=ps.digits.copy()))
+@pytest.mark.parametrize("b,m,s,count,budget", [
+    # the default budget holds 3 replications of this net per block
+    (2, 10, 2, 7, scramble.BLOCK_WORDS),
+    # blocks of one replication, guard depths drawn a few at a time
+    (3, 2, 2, 7, 40),
+])
+def test_blocks_do_not_change_the_stream(monkeypatch, b, m, s, count, budget):
+    monkeypatch.setattr(scramble, "BLOCK_WORDS", budget)
+    ps = faure_net(b, m, s)
+    p_out = default_precision(b, m)
+    assert budget // (ps.n * s * (p_out + 1)) <= 3
+    reps = _all_digits(ps, 13, count, None)
+    for r in range(count):
+        assert np.array_equal(
+            reps[r], owen_scramble(ps, ScrambleSeed(13, r)).digits)
+    assert np.array_equal(reps[:3], _all_digits(ps, 13, 3, None))
 
-    want = {"a": fresh_scrambles(net_a), "b": fresh_scrambles(net_b)}
-    _tree.cache_clear()
-    for name, ps in (("a", net_a), ("b", net_b), ("a", net_a)):
-        got = scrambles(ps)
-        assert all(np.array_equal(g, w) for g, w in zip(got, want[name]))
+
+def test_a_point_scrambles_the_same_inside_any_point_set():
+    net = faure_net(2, 4, 2)
+    rows = [3, 7, 8, 12]
+    subset = PointSet(b=2, m=2, s=2, t=2, digits=net.digits[rows].copy())
+    seed = ScrambleSeed(21, 4)
+    whole = owen_scramble(net, seed, precision=12).digits
+    assert np.array_equal(owen_scramble(subset, seed, precision=12).digits,
+                          whole[rows])
+
+
+def test_scrambles_past_the_digit_cap_are_refused():
+    ps = faure_net(2, 4, 2)
+    too_deep = MAX_POINT_DIGITS // (ps.n * ps.s) + 1
+    with pytest.raises(ConfigurationError, match="digits"):
+        owen_scramble(ps, ScrambleSeed(1), precision=too_deep)
+    with pytest.raises(ConfigurationError, match="digits"):
+        next(replicate(ps, 1, 2, precision=too_deep))
+
+
+# input depths 0..2 (depth 2 is the zero pad of a precision-3 net), guard
+# depths 3..5
+STAT_PRECISION, STAT_OUT, STAT_R = 3, 6, 3000
+
+
+@pytest.mark.parametrize("b", [2, 3, 5])
+def test_every_output_digit_is_uniform(b):
+    ps = faure_net(b, 2, 2, precision=STAT_PRECISION)
+    out = _all_digits(ps, 8101, STAT_R, STAT_OUT)
+    expected = STAT_R / b
+    counts = np.stack([(out == c).sum(axis=0) for c in range(b)])
+    chi2 = ((counts - expected) ** 2 / expected).sum(axis=0)
+    assert chi2_sf(float(chi2.max()), b - 1) >= FAMILY_ALPHA / chi2.size
+
+
+@pytest.mark.parametrize("b", [2, 3, 5])
+def test_two_points_are_jointly_uniform_from_their_split(b):
+    # before the split the digits agree; at the split they are a uniform
+    # ordered pair of distinct digits; past it, two independent uniforms
+    ps = faure_net(b, 2, 2, precision=STAT_PRECISION)
+    out = _all_digits(ps, 8102, STAT_R, STAT_OUT).astype(np.int64)
+    first, second = np.triu_indices(ps.n, 1)
+    pairs = len(first)
+    distinct = np.arange(b * b) % (b + 1) != 0
+    tails = []
+    for j in range(ps.s):
+        differ = ps.digits[first, j] != ps.digits[second, j]
+        split = np.where(differ.any(axis=1), differ.argmax(axis=1), STAT_PRECISION)
+        for d in range(STAT_OUT):
+            x, y = out[:, first, j, d], out[:, second, j, d]
+            assert np.array_equal(x[:, split > d], y[:, split > d])
+            codes = (x * b + y + b * b * np.arange(pairs)).ravel()
+            counts = np.bincount(codes, minlength=pairs * b * b).reshape(pairs, b * b)
+            for p in np.flatnonzero(split <= d):
+                cells = counts[p][distinct] if split[p] == d else counts[p]
+                if split[p] == d:
+                    assert counts[p][~distinct].sum() == 0
+                expected = STAT_R / len(cells)
+                chi2 = float(((cells - expected) ** 2 / expected).sum())
+                tails.append(chi2_sf(chi2, len(cells) - 1))
+    assert min(tails) >= FAMILY_ALPHA / len(tails)
