@@ -201,3 +201,47 @@ def test_psi_profiles_of_planted_sets_are_pinned(tmp_path, capsys, name):
     points = tmp_path / "points.txt"
     points.write_text(text, encoding="utf-8")
     assert _profile_digest(tmp_path, capsys, points) == digest
+
+
+def _perturbed(text):
+    # the last point's third coordinate adds 1 (mod 3) to its third digit
+    lines = text.splitlines(keepends=True)
+    coords = lines[-1].split()
+    coords[2] = coords[2][:2] + str((int(coords[2][2]) + 1) % 3) + coords[2][3:]
+    lines[-1] = " ".join(coords) + "\n"
+    return "".join(lines)
+
+
+# net verify's JSON report: two passing scrambled nets, a perturbed one,
+# and a failure found before a shape passes the stored precision
+@pytest.mark.parametrize("case,flags,code,digest", [
+    ("scrambled-2-10-2", (), 0,
+     "bcc239c0464ec14e3be01cbe8e452edb3075c60426d100f2b8b6d21b002fb14d"),
+    ("scrambled-3-3-3-t1", ("--t", "1"), 0,
+     "00e2e0207fc25631686dfc3b47d47adabacd88f806dee480976086dec4075cec"),
+    ("perturbed", (), 1,
+     "4f2b4969e4cc03989e2ad46c6cf48f596e429b18d391ce9428d073fd86c79283"),
+    ("precision-short", (), 1,
+     "8e7a23b774fc96c3a900d2303b695b1dd0d655ea5b2e158ef11c5404ad483a97"),
+])
+def test_net_verify_reports_are_pinned(tmp_path, capsys, case, flags, code,
+                                       digest):
+    net, points = tmp_path / "net.txt", tmp_path / "rep000.txt"
+    if case == "precision-short":
+        # P = 2 < m - t = 3: the second coordinate's first digit fails on
+        # shape (0, 1) before shape (0, 3) would need a third digit
+        points.write_text("2 3 2 0 2\n" + "".join(
+            f"{i // 2}{i % 2} 0{i % 2}\n" for i in range(4)) * 2,
+            encoding="utf-8")
+    else:
+        b, m, s = {"scrambled-2-10-2": (2, 10, 2), "scrambled-3-3-3-t1": (3, 3, 3),
+                   "perturbed": (3, 3, 3)}[case]
+        run(capsys, "net", "gen", "--base", str(b), "--m", str(m),
+            "--s", str(s), "--out", str(net))
+        run(capsys, "scramble", "--seed", "7", "--out-prefix",
+            str(tmp_path / "rep"), str(net))
+        if case == "perturbed":
+            points.write_text(_perturbed(points.read_text(encoding="utf-8")),
+                              encoding="utf-8")
+    assert cli.main(["net", "verify", *flags, str(points)]) == code
+    assert sha256(capsys.readouterr().out.encode()) == digest
