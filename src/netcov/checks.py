@@ -17,10 +17,12 @@ import random
 import time
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import product
+
+import numpy as np
 
 from . import counting, covkernel
-from .digits import AT_LEAST_P, gamma_vector, length_vectors
+from .digits import length_vectors
 from .nets import PointSet, faure_net, verify_net
 from .scramble import ScrambleSeed, owen_scramble
 from .walsh import WalshIndex, enumerate_L_k, index_add, shell_size, wal_eval
@@ -116,16 +118,15 @@ def recurrence_vanishes(b: int, m: int, s: int, x: Fraction) -> int:
 def gamma_preserved(base: PointSet, scrambled: PointSet) -> int:
     """Every ordered pair of distinct points keeps its common-digit vector,
     clamped at base.precision: agreement past it is scramble randomness."""
-    def clamped(v):
-        cap = base.precision
-        return tuple(cap if c is AT_LEAST_P else min(c, cap) for c in v)
-
-    before, after = list(base), list(scrambled)
-    for i, j in permutations(range(base.n), 2):
-        old, _ = gamma_vector(before[i], before[j])
-        new, _ = gamma_vector(after[i], after[j])
-        expect(clamped(old) == clamped(new),
-               f"pair ({i},{j}) gamma changed: {old} -> {new}")
+    p = base.precision
+    before, after = (np.stack([counting.gamma_matrix(ps.digits[:, j, :p])
+                               for j in range(ps.s)], axis=-1)
+                     for ps in (base, scrambled))
+    changed = np.argwhere((before != after).any(axis=-1))
+    if changed.size:
+        i, j = changed[0]
+        raise CheckFailure(f"pair ({i},{j}) gamma changed: "
+                           f"{tuple(before[i, j].tolist())} -> {tuple(after[i, j].tolist())}")
     return base.n * (base.n - 1)
 
 

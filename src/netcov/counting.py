@@ -26,10 +26,11 @@ from .digits import (
     DigitPoint,
     PrecisionError,
     gamma_vector,
+    length_vectors,
     validate_base,
     volume_prefix_eq,
 )
-from .nets import PointSet
+from .nets import MAX_PROFILE_WORK, PointSet, dominated_counts  # noqa: F401  (pair_profile's cap)
 
 
 @dataclass(frozen=True)
@@ -105,7 +106,7 @@ class PairProfile:
         }
 
 
-def _gamma_matrix(digits_j: np.ndarray) -> np.ndarray:
+def gamma_matrix(digits_j: np.ndarray) -> np.ndarray:
     """Leading-common-digit counts between all rows of one coordinate."""
     n, p = digits_j.shape
     gam = np.zeros((n, n), dtype=np.int64)
@@ -134,59 +135,13 @@ def profile_bruteforce(ps: PointSet) -> PairProfile:
         raise ConfigurationError(
             f"profile of {ps.n} points in {ps.s} dimensions needs {cells} "
             f"pair cells, more than {MAX_PAIR_CELLS}")
-    mats = [_gamma_matrix(ps.digits[:, j, :]) for j in range(ps.s)]
+    mats = [gamma_matrix(ps.digits[:, j, :]) for j in range(ps.s)]
     off_diag = ~np.eye(ps.n, dtype=bool)
     vecs = np.stack([g[off_diag] for g in mats], axis=1)
     uniq, cnt = np.unique(vecs, axis=0, return_counts=True)
     counts = {tuple(int(v) for v in row): int(c) for row, c in zip(uniq, cnt)}
     return PairProfile(b=ps.b, m=ps.m, s=ps.s, precision=ps.precision,
                        counts=counts)
-
-
-# Work cap of pair_profile, in points refined: each shape it evaluates is
-# charged its n points plus PROFILE_SHAPE_COST for numpy's fixed per-call
-# cost (about 15 ns a point and 18 us a shape on a 2-core Xeon, where
-# identical points reach the cap in 0.5-1 s)
-MAX_PROFILE_WORK = 2 ** 26
-PROFILE_SHAPE_COST = 1024
-
-
-def _dominated_counts(ps: PointSet) -> dict[tuple[int, ...], int]:
-    """M(k) for every shape k where it is positive: the ordered distinct
-    pairs sharing an elementary cell of shape k, sum c(c - 1) over its cells.
-
-    Each shape is visited once on the canonical tree (k grows only at or past
-    its last nonzero coordinate), pruned where M reaches 0 because a finer
-    shape only splits cells.  A child refines its parent's dense cell ranks
-    by one digit, so cell codes stay below n * b.  An input whose work would
-    pass MAX_PROFILE_WORK is refused when it gets there."""
-    n, s, p = ps.digits.shape
-    if n < 2:
-        return {}
-    columns = np.ascontiguousarray(ps.digits.transpose(1, 2, 0))
-    root = (0,) * s
-    dominated = {root: n * (n - 1)}
-    stack = [(root, np.zeros(n, dtype=np.int64), 0)]
-    work = 0
-    while stack:
-        k, cell, first = stack.pop()
-        for j in range(first, s):
-            if k[j] == p:
-                continue
-            work += n + PROFILE_SHAPE_COST
-            if work > MAX_PROFILE_WORK:
-                raise ConfigurationError(
-                    f"profile of {n} points in {s} dimensions needs more than "
-                    f"{MAX_PROFILE_WORK} units of work ({len(dominated)} "
-                    "shapes counted so far)")
-            code = cell * ps.b + columns[j, k[j]]
-            size = np.bincount(code)
-            pairs = int(size @ size) - n
-            if pairs:
-                child = k[:j] + (k[j] + 1,) + k[j + 1:]
-                dominated[child] = pairs
-                stack.append((child, (np.cumsum(size > 0) - 1)[code], j))
-    return dominated
 
 
 def pair_profile(ps: PointSet) -> PairProfile:
@@ -196,7 +151,7 @@ def pair_profile(ps: PointSet) -> PairProfile:
     coordinate over the sparse M, dropping zeros.  No shape passes the stored
     precision, so a component at it keeps f(k), the count of pairs agreeing
     through every stored digit.  Equal to profile_bruteforce."""
-    counts = _dominated_counts(ps)
+    counts = dominated_counts(ps)
     for j in range(ps.s):
         step = {}
         for k, c in counts.items():
@@ -236,18 +191,23 @@ def N_closed_form(b: int, m: int, s: int, i: Sequence[int]) -> int:
     return b ** m * total
 
 
+def _pair_density(b: int, m: int, i: Sequence[int], count: int) -> Fraction:
+    """Density of the scrambled pair distribution on the region where the
+    common-digit vector equals i, which holds count of the n(n - 1) ordered
+    distinct pairs: their share over the region's volume."""
+    n = b ** m
+    if n < 2:
+        raise ConfigurationError("pair density needs at least two points")
+    if count == 0:
+        return Fraction(0)
+    return Fraction(count, n * (n - 1)) / volume_prefix_eq(b, i)
+
+
 def joint_pdf_closed_form(b: int, m: int, s: int, i: Sequence[int]) -> Fraction:
     """Density of the pair distribution of a scrambled t = 0 net on the
     region where the common-digit vector equals i.  Piecewise constant; zero
     once the component sum reaches m."""
-    n = b ** m
-    if n < 2:
-        raise ConfigurationError("pair density needs at least two points")
-    count = N_closed_form(b, m, s, i)
-    if count == 0:
-        return Fraction(0)
-    q = sum(i)
-    return Fraction(count, n * (n - 1)) * Fraction(b ** (s + q), (b - 1) ** s)
+    return _pair_density(b, m, i, N_closed_form(b, m, s, i))
 
 
 def joint_pdf(profile: PairProfile, x: DigitPoint, y: DigitPoint) -> Fraction:
@@ -259,58 +219,20 @@ def joint_pdf(profile: PairProfile, x: DigitPoint, y: DigitPoint) -> Fraction:
         raise ConfigurationError(f"base mismatch: {x.base} vs {profile.b}")
     if x.s != profile.s:
         raise ConfigurationError(f"dimension mismatch: {x.s} vs {profile.s}")
-    n = profile.n
-    if n < 2:
-        raise ConfigurationError("pair density needs at least two points")
     parts, total = gamma_vector(x, y)
-    if total is AT_LEAST_P or any(p is AT_LEAST_P for p in parts):
-        return Fraction(0)
-    count = profile.exact_count(parts)
-    if count == 0:
-        return Fraction(0)
-    q = sum(parts)
-    return Fraction(count, n * (n - 1)) * Fraction(
-        profile.b ** (profile.s + q), (profile.b - 1) ** profile.s
-    )
-
-
-def _bounded_sum_counts(s: int, cap: int) -> list[int]:
-    """counts[q] = number of vectors in [0, cap]^s with component sum q."""
-    counts = [1]
-    for _ in range(s):
-        nxt = [0] * (len(counts) + cap)
-        for q, c in enumerate(counts):
-            for d in range(cap + 1):
-                nxt[q + d] += c
-        counts = nxt
-    return counts
-
-
-def _spread(q: int, s: int) -> tuple[int, ...]:
-    """Any vector with component sum q; counting functions only see the sum."""
-    out = [0] * s
-    j = 0
-    while q > 0:
-        out[j] += 1
-        q -= 1
-        j = (j + 1) % s
-    return tuple(out)
+    count = 0 if total is AT_LEAST_P else profile.exact_count(parts)
+    return _pair_density(profile.b, profile.m, parts, count)
 
 
 def pdf_normalization(b: int, m: int, s: int) -> Fraction:
     """Exact integral of the closed-form pair density over the two cubes.
 
-    The density is constant on each common-digit region, so the integral is a
-    finite sum of region volume times density; a correct density makes it 1.
+    The density is constant on each common-digit region and nonzero only
+    below component sum m, so the integral is a finite sum of region volume
+    times density; a correct density makes it 1.
     """
     validate_base(b)
     if m < 1:
         raise ConfigurationError("need m >= 1")
-    total = Fraction(0)
-    counts = _bounded_sum_counts(s, m - 1)
-    for q, mult in enumerate(counts):
-        if mult == 0:
-            continue
-        rep = _spread(q, s)
-        total += mult * joint_pdf_closed_form(b, m, s, rep) * volume_prefix_eq(b, rep)
-    return total
+    return sum((joint_pdf_closed_form(b, m, s, i) * volume_prefix_eq(b, i)
+                for i in length_vectors(s, m - 1)), Fraction(0))

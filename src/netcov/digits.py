@@ -63,9 +63,15 @@ def is_prime(n: int) -> bool:
     return True
 
 
+# Bases are refused from 2^32 on, before trial division, which takes about
+# 10 ms on the largest prime below the bound
+MAX_BASE = 2 ** 32
+
+
 def validate_base(b: int) -> None:
-    if not isinstance(b, int) or not is_prime(b):
-        raise ConfigurationError(f"base must be a prime integer, got {b!r}")
+    if not isinstance(b, int) or b >= MAX_BASE or not is_prime(b):
+        raise ConfigurationError(
+            f"base must be a prime integer below 2^32, got {b!r}")
 
 
 # JSON input (configs, coefficient files): a wrong value is a

@@ -36,7 +36,7 @@ def _rows_swapped(ps):
     pytest.param(_plant(counting, "N_closed_form", lambda v: v + 1),
                  lambda: checks.profile_matches_closed_forms(_scrambled()),
                  id="N_closed_form"),
-    pytest.param(_plant(counting, "_dominated_counts", _one_pair_more),
+    pytest.param(_plant(counting, "dominated_counts", _one_pair_more),
                  lambda: checks.profile_matches_closed_forms(_scrambled()),
                  id="dominated-count"),
     pytest.param(_plant(covkernel, "Psi", lambda v: -v),

@@ -92,6 +92,16 @@ def test_net_verify_relaxed_quality(tmp_path, capsys):
     assert json.loads(out)["t"] == 1
 
 
+@pytest.mark.parametrize("t", ["-1", "7"])
+def test_net_verify_refuses_t_outside_0_to_m(tmp_path, capsys, t):
+    path = tmp_path / "net.txt"
+    run(capsys, "net", "gen", "--base", "2", "--m", "3", "--s", "2",
+        "--precision", "6", "--out", str(path))
+    code, out, err = run(capsys, "net", "verify", "--t", t, str(path))
+    assert (code, out) == (2, "")
+    assert f"t={t} must lie in 0..m=3" in err
+
+
 def test_net_verify_reports_corrupt_files(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("bogus header\n", encoding="utf-8")
@@ -359,6 +369,14 @@ def test_analysis_errors_exit_cleanly(capsys):
                        "--s", "1", "--a", "1/2")
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_a_prime_base_past_2_to_the_32_exits_at_once(capsys):
+    # 2^61 - 1 is prime: trial division would not finish
+    code, _, err = run(capsys, "covpoly", "--base", str(2 ** 61 - 1), "--m", "1",
+                       "--s", "1", "--a", "1/2")
+    assert code == 2
+    assert "below 2^32" in err
 
 
 DECAY_SPEC = {"kind": "decay", "decay": "per-shell", "a": "1/2", "x": "3/20",

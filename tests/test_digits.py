@@ -71,8 +71,14 @@ def test_base_must_be_prime():
     for bad in (0, 1, 4, 6, 9, 12):
         with pytest.raises(ConfigurationError):
             validate_base(bad)
-    for good in (2, 3, 5, 7, 11, 53):
+    for good in (2, 3, 5, 7, 11, 53, 2 ** 32 - 5):
         validate_base(good)
+
+
+def test_base_refuses_primes_from_2_to_the_32_before_trial_division():
+    # 2^61 - 1 is prime; trial division up to its root would not finish
+    with pytest.raises(ConfigurationError, match="below 2\\^32"):
+        validate_base(2 ** 61 - 1)
 
 
 def test_gamma_counts_common_prefix():

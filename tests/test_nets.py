@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from netcov.digits import ConfigurationError
+from netcov import nets
+from netcov.digits import ConfigurationError, length_vectors
 from netcov.nets import (
     PointSet,
     UnsupportedConstructionError,
@@ -106,6 +107,72 @@ def test_verifier_catches_a_broken_net():
     doc = report.to_dict()
     assert doc["passed"] is False
     assert doc["failure"]["expected"] == report.failure.expected
+
+
+def test_verifier_refuses_t_outside_0_to_m():
+    for t in (-1, 3):
+        with pytest.raises(ConfigurationError, match="must lie in 0..m=2"):
+            verify_net(faure_net(2, 2, 2), t=t)
+
+
+def test_verifier_passes_a_large_faure_net():
+    # 7^6 points in 7 dimensions: 1,716 shapes, none refused for work
+    report = verify_net(faure_net(7, 6, 7), t=0)
+    assert report.passed and report.shapes_checked == 1716
+
+
+def _verify_bruteforce(ps, t):
+    """verify_net's report dict, counting every interval of every shape by
+    np.unique over the points' digit prefixes; None where a shape needs
+    more digits than stored."""
+    intervals = shapes = 0
+    for k in length_vectors(ps.s, ps.m - t):
+        if max(k, default=0) > ps.precision:
+            return None
+        shapes += 1
+        intervals += ps.b ** sum(k)
+        expected = ps.b ** (ps.m - sum(k))
+        prefixes = np.concatenate([ps.digits[:, j, :kj] for j, kj in enumerate(k)],
+                                  axis=1)
+        rows, counts = np.unique(prefixes, axis=0, return_counts=True)
+        count = {int("".join(str(d) for d in row) or "0", ps.b): int(c)
+                 for row, c in zip(rows, counts)}
+        for cell in range(ps.b ** sum(k)):
+            if count.get(cell, 0) != expected:
+                return {"passed": False, "t": t, "intervals_checked": intervals,
+                        "shapes_checked": shapes,
+                        "failure": {"k": list(k), "interval": cell,
+                                    "expected": expected,
+                                    "got": count.get(cell, 0)}}
+    return {"passed": True, "t": t, "intervals_checked": intervals,
+            "shapes_checked": shapes}
+
+
+@given(st.sampled_from([(2, 4), (3, 3), (5, 2)]), st.integers(1, 3),
+       st.integers(0, 2), st.sampled_from(["random", "perturbed", "duplicated"]),
+       st.integers(0))
+def test_verifier_matches_a_bruteforce_count(bm, s, extra, kind, seed):
+    (b, m_max), rng = bm, np.random.default_rng(seed)
+    m = int(rng.integers(0, m_max + 1))
+    p = int(rng.integers(1, m + extra + 2))
+    if kind == "random":
+        digits = rng.integers(0, b, (b ** m, s, p), dtype=np.uint8)
+    else:
+        s = min(s, b)
+        digits = np.array(faure_net(b, m, s, precision=max(m, p)).digits[:, :, :p])
+        rows = rng.integers(0, b ** m, size=2)
+        if kind == "perturbed":
+            digits[rows[0], rng.integers(0, s), rng.integers(0, p)] = rng.integers(0, b)
+        else:
+            digits[rows[0]] = digits[rows[1]]
+    ps = PointSet(b=b, m=m, s=s, t=0, digits=digits)
+    for t in range(m + 1):
+        want = _verify_bruteforce(ps, t)
+        if want is None:
+            with pytest.raises(ConfigurationError, match="stored precision"):
+                verify_net(ps, t)
+        else:
+            assert verify_net(ps, t).to_dict() == want
 
 
 def test_report_to_dict_on_pass():
@@ -236,3 +303,9 @@ def test_save_then_load_round_trips(b, m, s, p, t, seed):
     back = load_point_set(io.StringIO(buf.getvalue()))
     assert (back.b, back.m, back.s, back.t) == (b, m, s, min(t, m))
     assert np.array_equal(back.digits, digits)
+
+
+def test_generated_digits_do_not_depend_on_the_block_size(monkeypatch):
+    whole = faure_net(3, 4, 3, precision=6).digits
+    monkeypatch.setattr(nets, "GENERATE_BLOCK", 7)
+    assert np.array_equal(faure_net(3, 4, 3, precision=6).digits, whole)

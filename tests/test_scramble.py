@@ -98,6 +98,13 @@ def test_gamma_profile_is_preserved_pairwise():
     gamma_preserved(ps, owen_scramble(ps, ScrambleSeed(42), precision=5))
 
 
+def test_gamma_is_preserved_at_the_default_guard_precision():
+    ps = faure_net(3, 2, 3)
+    out = owen_scramble(ps, ScrambleSeed(42))
+    assert out.precision > ps.precision
+    assert gamma_preserved(ps, out) == 9 * 8
+
+
 def test_identical_coordinates_stay_identical():
     # two points sharing coordinate 0 must still share it after scrambling,
     # through every output digit
