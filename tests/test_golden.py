@@ -245,3 +245,32 @@ def test_net_verify_reports_are_pinned(tmp_path, capsys, case, flags, code,
                               encoding="utf-8")
     assert cli.main(["net", "verify", *flags, str(points)]) == code
     assert sha256(capsys.readouterr().out.encode()) == digest
+
+
+# psi eval's JSON on stdout: a component that agrees through all P stored
+# digits prints as "AT_LEAST_P", and so does the total once any one does
+@pytest.mark.parametrize("net_args,scrambled,x,y,digest", [
+    (("2", "3", "2"), False, "0,0", "1/2,1/2",
+     "e0ed0b395df33a9b1d358f4291b77832c36da9b632cc791edcd2e2d381b269d4"),
+    (("2", "3", "2"), False, "0,0", "1/8,1/64",
+     "75dc5e2cdca8f19c09152840cfdac1cea6fbbf458216c4cf9deb49edee2b38dd"),
+    (("2", "3", "2"), False, "0,0", "0,0",
+     "911dcf636a83bbd3d5667ad5a76a6034c4ddbbc10be75bf39282d0bc22f858c3"),
+    (("3", "2", "3"), True, "0,1/3,2/3", "1/9,2/3,5/9",
+     "5c66e21739c50aec5d4f1d18109485f128e7b8cbdf4021cd47acd2e6263837c3"),
+    (("3", "2", "3"), True, "0,1/3,2/3", "1/9,1/3,5/9",
+     "e0f369354eb03b0b5cbb65c7a91ffdc14c8a4569f0ca02f9414ebb923c355e47"),
+], ids=["unsaturated", "partly-saturated", "saturated", "scrambled-3-2-3",
+        "scrambled-3-2-3-partly-saturated"])
+def test_psi_eval_outputs_are_pinned(tmp_path, capsys, net_args, scrambled,
+                                     x, y, digest):
+    b, m, s = net_args
+    points = tmp_path / "net.txt"
+    run(capsys, "net", "gen", "--base", b, "--m", m, "--s", s,
+        "--out", str(points))
+    if scrambled:
+        run(capsys, "scramble", "--seed", "7", "--out-prefix",
+            str(tmp_path / "rep"), str(points))
+        points = tmp_path / "rep000.txt"
+    assert cli.main(["psi", "eval", "--x", x, "--y", y, str(points)]) == 0
+    assert sha256(capsys.readouterr().out.encode()) == digest
