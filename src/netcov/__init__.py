@@ -10,12 +10,9 @@ counting and the joint density (counting), the rational covariance kernel
 """
 
 from .digits import (
-    AT_LEAST_P,
     ConfigurationError,
     DigitPoint,
     PrecisionError,
-    gamma_scalar,
-    gamma_vector,
     volume_prefix_eq,
     volume_prefix_ge,
 )
@@ -45,6 +42,7 @@ from .counting import (
     M_closed_form,
     N_closed_form,
     PairProfile,
+    common_digits,
     joint_pdf,
     joint_pdf_closed_form,
     pair_profile,
@@ -79,7 +77,6 @@ from .checks import verify_all
 __version__ = "0.1.0"
 
 __all__ = [
-    "AT_LEAST_P",
     "Coefficient",
     "ConfigurationError",
     "CovPolynomial",
@@ -99,6 +96,7 @@ __all__ = [
     "WalshPolynomial",
     "analytic_covariance",
     "analytic_variance",
+    "common_digits",
     "cov_polynomial",
     "default_precision",
     "delta_s",
@@ -106,8 +104,6 @@ __all__ = [
     "estimate",
     "faure_matrices",
     "faure_net",
-    "gamma_scalar",
-    "gamma_vector",
     "generate_points",
     "inc_beta",
     "inc_beta_derivative_form",

@@ -16,9 +16,9 @@ import sys
 from fractions import Fraction
 from typing import Sequence
 
-from .counting import joint_pdf, pair_profile
+from .counting import common_digits, joint_pdf, pair_profile
 from .covkernel import cov_polynomial, q_s
-from .digits import AT_LEAST_P, ConfigurationError, DigitPoint, gamma_vector
+from .digits import ConfigurationError, DigitPoint
 from .estimators import ExperimentConfig, run_experiment
 from .nets import faure_net, load_point_set, save_point_set, verify_net
 from .scramble import replicate
@@ -144,11 +144,13 @@ def _cmd_psi_eval(args) -> int:
     profile = pair_profile(ps)
     x = _parse_point(args.x, ps.b, ps.precision)
     y = _parse_point(args.y, ps.b, ps.precision)
-    parts, total = gamma_vector(x, y)
+    parts = common_digits(x, y)
     density = joint_pdf(profile, x, y)
+    # a component at the precision agrees through every stored digit
+    saturated = "AT_LEAST_P"
     doc = {
-        "gamma": [str(p) if p is AT_LEAST_P else p for p in parts],
-        "gamma_total": str(total) if total is AT_LEAST_P else total,
+        "gamma": [saturated if p == ps.precision else p for p in parts],
+        "gamma_total": saturated if ps.precision in parts else sum(parts),
         "pdf": str(density),
         "pdf_float": float(density),
         "precision": ps.precision,
@@ -325,7 +327,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigurationError, OSError, ValueError) as exc:
+    except (ConfigurationError, OSError, ValueError,
+            argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

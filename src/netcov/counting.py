@@ -21,11 +21,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .digits import (
-    AT_LEAST_P,
     ConfigurationError,
     DigitPoint,
     PrecisionError,
-    gamma_vector,
     length_vectors,
     validate_base,
     volume_prefix_eq,
@@ -116,6 +114,18 @@ def gamma_matrix(digits_j: np.ndarray) -> np.ndarray:
         alive &= col[:, None] == col[None, :]
         gam += alive
     return gam
+
+
+def common_digits(x: DigitPoint, y: DigitPoint) -> tuple[int, ...]:
+    """Common-digit vector of one pair, read off gamma_matrix: per coordinate,
+    the count of leading digits x and y share, where the stored precision
+    means every stored digit agrees."""
+    for what, u, v in (("base", x.base, y.base), ("dimension", x.s, y.s),
+                       ("precision", x.precision, y.precision)):
+        if u != v:
+            raise ConfigurationError(f"{what} mismatch: {u} vs {v}")
+    digits = np.array([x.coords, y.coords])
+    return tuple(int(gamma_matrix(digits[:, j])[0, 1]) for j in range(x.s))
 
 
 # n(n-1)s cap for profile_bruteforce, which peaks near 25 bytes per pair cell
@@ -219,8 +229,8 @@ def joint_pdf(profile: PairProfile, x: DigitPoint, y: DigitPoint) -> Fraction:
         raise ConfigurationError(f"base mismatch: {x.base} vs {profile.b}")
     if x.s != profile.s:
         raise ConfigurationError(f"dimension mismatch: {x.s} vs {profile.s}")
-    parts, total = gamma_vector(x, y)
-    count = 0 if total is AT_LEAST_P else profile.exact_count(parts)
+    parts = common_digits(x, y)
+    count = 0 if x.precision in parts else profile.exact_count(parts)
     return _pair_density(profile.b, profile.m, parts, count)
 
 

@@ -1,9 +1,9 @@
 """Exact base-b digit representation of points in [0,1)^s.
 
-Points are stored as digit arrays, never floats: the common-prefix function
-gamma is ill-conditioned in floating point near cell boundaries, so every
-comparison here happens on exact integer digits.  Conversion to float is
-deferred to function-evaluation time.
+Points are stored as digit arrays, never floats: the count of common leading
+digits is ill-conditioned in floating point near cell boundaries, so every
+comparison happens on exact integer digits.  Conversion to float is deferred
+to function-evaluation time.
 
 A point coordinate x = sum_j d_j * b^(-j) is kept as the tuple (d_1, ..., d_P)
 with d_1 the most significant digit.  The finite representation is canonical:
@@ -25,26 +25,6 @@ class ConfigurationError(ValueError):
 class PrecisionError(ConfigurationError):
     """An operation needs more stored digits than the point carries."""
 
-
-class _AtLeastP:
-    """Sentinel: the two digit arrays agree on every stored digit.
-
-    Stands in for an unbounded common prefix.  Deliberately unorderable so
-    arithmetic on it fails loudly instead of silently treating it as a number.
-    """
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "AT_LEAST_P"
-
-
-AT_LEAST_P = _AtLeastP()
 
 # Digit characters for the text format, covering digit values 0..61
 # (bases up to 53 need at most 52).
@@ -188,38 +168,6 @@ class DigitPoint:
 
     def to_floats(self) -> tuple[float, ...]:
         return tuple(float(f) for f in self.to_fractions())
-
-
-def gamma_scalar(x: Sequence[int], y: Sequence[int]):
-    """Number of initial common digits of two same-precision digit arrays.
-
-    Returns the smallest i such that the length-i prefixes agree and the
-    digits at position i+1 differ, or AT_LEAST_P when all stored digits agree.
-    """
-    if len(x) != len(y):
-        raise ConfigurationError(
-            f"precision mismatch: {len(x)} vs {len(y)} digits"
-        )
-    for i, (dx, dy) in enumerate(zip(x, y)):
-        if dx != dy:
-            return i
-    return AT_LEAST_P
-
-
-def gamma_vector(x: DigitPoint, y: DigitPoint):
-    """Componentwise gamma of two points plus the total.
-
-    Returns (per-coordinate values, total) where the total is the plain sum,
-    or AT_LEAST_P as soon as any component is AT_LEAST_P.
-    """
-    if x.base != y.base:
-        raise ConfigurationError(f"base mismatch: {x.base} vs {y.base}")
-    if x.s != y.s:
-        raise ConfigurationError(f"dimension mismatch: {x.s} vs {y.s}")
-    parts = tuple(gamma_scalar(cx, cy) for cx, cy in zip(x.coords, y.coords))
-    if any(p is AT_LEAST_P for p in parts):
-        return parts, AT_LEAST_P
-    return parts, sum(parts)
 
 
 def volume_prefix_ge(b: int, k: Sequence[int]) -> Fraction:

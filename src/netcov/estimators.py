@@ -79,6 +79,9 @@ class ExperimentConfig:
     precision: int | None = None
 
     def __post_init__(self):
+        # a one-point net (m = 0) has no pairs to estimate a covariance from
+        if self.m < 1:
+            raise ConfigurationError(f"need m >= 1, got m={self.m}")
         if self.R < 2:
             raise ConfigurationError(f"need at least 2 replications, got {self.R}")
 

@@ -176,14 +176,13 @@ def index_digit_matrix(b: int, m: int, start: int = 0,
 GENERATE_BLOCK = 2 ** 15
 
 
-def generate_points(g: GeneratingMatrices, b: int, m: int) -> PointSet:
+def generate_points(g: GeneratingMatrices) -> PointSet:
     """All b^m points of the digital net defined by the matrices.
 
     Point i has coordinate-j digits M_j . digits(i) mod b, with digits(i)
     the least-significant-first expansion of the index.
     """
-    if b != g.b or m != g.m:
-        raise ConfigurationError("matrices built for different (b, m)")
+    b, m = g.b, g.m
     check_point_digits(b, m, g.s, g.precision)
     n = b ** m
     out = np.empty((n, g.s, g.precision), dtype=np.uint8)
@@ -197,7 +196,7 @@ def generate_points(g: GeneratingMatrices, b: int, m: int) -> PointSet:
 
 def faure_net(b: int, m: int, s: int, precision: int | None = None) -> PointSet:
     """Convenience: generate the (0,m,s)-net straight from parameters."""
-    return generate_points(faure_matrices(b, m, s, precision), b, m)
+    return generate_points(faure_matrices(b, m, s, precision))
 
 
 @dataclass(frozen=True)

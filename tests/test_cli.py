@@ -179,6 +179,16 @@ def test_psi_eval_coincident_points(tmp_path, capsys):
     assert doc["pdf"] == "0"
 
 
+@pytest.mark.parametrize("coords", ["abc", "", "1/0"])
+def test_psi_eval_refuses_a_coordinate_that_is_not_rational(tmp_path, capsys,
+                                                             coords):
+    net = gen_net_file(tmp_path, capsys)
+    code, out, err = run(capsys, "psi", "eval", "--x", coords, "--y", "0,0",
+                         str(net))
+    assert (code, out) == (2, "")
+    assert err == f"error: not a rational number: {coords!r}\n"
+
+
 def test_covpoly_json_document(capsys):
     code, out, _ = run(capsys, "covpoly", "--base", "2", "--m", "1",
                        "--s", "2", "--a", "1/2")
@@ -431,6 +441,9 @@ def test_simulate_config_missing_a_key_is_a_usage_error(tmp_path, capsys, doc, m
      "function key 'l' has a bad value: expected a list of integers, got str"),
     ({"b": 2, "m": 2, "s": 2, "R": 4, "function": {"kind": "wal", "l": [1, 1.5]}},
      "function key 'l' has a bad value: expected an integer, got float"),
+    # a one-point net has no pairs
+    ({"b": 2, "m": 0, "s": 2, "R": 4, "function": DECAY_SPEC},
+     "need m >= 1, got m=0"),
 ])
 def test_simulate_config_that_is_not_an_object_is_a_usage_error(
         tmp_path, capsys, doc, message):
@@ -493,3 +506,10 @@ def test_module_entry_point_runs_the_cli():
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage: netcov")
+
+
+def test_every_public_name_resolves():
+    # a name left in __all__ after its definition goes fails only here
+    namespace = {}
+    exec("from netcov import *", namespace)
+    assert set(netcov.__all__) <= namespace.keys()

@@ -13,18 +13,14 @@ from netcov.checks import profile_matches_closed_forms
 from netcov.counting import (
     M_closed_form,
     N_closed_form,
+    common_digits,
     joint_pdf,
     joint_pdf_closed_form,
     pair_profile,
     pdf_normalization,
     profile_bruteforce,
 )
-from netcov.digits import (
-    ConfigurationError,
-    DigitPoint,
-    PrecisionError,
-    gamma_vector,
-)
+from netcov.digits import ConfigurationError, DigitPoint, PrecisionError
 from netcov.nets import PointSet, faure_net
 from netcov.scramble import ScrambleSeed, owen_scramble
 
@@ -132,7 +128,7 @@ def test_joint_pdf_from_measured_profile():
         for j in range(ps.n):
             if i == j:
                 continue
-            parts, _ = gamma_vector(pts[i], pts[j])
+            parts = common_digits(pts[i], pts[j])
             want = joint_pdf_closed_form(b, m, s, parts)
             assert joint_pdf(profile, pts[i], pts[j]) == want
 
@@ -149,6 +145,18 @@ def test_joint_pdf_zero_outside_observed_regions():
     x = DigitPoint.from_fractions([Fraction(0), Fraction(0)], base=2, precision=2)
     y = DigitPoint.from_fractions([Fraction(1, 4), Fraction(1, 4)], base=2, precision=2)
     # gamma = (1, 1) never occurs in this net
+    assert joint_pdf(profile, x, y) == 0
+
+
+def test_joint_pdf_reads_saturation_at_the_points_precision():
+    # a 5-digit profile, 2-digit points: the first coordinates agree through
+    # both of their digits, so the density is 0, although the profile holds
+    # pairs with common-digit vector (2, 0)
+    profile = profile_bruteforce(faure_net(2, 3, 2, precision=5))
+    assert profile.exact_count((2, 0)) > 0
+    x = DigitPoint.from_fractions([Fraction(0), Fraction(0)], base=2, precision=2)
+    y = DigitPoint.from_fractions([Fraction(0), Fraction(1, 2)], base=2, precision=2)
+    assert common_digits(x, y) == (2, 0)
     assert joint_pdf(profile, x, y) == 0
 
 

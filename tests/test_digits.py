@@ -2,22 +2,23 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from netcov.counting import common_digits, gamma_matrix
 from netcov.digits import (
-    AT_LEAST_P,
     ConfigurationError,
     DigitPoint,
     digits_to_str,
-    gamma_scalar,
-    gamma_vector,
     length_vectors,
     str_to_digits,
     validate_base,
     volume_prefix_eq,
     volume_prefix_ge,
 )
+from netcov.nets import PointSet
 
 
 def test_from_fractions_expands_exactly():
@@ -81,58 +82,32 @@ def test_base_refuses_primes_from_2_to_the_32_before_trial_division():
         validate_base(2 ** 61 - 1)
 
 
+def gamma(x, y):
+    """common_digits of two base-2 points given as tuples of digit tuples."""
+    return common_digits(DigitPoint(2, x), DigitPoint(2, y))
+
+
 def test_gamma_counts_common_prefix():
-    assert gamma_scalar((1, 0, 1), (1, 0, 0)) == 2
-    assert gamma_scalar((0, 1), (1, 1)) == 0
-    assert gamma_scalar((1, 1), (1, 1)) is AT_LEAST_P
+    assert gamma(((1, 0, 1),), ((1, 0, 0),)) == (2,)
+    assert gamma(((0, 1),), ((1, 1),)) == (0,)
 
 
 def test_gamma_needs_matching_precision():
-    with pytest.raises(ConfigurationError):
-        gamma_scalar((1, 0), (1, 0, 0))
+    with pytest.raises(ConfigurationError, match="precision mismatch: 2 vs 3"):
+        gamma(((1, 0),), ((1, 0, 0),))
 
 
 def test_gamma_vector_totals():
-    x = DigitPoint(2, ((0, 0), (1, 1)))
-    y = DigitPoint(2, ((0, 1), (1, 0)))
-    parts, total = gamma_vector(x, y)
+    parts = gamma(((0, 0), (1, 1)), ((0, 1), (1, 0)))
     assert parts == (1, 1)
-    assert total == 2
+    assert sum(parts) == 2
 
 
-def test_gamma_vector_sentinel_propagates():
-    x = DigitPoint(2, ((0, 0), (1, 1)))
-    parts, total = gamma_vector(x, x)
-    assert parts == (AT_LEAST_P, AT_LEAST_P)
-    assert total is AT_LEAST_P
-
-
-def test_gamma_vector_partial_sentinel():
-    # one coordinate saturated is enough to spoil the total
-    x = DigitPoint(2, ((0, 0), (1, 1)))
-    y = DigitPoint(2, ((0, 0), (1, 0)))
-    parts, total = gamma_vector(x, y)
-    assert parts == (AT_LEAST_P, 1)
-    assert total is AT_LEAST_P
-
-
-def test_gamma_vector_rejects_mismatch():
-    x = DigitPoint(2, ((0, 0),))
-    with pytest.raises(ConfigurationError):
-        gamma_vector(x, DigitPoint(3, ((0, 0),)))
-    with pytest.raises(ConfigurationError):
-        gamma_vector(x, DigitPoint(2, ((0, 0), (0, 0))))
-
-
-def test_sentinel_is_not_a_number():
-    with pytest.raises(TypeError):
-        _ = AT_LEAST_P < 3
-    with pytest.raises(TypeError):
-        _ = AT_LEAST_P + 1
-
-
-def test_sentinel_is_a_singleton():
-    assert type(AT_LEAST_P)() is AT_LEAST_P
+def test_gamma_reads_the_precision_where_every_digit_agrees():
+    x = ((0, 0), (1, 1))
+    assert gamma(x, x) == (2, 2)
+    # per coordinate: the other one still counts its common prefix
+    assert gamma(x, ((0, 0), (1, 0))) == (2, 1)
 
 
 def test_length_vectors_order_and_count():
@@ -165,27 +140,68 @@ def test_volume_difference_identity(i):
     )
 
 
+def _points(data, b, s, p):
+    """Two s-dimensional points of P digits; the second copies a drawn
+    prefix of each coordinate of the first, so long common prefixes and
+    full agreement are frequent."""
+    x, y = [], []
+    for _ in range(s):
+        xd = [data.draw(st.integers(0, b - 1)) for _ in range(p)]
+        keep = data.draw(st.integers(0, p))
+        x.append(tuple(xd))
+        y.append(tuple(xd[:keep]) + tuple(
+            data.draw(st.integers(0, b - 1)) for _ in range(p - keep)))
+    return DigitPoint(b, tuple(x)), DigitPoint(b, tuple(y))
+
+
 @given(st.data())
 def test_gamma_is_symmetric(data):
     b = data.draw(st.sampled_from([2, 3, 5]))
-    p = data.draw(st.integers(min_value=1, max_value=8))
-    xd = tuple(data.draw(st.integers(0, b - 1)) for _ in range(p))
-    yd = tuple(data.draw(st.integers(0, b - 1)) for _ in range(p))
-    assert gamma_scalar(xd, yd) == gamma_scalar(yd, xd)
+    x, y = _points(data, b, data.draw(st.integers(1, 3)),
+                   data.draw(st.integers(1, 8)))
+    assert common_digits(x, y) == common_digits(y, x)
 
 
 @given(st.data())
 def test_gamma_matches_prefix_equality(data):
     b = data.draw(st.sampled_from([2, 3]))
     p = data.draw(st.integers(min_value=1, max_value=8))
-    xd = tuple(data.draw(st.integers(0, b - 1)) for _ in range(p))
-    yd = tuple(data.draw(st.integers(0, b - 1)) for _ in range(p))
-    g = gamma_scalar(xd, yd)
-    if g is AT_LEAST_P:
-        assert xd == yd
-    else:
+    x, y = _points(data, b, data.draw(st.integers(1, 3)), p)
+    for g, xd, yd in zip(common_digits(x, y), x.coords, y.coords):
+        # g < P: the first g digits agree and digit g + 1 differs;
+        # g = P: all P digits agree
+        assert 0 <= g <= p
         assert xd[:g] == yd[:g]
-        assert xd[g] != yd[g]
+        assert g == p or xd[g] != yd[g]
+
+
+@given(st.data())
+def test_gamma_equals_gamma_matrix_of_a_point_set(data):
+    b = data.draw(st.sampled_from([2, 3, 5]))
+    m = data.draw(st.integers(1, {2: 4, 3: 2, 5: 1}[b]))
+    s = data.draw(st.integers(1, 3))
+    ps = PointSet(b=b, m=m, s=s, t=m, digits=data.draw(arrays(
+        np.uint8, (b ** m, s, data.draw(st.integers(1, 5))),
+        elements=st.integers(0, b - 1))))
+    i, j = (data.draw(st.integers(0, ps.n - 1)) for _ in range(2))
+    assert common_digits(ps.point(i), ps.point(j)) == tuple(
+        int(gamma_matrix(ps.digits[:, k, :])[i, j]) for k in range(s))
+
+
+@given(st.data())
+def test_gamma_vector_rejects_mismatch(data):
+    # points differing in base, dimension or precision are refused
+    what = data.draw(st.sampled_from(["base", "dimension", "precision"]))
+    s = data.draw(st.integers(1, 3))
+    p = data.draw(st.integers(1, 4))
+    x = DigitPoint(2, ((0,) * p,) * s)
+    y = {"base": DigitPoint(3, ((0,) * p,) * s),
+         "dimension": DigitPoint(2, ((0,) * p,) * (s + 1)),
+         "precision": DigitPoint(2, ((0,) * (p + 1),) * s)}[what]
+    with pytest.raises(ConfigurationError, match=f"{what} mismatch"):
+        common_digits(x, y)
+    with pytest.raises(ConfigurationError, match=f"{what} mismatch"):
+        common_digits(y, x)
 
 
 @given(st.fractions(min_value=Fraction(0), max_value=Fraction(99, 100)),

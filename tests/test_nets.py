@@ -250,18 +250,12 @@ def test_extended_precision_pads_with_zeros():
 def test_generated_digits_match_matrix_arithmetic():
     b, m = 3, 2
     g = faure_matrices(b, m, 2)
-    ps = generate_points(g, b, m)
+    ps = generate_points(g)
     dmat = index_digit_matrix(b, m)
     for i in (0, 4, 8):
         for j in range(2):
             manual = (g.mats[j] @ dmat[:, i]) % b
             assert list(ps.digits[i, j]) == [int(v) for v in manual]
-
-
-def test_generate_points_checks_parameters():
-    g = faure_matrices(2, 2, 1)
-    with pytest.raises(ConfigurationError):
-        generate_points(g, 2, 3)
 
 
 @pytest.mark.parametrize("text,line", [

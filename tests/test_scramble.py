@@ -8,8 +8,8 @@ import pytest
 from helpers import chi2_sf
 from netcov import scramble
 from netcov.checks import gamma_preserved
-from netcov.counting import profile_bruteforce
-from netcov.digits import AT_LEAST_P, ConfigurationError, gamma_vector
+from netcov.counting import common_digits, profile_bruteforce
+from netcov.digits import ConfigurationError
 from netcov.nets import MAX_POINT_DIGITS, PointSet, faure_net, verify_net
 from netcov.scramble import (
     GUARD_DIGITS,
@@ -113,8 +113,7 @@ def test_identical_coordinates_stay_identical():
     ps = PointSet(b=2, m=1, s=2, t=1, digits=digits)
     out = owen_scramble(ps, ScrambleSeed(3), precision=5)
     assert np.array_equal(out.digits[0, 0], out.digits[1, 0])
-    parts, _ = gamma_vector(out.point(0), out.point(1))
-    assert parts[0] is AT_LEAST_P
+    assert common_digits(out.point(0), out.point(1))[0] == 5
 
 
 def test_pair_profile_is_scramble_invariant():
