@@ -103,11 +103,22 @@ def test_gamma_vector_totals():
     assert sum(parts) == 2
 
 
-def test_gamma_reads_the_precision_where_every_digit_agrees():
+def test_gamma_vector_sentinel_propagates():
+    # agreement through every stored digit reads the precision, in every
+    # coordinate that agrees; no sentinel stands in for it
     x = ((0, 0), (1, 1))
-    assert gamma(x, x) == (2, 2)
-    # per coordinate: the other one still counts its common prefix
-    assert gamma(x, ((0, 0), (1, 0))) == (2, 1)
+    parts = gamma(x, x)
+    assert parts == (2, 2)
+    assert all(type(c) is int for c in parts)
+    assert sum(parts) == 4
+
+
+def test_gamma_vector_partial_sentinel():
+    # one coordinate agreeing throughout reads the precision; the other
+    # still counts its common prefix
+    parts = gamma(((0, 0), (1, 1)), ((0, 0), (1, 0)))
+    assert parts == (2, 1)
+    assert sum(parts) == 3
 
 
 def test_length_vectors_order_and_count():
