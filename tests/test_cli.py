@@ -235,6 +235,15 @@ def test_qscan_pinned_values(capsys):
     ]
 
 
+def test_qscan_refuses_x_outside_the_unit_interval(tmp_path, capsys):
+    out = tmp_path / "q.csv"
+    code, stdout, err = run(capsys, "qscan", "--base", "2", "--m", "1",
+                            "--s", "1", "--x-grid", "0:2:1/2", "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err == "error: x must lie in [0,1], got 3/2\n"
+    assert not out.exists()
+
+
 def test_figure_scan_single_preset(tmp_path, capsys):
     out_dir = tmp_path / "figs"
     code, _, _ = run(capsys, "figure-scan", "--preset", "3a",

@@ -274,3 +274,52 @@ def test_psi_eval_outputs_are_pinned(tmp_path, capsys, net_args, scrambled,
         points = tmp_path / "rep000.txt"
     assert cli.main(["psi", "eval", "--x", x, "--y", y, str(points)]) == 0
     assert sha256(capsys.readouterr().out.encode()) == digest
+
+
+def _scan_digest(tmp_path, capsys, *argv):
+    out = tmp_path / "scan.csv"
+    run(capsys, *argv, "--out", str(out))
+    return sha256(out.read_bytes())
+
+
+# covpoly --x-grid rows at both scales: a = 0 and a = 1, base 53, and a
+# grid reaching past both ends of [0, 1]
+@pytest.mark.parametrize("b,m,s,a,grid,scale,digest", [
+    ("2", "3", "2", "1/2", "-1:2:1/7", "none",
+     "d504b8f33ce7e969d1c0da352786a6672baa0483419afeb0c3f52abc21010544"),
+    ("2", "3", "2", "1/2", "-1:2:1/7", "inv-nm1",
+     "865c515e987013db2feae966351eada62d86b0b54f918c0312d04000dabebac0"),
+    ("3", "3", "3", "0", "0:1:1/100", "inv-nm1",
+     "d09675c1d686e6d084a1a3390c513fc58be685f61af46d03f7fbdd364d7acdd2"),
+    ("3", "2", "4", "1", "0:1:1/100", "none",
+     "93f273bba4206112bbf65a5830bd9c7b18dff008a3a4af1be85048ba4fc15461"),
+    ("3", "2", "4", "1", "0:1:1/100", "inv-nm1",
+     "4b514b4be3c5624fc4bb388a1d570aea7a14dee02998c6cafb0f51903924f6dd"),
+    ("53", "3", "3", "52/53", "0:1:1/1000", "none",
+     "2fb9c3b3a640c236a1183c544990edd79b13eb5c035aafc31ef1d34697b2aaf1"),
+    ("53", "3", "3", "52/53", "0:1:1/1000", "inv-nm1",
+     "f0088bd992bb94145ec2651901559640dac7c9a6c9be1007c6b2126a40b2d281"),
+    ("53", "2", "5", "1/3", "-1:2:1/7", "inv-nm1",
+     "c588824cec3810369210b2505e30eca584fde6de982881bc6372642b5e59f4a7"),
+], ids=["2-3-2-wide", "2-3-2-wide-scaled", "a0-scaled", "a1", "a1-scaled",
+        "53-critical", "53-critical-scaled", "53-wide-scaled"])
+def test_covpoly_scans_are_pinned(tmp_path, capsys, b, m, s, a, grid, scale,
+                                  digest):
+    assert _scan_digest(tmp_path, capsys, "covpoly", "--base", b, "--m", m,
+                        "--s", s, "--a", a, f"--x-grid={grid}",
+                        "--scale", scale) == digest
+
+
+# the first two are the benchmark's qscan digests; the 1/10 grid in base 5
+# holds the removable point x = 1/b
+@pytest.mark.parametrize("b,m,s,grid,digest", [
+    ("3", "3", "3", "0:1:1/1000",
+     "03161d341c6c1998cceb08503676e684a42c253d2fd5c806239418053669c170"),
+    ("5", "3", "5", "0:1:1/1000",
+     "d91d3fe642fb3040fe0ccb123c6d5d86adccecc34bdf3eccc4717454e13fc6af"),
+    ("5", "3", "5", "0:1:1/10",
+     "165c9e555be34b4f86dbd4d1c50b8129217373937f56e6cf1eaa0fabb5c0c066"),
+], ids=["3-3-3", "5-3-5", "5-3-5-removable-point"])
+def test_qscan_csvs_are_pinned(tmp_path, capsys, b, m, s, grid, digest):
+    assert _scan_digest(tmp_path, capsys, "qscan", "--base", b, "--m", m,
+                        "--s", s, "--x-grid", grid) == digest
