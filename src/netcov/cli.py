@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .counting import common_digits, joint_pdf, pair_profile
-from .covkernel import cov_polynomial, q_s
+from .covkernel import cov_polynomial, horner, q_s_polynomial
 from .digits import ConfigurationError, DigitPoint
 from .estimators import ExperimentConfig, run_experiment
 from .nets import faure_net, load_point_set, save_point_set, verify_net
@@ -55,10 +55,21 @@ def figure_scan(name: str, grid: Sequence[Fraction]) -> str:
         b, m = params["base"], params["m"]
         a = Fraction(b - 1, b) if params["a"] == CRITICAL else params["a"]
         poly = cov_polynomial(b, m, params["s"], a)
-        scale = Fraction(1, b ** m - 1)
-        for x in grid:
-            lines.append(f"{val},{float(x)!r},{float(poly.eval(x) * scale)!r}")
+        lines += _scan_rows(poly.x_numerators,
+                            poly.x_denominator * (b ** m - 1), grid, f"{val},")
     return "\n".join(lines) + "\n"
+
+
+def _scan_rows(coeffs: Sequence[int], den: int, grid: Sequence[Fraction],
+               prefix: str = "") -> list[str]:
+    """CSV rows "x,value" of the integer polynomial coeffs over den > 0, each
+    float one correctly rounded int/int division, as float(Fraction) does."""
+    rows = []
+    for x in grid:
+        p, q = x.numerator, x.denominator
+        num, q_d = horner(coeffs, p, q)
+        rows.append(f"{prefix}{p / q!r},{num / (q_d * den)!r}")
+    return rows
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -80,7 +91,10 @@ def _parse_grid(text: str) -> tuple[Fraction, ...]:
     if count > MAX_GRID_POINTS:
         raise argparse.ArgumentTypeError(
             f"grid {text!r} has {count} points, more than {MAX_GRID_POINTS}")
-    return tuple(lo + i * step for i in range(count))
+    # lo + i * step over one common denominator: one gcd per point
+    num, inc = lo.numerator * step.denominator, step.numerator * lo.denominator
+    den = lo.denominator * step.denominator
+    return tuple(Fraction(num + i * inc, den) for i in range(count))
 
 
 def _write(text: str, path: str | None) -> None:
@@ -164,19 +178,19 @@ def _cmd_covpoly(args) -> int:
     if args.x_grid is None:
         _write(_json(poly.to_dict()), args.out)
         return 0
-    scale = (Fraction(1, args.base ** args.m - 1)
-             if args.scale == "inv-nm1" else Fraction(1))
-    lines = ["x,value"]
-    for x in args.x_grid:
-        lines.append(f"{float(x)!r},{float(poly.eval(x) * scale)!r}")
+    den = poly.x_denominator * (args.base ** args.m - 1
+                                if args.scale == "inv-nm1" else 1)
+    lines = ["x,value", *_scan_rows(poly.x_numerators, den, args.x_grid)]
     _write("\n".join(lines) + "\n", args.out)
     return 0
 
 
 def _cmd_qscan(args) -> int:
-    lines = ["x,value"]
+    coeffs = q_s_polynomial(args.base, args.m, args.s)
     for x in args.x_grid:
-        lines.append(f"{float(x)!r},{float(q_s(args.base, args.m, args.s, x))!r}")
+        if not 0 <= x.numerator <= x.denominator:
+            raise ConfigurationError(f"x must lie in [0,1], got {x}")
+    lines = ["x,value", *_scan_rows(coeffs, 1, args.x_grid)]
     _write("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -327,7 +341,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigurationError, OSError, ValueError,
+    except (ConfigurationError, OSError, ValueError, OverflowError,
             argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

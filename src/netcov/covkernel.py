@@ -6,14 +6,15 @@ they induce under geometric shell decay, the regularized incomplete beta
 function for integer parameters, the nonpositivity witness Q_s with its
 telescoping difference, a four-term recurrence those values satisfy, and an
 independent hypergeometric-style assembly of the same quantity.  Floating
-point appears nowhere; dense scans are expected to convert at the edge.
+point appears nowhere: scans evaluate integer polynomials with ``horner``
+and divide two integers once per row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from math import comb, factorial
 from typing import Callable, Sequence
 
@@ -79,17 +80,32 @@ def psi_hat_zero_t(b: int, m: int, idx: WalshIndex) -> Fraction:
     return Psi(b, idx.r, max(idx.k - m, 0)) / (b ** m - 1)
 
 
+def horner(coeffs: Sequence[int], p: int, q: int) -> tuple[int, int]:
+    """Integer polynomial (constant term first) at x = p/q, as (num, den)
+    with den = |q|^d > 0 and num = sum c_k p^k q^(d-k): no gcd is taken."""
+    if q < 0:
+        p, q = -p, -q
+    num, den = coeffs[-1], 1
+    for c in reversed(coeffs[:-1]):
+        den *= q
+        num = num * p + c * den
+    return num, den
+
+
 @dataclass(frozen=True)
 class CovPolynomial:
     """Exact coefficients of the scaled covariance under shell decay
     sigma_k^2 = a^r (bx)^k alpha: value(x) * alpha / (b^m - 1) is the pair
-    covariance.  Stored on the (bx) monomial basis, powers 1 .. m+s-1."""
+    covariance.  Stored on the (bx) monomial basis, powers 1 .. m+s-1, and
+    as integer x-basis numerators (constant term first) over x_denominator."""
 
     b: int
     m: int
     s: int
     a: Fraction
     coeffs_bx: tuple[Fraction, ...]
+    x_numerators: tuple[int, ...]
+    x_denominator: int
 
     def coefficient_bx(self, k: int) -> Fraction:
         """Coefficient of (bx)^k."""
@@ -99,10 +115,7 @@ class CovPolynomial:
 
     def x_coefficients(self) -> tuple[Fraction, ...]:
         """Coefficients on the plain x basis, constant term first."""
-        out = [Fraction(0)]
-        for k, cf in enumerate(self.coeffs_bx, start=1):
-            out.append(cf * self.b ** k)
-        return tuple(out)
+        return tuple(Fraction(c, self.x_denominator) for c in self.x_numerators)
 
     @property
     def degree(self) -> int:
@@ -114,10 +127,8 @@ class CovPolynomial:
 
     def eval(self, x) -> Fraction:
         x = Fraction(x)
-        acc = Fraction(0)
-        for cf in reversed(self.coeffs_bx):
-            acc = acc * (self.b * x) + cf
-        return acc * (self.b * x)
+        num, den = horner(self.x_numerators, x.numerator, x.denominator)
+        return Fraction(num, den * self.x_denominator)
 
     def covariance(self, x, alpha=1) -> Fraction:
         """Pair covariance of a function with these shell weights."""
@@ -137,7 +148,9 @@ def cov_polynomial(b: int, m: int, s: int, a) -> CovPolynomial:
 
     The (bx)^k coefficient aggregates every shell of total length k: choose
     the r occupied coordinates, split k into r positive parts, weight by a^r
-    and the shell coefficient at depth excess max(k-m, 0).
+    and the shell coefficient at depth excess max(k-m, 0).  With a = p/q and
+    Psi(b, r, c) = -S(r, c) / (1-b)^(r-1), S(r, c) = sum_{i<r-c} (-b)^i
+    C(r-1, i), each coefficient is an integer over q^s (b-1)^(s-1).
     """
     validate_base(b)
     if m < 1 or s < 1:
@@ -145,16 +158,20 @@ def cov_polynomial(b: int, m: int, s: int, a) -> CovPolynomial:
     a = Fraction(a)
     if not 0 <= a <= 1:
         raise ConfigurationError(f"decay weight a must lie in [0,1], got {a}")
-    coeffs = []
-    for k in range(1, m + s):
-        total = Fraction(0)
-        for r in range(1, s + 1):
-            ways = comb(s, r) * comb(k - 1, r - 1)
-            if ways == 0:
-                continue
-            total += ways * a ** r * Psi(b, r, max(k - m, 0))
-        coeffs.append(total)
-    return CovPolynomial(b=b, m=m, s=s, a=a, coeffs_bx=tuple(coeffs))
+    p, q = a.numerator, a.denominator
+    # a^r Psi(b, r, c) = weight[r] * S(r, c) / den; S(r, c) = partial[r][r-c]
+    weight = [comb(s, r) * (-p) ** r * (q * (b - 1)) ** (s - r)
+              for r in range(s + 1)]
+    partial = [list(accumulate((comb(r - 1, i) * (-b) ** i for i in range(r)),
+                               initial=0)) for r in range(s + 1)]
+    den = q ** s * (b - 1) ** (s - 1)
+    nums = [sum(comb(k - 1, r - 1) * weight[r] * partial[r][r - max(k - m, 0)]
+                for r in range(max(k - m, 0) + 1, min(k, s) + 1))
+            for k in range(1, m + s)]
+    return CovPolynomial(
+        b=b, m=m, s=s, a=a, coeffs_bx=tuple(Fraction(n, den) for n in nums),
+        x_numerators=(0, *(n * b ** k for k, n in enumerate(nums, start=1))),
+        x_denominator=den)
 
 
 def inc_beta(a: int, b: int, x) -> Fraction:
@@ -224,36 +241,30 @@ def _poly_add_into(acc: list[int], p: Sequence[int], scale: int) -> None:
         acc[i] += scale * pi
 
 
-def _poly_pow(p: Sequence[int], e: int) -> list[int]:
-    out = [1]
-    for _ in range(e):
-        out = _poly_mul(out, p)
-    return out
-
-
 def q_s_polynomial(b: int, m: int, s: int) -> tuple[int, ...]:
     """The witness as an explicit polynomial in x, constant term first.
 
     Both beta terms expand to integer-coefficient polynomials: the head is a
     binomial tail in x, and the other term keeps a factor (1-bx)^{j-s} with
     j > s, which clears the denominator.  Coefficients are exact integers.
+    Each sum carries its running power, so the cost is O((m+s)^2).
     """
     validate_base(b)
     if m < 1 or s < 0:
         raise ConfigurationError("need m >= 1 and s >= 0")
-    one_minus_x = [1, -1]
-    one_minus_bx = [1, -b]
-    bx = [0, b]
     top = m + s
     acc = [1]
-    for j in range(m, top + 1):
-        term = _poly_mul(_poly_pow([0, 1], j), _poly_pow(one_minus_x, top - j))
-        _poly_add_into(acc, term, -(b ** m) * comb(top, j))
-    ones = _poly_pow(one_minus_x, s)
+    power = [1]  # (1-x)^(top-j); (1-x)^s once the head is done
+    for j in range(top, m - 1, -1):
+        if j < top:
+            power = _poly_mul(power, [1, -1])
+        _poly_add_into(acc, [0] * j + power, -(b ** m) * comb(top, j))
+    tail, power_bx = [0], [1]  # power_bx = (1-bx)^(j-s)
     for j in range(s + 1, top + 1):
-        term = _poly_mul(ones, _poly_mul(_poly_pow(one_minus_bx, j - s),
-                                         _poly_pow(bx, top - j)))
-        _poly_add_into(acc, term, -comb(top, j))
+        power_bx = _poly_mul(power_bx, [1, -b])
+        _poly_add_into(tail, [0] * (top - j) + power_bx,
+                       comb(top, j) * b ** (top - j))
+    _poly_add_into(acc, _poly_mul(power, tail), -1)
     while len(acc) > 1 and acc[-1] == 0:
         acc.pop()
     return tuple(acc)

@@ -3,9 +3,10 @@
 The centerpiece is GammaGrid, an independent oracle for the pair covariance:
 it integrates (psi - 1) f(x) conj(f(y)) over the full digit grid in exact
 rational arithmetic, never touching the coefficient-space shortcut it is
-meant to check.  The rest is small: random rational Walsh series, an integer
-sign scan for dense polynomial grids, the chi-square tail, and the rerun
-policy for statistical gates.
+meant to check.  The rest is small: random rational Walsh series, the
+shell-by-shell Fraction sum of the covariance polynomial, an integer sign
+scan for dense polynomial grids, the chi-square tail, and the rerun policy
+for statistical gates.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from netcov.counting import joint_pdf_closed_form
+from netcov.covkernel import Psi
 from netcov.digits import length_vectors  # noqa: F401  (re-exported to the tests)
 from netcov.walsh import Coefficient, QComplex, WalshPolynomial, index_digits
 
@@ -148,6 +150,21 @@ class GammaGrid:
         cov = total - QComplex(c0.abs2())
         assert cov.im == 0, "pair symmetry must cancel the imaginary part"
         return cov.re
+
+
+def cov_polynomial_reference(b: int, m: int, s: int, a: Fraction) -> tuple[Fraction, ...]:
+    """The (bx)^k coefficients, k = 1 .. m+s-1, summed shell by shell in
+    Fraction arithmetic: C(s, r) C(k-1, r-1) a^r Psi(b, r, max(k-m, 0))."""
+    coeffs = []
+    for k in range(1, m + s):
+        total = Fraction(0)
+        for r in range(1, s + 1):
+            ways = math.comb(s, r) * math.comb(k - 1, r - 1)
+            if ways == 0:
+                continue
+            total += ways * a ** r * Psi(b, r, max(k - m, 0))
+        coeffs.append(total)
+    return tuple(coeffs)
 
 
 def first_sign_violation(coeffs: Sequence[int], den: int) -> int | None:

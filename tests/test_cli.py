@@ -390,6 +390,22 @@ def test_analysis_errors_exit_cleanly(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["covpoly", "--base", "2", "--m", "1", "--s", "1", "--a", "1/2",
+     "--x-grid", "1e400:1e400:1"],
+    ["covpoly", "--base", "2", "--m", "3", "--s", "3", "--a", "1/2",
+     "--x-grid", "1e100:1e100:1"],
+    ["figure-scan", "--preset", "3b", "--x-grid", "1e60:1e60:1"],
+], ids=["x-past-float-range", "value-past-float-range", "figure-value"])
+def test_a_scan_past_float_range_is_a_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    flag = "--out-dir" if argv[0] == "figure-scan" else "--out"
+    code, stdout, err = run(capsys, *argv, flag, str(out))
+    assert (code, stdout) == (2, "")
+    assert err == "error: integer division result too large for a float\n"
+    assert not out.exists()
+
+
 def test_a_prime_base_past_2_to_the_32_exits_at_once(capsys):
     # 2^61 - 1 is prime: trial division would not finish
     code, _, err = run(capsys, "covpoly", "--base", str(2 ** 61 - 1), "--m", "1",

@@ -13,9 +13,15 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from helpers import GammaGrid, length_vectors, random_walsh_polynomial
+from helpers import (
+    GammaGrid,
+    cov_polynomial_reference,
+    length_vectors,
+    random_walsh_polynomial,
+)
+from netcov import cli
 from netcov.checks import (
     assembly_matches_witness,
     beta_forms_agree,
@@ -30,6 +36,7 @@ from netcov.covkernel import (
     cov_polynomial,
     delta_s,
     delta_second_part,
+    horner,
     inc_beta,
     inc_beta_derivative_form,
     psi_hat_general,
@@ -167,6 +174,56 @@ def test_cov_polynomial_matches_shell_sum():
         r = sum(1 for kj in k_vec if kj > 0)
         direct += a ** r * (b * x) ** k * Psi(b, r, max(k - m, 0))
     assert poly.eval(x) == direct
+
+
+@pytest.mark.parametrize("b", [2, 3, 53])
+def test_cov_polynomial_matches_the_fraction_reference(b):
+    # the integer numerators over q^s (b-1)^(s-1) against the shell-by-shell
+    # Fraction sum, coefficient by coefficient
+    for m, s in product(range(1, 9), repeat=2):
+        for a in (Fraction(0), Fraction(1, 16), Fraction(2, 3),
+                  Fraction(b - 1, b), Fraction(1)):
+            poly = cov_polynomial(b, m, s, a)
+            reference = cov_polynomial_reference(b, m, s, a)
+            assert poly.coeffs_bx == reference
+            assert poly.x_denominator > 0
+            assert poly.x_coefficients() == (0, *(cf * b ** k for k, cf
+                                                  in enumerate(reference, 1)))
+
+
+SCAN_POLYNOMIALS = st.one_of(
+    st.builds(cov_polynomial, st.sampled_from([2, 3, 5, 53]),
+              st.integers(1, 6), st.integers(1, 6),
+              st.fractions(0, 1, max_denominator=16))
+    .map(lambda poly: (poly.x_numerators, poly.x_denominator)),
+    st.builds(q_s_polynomial, st.sampled_from([2, 3, 5, 53]),
+              st.integers(1, 6), st.integers(0, 6))
+    .map(lambda coeffs: (coeffs, 1)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(poly=SCAN_POLYNOMIALS, p=st.integers(-40, 40), q=st.integers(1, 30),
+       unreduce=st.integers(-4, 4).filter(bool), scale=st.integers(1, 60))
+@example(poly=((0, -1), 1), p=0, q=1, unreduce=-3, scale=1)
+@example(poly=((0, 0, 0), 7), p=-5, q=3, unreduce=-1, scale=2)
+def test_scan_values_are_the_exact_value_rounded_once(poly, p, q, unreduce,
+                                                     scale):
+    # x = p/q handed to horner unreduced, possibly with a negative
+    # denominator; the scan's float must be float(exact) bit for bit, and an
+    # exact zero must print 0.0, never -0.0
+    coeffs, den = poly[0], poly[1] * scale
+    x = Fraction(p, q)
+    exact = sum((Fraction(c, den) * x ** k for k, c in enumerate(coeffs)),
+                Fraction(0))
+    num, q_d = horner(coeffs, p * unreduce, q * unreduce)
+    assert q_d > 0
+    assert Fraction(num, q_d * den) == exact
+    assert repr(num / (q_d * den)) == repr(float(exact))
+    row = cli._scan_rows(coeffs, den, [x], "v,")
+    assert row == [f"v,{float(x)!r},{float(exact)!r}"]
+    if exact == 0:
+        assert row[0].endswith(",0.0")
 
 
 def test_cov_polynomial_validation():
@@ -332,6 +389,16 @@ def test_witness_polynomial_agrees_with_the_beta_form():
             x = Fraction(rng.randint(0, 97), 97)
             via_poly = sum(c * x ** k for k, c in enumerate(coeffs))
             assert q_s(b, m, s, x) == via_poly
+
+
+def test_witness_polynomial_agrees_with_the_beta_form_at_larger_orders():
+    # the running-power sums at m + s up to 24, on the removable point 1/b
+    # and at both ends of the interval
+    for b, m, s in [(2, 12, 12), (3, 1, 20), (5, 20, 0), (7, 9, 14)]:
+        coeffs = q_s_polynomial(b, m, s)
+        for x in (Fraction(0), Fraction(1, b), Fraction(2, 7), Fraction(1)):
+            num, den = horner(coeffs, x.numerator, x.denominator)
+            assert Fraction(num, den) == q_s(b, m, s, x)
 
 
 # the difference form
