@@ -68,9 +68,7 @@ from .estimators import (
     ExperimentReport,
     analytic_covariance,
     analytic_variance,
-    estimate,
     run_experiment,
-    variance_identity_check,
 )
 from .checks import verify_all
 
@@ -101,7 +99,6 @@ __all__ = [
     "default_precision",
     "delta_s",
     "enumerate_L_k",
-    "estimate",
     "faure_matrices",
     "faure_net",
     "generate_points",
@@ -125,7 +122,6 @@ __all__ = [
     "run_experiment",
     "save_point_set",
     "shell_size",
-    "variance_identity_check",
     "verify_all",
     "verify_net",
     "volume_prefix_eq",

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import counting, covkernel
 from .digits import length_vectors
-from .nets import PointSet, faure_net, verify_net
+from .nets import PointSet, dominated_counts, faure_net, verify_net
 from .scramble import ScrambleSeed, owen_scramble
 from .walsh import WalshIndex, enumerate_L_k, index_add, shell_size, wal_eval
 
@@ -39,16 +39,18 @@ def expect(cond: bool, msg: str) -> None:
 
 def profile_matches_closed_forms(ps: PointSet) -> int:
     """The prefix-cell profile of a scrambled (0,m,s)-net equals the
-    pairwise oracle, and its exact and dominated pair counts equal the closed
-    forms for every vector below the stored precision."""
+    pairwise oracle, and its exact counts and the dominated counts it is
+    differenced from equal the closed forms for every vector below the
+    stored precision."""
     b, m, s = ps.b, ps.m, ps.s
     profile = counting.pair_profile(ps)
+    dominated = dominated_counts(ps)
     expect(profile.counts == counting.profile_bruteforce(ps).counts,
            f"prefix-cell and pairwise profiles differ at {(b, m, s)}")
     for i in product(range(ps.precision), repeat=s):
         expect(profile.exact_count(i) == counting.N_closed_form(b, m, s, i),
                f"exact-count mismatch at {(b, m, s)}, i={i}")
-        expect(profile.at_least_count(i) == counting.M_closed_form(b, m, i),
+        expect(dominated.get(i, 0) == counting.M_closed_form(b, m, i),
                f"dominated-count mismatch at {(b, m, s)}, k={i}")
     return 2 * ps.precision ** s
 

@@ -9,6 +9,7 @@ reports are JSON with sorted keys.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import os
@@ -197,10 +198,13 @@ def _cmd_qscan(args) -> int:
 
 def _cmd_figure_scan(args) -> int:
     names = [args.preset] if args.preset else sorted(FIGURE_PRESETS)
-    for name in names:
-        csv_text = figure_scan(name, args.x_grid)
+    # every CSV is built before the first is written: a failing preset
+    # leaves no file behind
+    texts = [(name, figure_scan(name, args.x_grid)) for name in names]
+    if args.out_dir:
+        os.makedirs(args.out_dir, exist_ok=True)
+    for name, csv_text in texts:
         if args.out_dir:
-            os.makedirs(args.out_dir, exist_ok=True)
             _write(csv_text, os.path.join(args.out_dir, f"fig{name}.csv"))
         else:
             sys.stdout.write(csv_text)
@@ -240,6 +244,7 @@ def _cmd_verify(args) -> int:
     return 0 if report["passed"] else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="netcov",

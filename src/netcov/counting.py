@@ -76,21 +76,6 @@ class PairProfile:
             )
         return self.counts.get(i, 0)
 
-    def at_least_count(self, k: Sequence[int]) -> int:
-        """Pairs whose common-digit vector dominates k componentwise.
-        Negative components are clamped to 0."""
-        k = tuple(max(c, 0) for c in k)
-        if len(k) != self.s:
-            raise ConfigurationError(f"vector {k} has wrong dimension")
-        if any(c > self.precision for c in k):
-            raise PrecisionError(
-                f"components of {k} exceed the stored precision {self.precision}"
-            )
-        return sum(
-            cnt for vec, cnt in self.counts.items()
-            if all(v >= c for v, c in zip(vec, k))
-        )
-
     def to_dict(self) -> dict:
         return {
             "b": self.b, "m": self.m, "s": self.s,

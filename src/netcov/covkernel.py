@@ -29,9 +29,10 @@ def psi_hat_general(
 ) -> Fraction:
     """Walsh coefficient of the pair density from dominated-pair counts.
 
-    M maps a componentwise bound vector (entries may be negative; the counter
-    clamps them) to the number of ordered distinct pairs meeting it.  Valid
-    for any scrambled digital point set, not only t = 0 nets.
+    M maps a componentwise bound vector k - e, with e_j = 1 only where
+    l_j > 0 and so never negative, to the number of ordered distinct pairs
+    whose common-digit vector dominates it.  Valid for any scrambled digital
+    point set, not only t = 0 nets.
     """
     if n < 2:
         raise ConfigurationError("pair density needs at least two points")
@@ -107,23 +108,9 @@ class CovPolynomial:
     x_numerators: tuple[int, ...]
     x_denominator: int
 
-    def coefficient_bx(self, k: int) -> Fraction:
-        """Coefficient of (bx)^k."""
-        if not 1 <= k <= len(self.coeffs_bx):
-            return Fraction(0)
-        return self.coeffs_bx[k - 1]
-
     def x_coefficients(self) -> tuple[Fraction, ...]:
         """Coefficients on the plain x basis, constant term first."""
         return tuple(Fraction(c, self.x_denominator) for c in self.x_numerators)
-
-    @property
-    def degree(self) -> int:
-        deg = 0
-        for k, cf in enumerate(self.coeffs_bx, start=1):
-            if cf != 0:
-                deg = k
-        return deg
 
     def eval(self, x) -> Fraction:
         x = Fraction(x)

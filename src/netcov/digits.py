@@ -166,9 +166,6 @@ class DigitPoint:
             out.append(acc)
         return tuple(out)
 
-    def to_floats(self) -> tuple[float, ...]:
-        return tuple(float(f) for f in self.to_fractions())
-
 
 def volume_prefix_ge(b: int, k: Sequence[int]) -> Fraction:
     """Volume of the pair region where every coordinate shares a digit

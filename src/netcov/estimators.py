@@ -26,13 +26,6 @@ from .scramble import replicate
 from .walsh import Coefficient, WalshIndex, WalshPolynomial, random_decay_polynomial
 
 
-def estimate(ps: PointSet, f: WalshPolynomial) -> complex:
-    """Sample mean of f over the point set: exact Walsh exponents per point,
-    float summation at the end."""
-    values = f.eval_digit_matrix(ps.digits)
-    return complex(values.sum() / ps.n)
-
-
 def build_function(b: int, s: int, spec: Mapping) -> WalshPolynomial:
     """Materialize an integrand from its config description.
 
@@ -96,9 +89,6 @@ class ExperimentConfig:
             precision=json_field(doc, "precision", "config", json_integer, None),
         )
 
-    def build_function(self) -> WalshPolynomial:
-        return build_function(self.b, self.s, self.function_spec)
-
 
 @dataclass(frozen=True)
 class ExperimentReport:
@@ -106,7 +96,6 @@ class ExperimentReport:
     n: int
     precision: int
     integral: complex
-    integral_weight: Fraction
     est_mean: complex
     est_var: float
     cov_emp: float
@@ -183,7 +172,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     from the identity sum_{i != j} v_i conj(v_j) = |sum v|^2 - sum |v|^2, so
     each replication costs one pass over the points.
     """
-    f = cfg.build_function()
+    f = build_function(cfg.b, cfg.s, cfg.function_spec)
     if f.b != cfg.b:
         raise ConfigurationError(f"function base {f.b} does not match {cfg.b}")
     precision = cfg.precision
@@ -199,14 +188,13 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
     coef0 = f.constant_coefficient()
     integral = coef0.to_complex()
-    integral_weight = coef0.weight
     R = cfg.R
 
     est_mean = complex(math.fsum(estimates.real) / R,
                        math.fsum(estimates.imag) / R)
     est_var = math.fsum(abs(e - est_mean) ** 2 for e in estimates) / (R - 1)
 
-    w0 = float(integral_weight)
+    w0 = float(coef0.weight)
     cov_emp = math.fsum(pair_terms) / R - w0
     cov_se = float(np.std(pair_terms, ddof=1)) / math.sqrt(R)
 
@@ -218,8 +206,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
     return ExperimentReport(
         config=cfg, n=n, precision=precision,
-        integral=integral, integral_weight=integral_weight,
-        est_mean=est_mean, est_var=est_var,
+        integral=integral, est_mean=est_mean, est_var=est_var,
         cov_emp=cov_emp, cov_se=cov_se,
         cov_analytic=analytic_covariance(f, cfg.b, cfg.m),
         var_mc_analytic=var_mc,
@@ -227,10 +214,3 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         estimates=estimates, pair_terms=pair_terms,
     )
 
-
-def variance_identity_check(report: ExperimentReport) -> tuple[float, float]:
-    """Absolute residual of the variance decomposition, with its propagated
-    standard error.  The residual centers the per-replication square error
-    at the exact integral, so the R terms are independent and the standard
-    error is the plain one of their mean."""
-    return abs(report.identity_residual), report.identity_se

@@ -110,9 +110,6 @@ class PointSet:
     def precision(self) -> int:
         return self.digits.shape[2]
 
-    def __len__(self) -> int:
-        return self.n
-
     def point(self, i: int) -> DigitPoint:
         coords = tuple(tuple(int(d) for d in self.digits[i, j]) for j in range(self.s))
         return DigitPoint(self.b, coords)
@@ -329,8 +326,12 @@ def _check_text_base(b: int) -> None:
 
 def save_point_set(ps: PointSet, fh) -> None:
     """Text format: header line ``b m s t P`` then one point per line,
-    coordinates as base-b digit strings separated by spaces."""
+    coordinates as base-b digit strings separated by spaces.  Refuses what
+    load_point_set refuses, P = 0, before anything is written."""
     _check_text_base(ps.b)
+    if ps.precision < 1:
+        raise ConfigurationError(
+            f"need P >= 1 to write a point file, got P={ps.precision}")
     fh.write(f"{ps.b} {ps.m} {ps.s} {ps.t} {ps.precision}\n")
     for i in range(ps.n):
         line = " ".join(digits_to_str(ps.digits[i, j]) for j in range(ps.s))

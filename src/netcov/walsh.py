@@ -44,56 +44,11 @@ SHELL_SUPPORT_CAP = 256
 
 
 @dataclass(frozen=True)
-class QComplex:
-    """Exact complex number with rational real and imaginary parts."""
-
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
-
-    def __add__(self, other: "QComplex") -> "QComplex":
-        return QComplex(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "QComplex") -> "QComplex":
-        return QComplex(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other: "QComplex") -> "QComplex":
-        return QComplex(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def scale(self, c: Fraction) -> "QComplex":
-        return QComplex(self.re * c, self.im * c)
-
-    def conjugate(self) -> "QComplex":
-        return QComplex(self.re, -self.im)
-
-    def abs2(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
-
-    def to_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
-
-
-def _fraction_sqrt(x: Fraction) -> Fraction | None:
-    """Exact square root of a nonnegative rational, or None."""
-    if x < 0:
-        return None
-    pn = math.isqrt(x.numerator)
-    pd = math.isqrt(x.denominator)
-    if pn * pn == x.numerator and pd * pd == x.denominator:
-        return Fraction(pn, pd)
-    return None
-
-
-@dataclass(frozen=True)
 class Coefficient:
     """One Walsh coefficient, kept exact as (re + i*im) * sqrt(root).
 
     The squared magnitude (re^2 + im^2) * root is an exact rational for any
-    root >= 0, which is what every shell-weight computation consumes.  When
-    root is a perfect rational square the value itself is an exact complex
-    rational (see exact_value).
+    root >= 0, which is what every shell-weight computation consumes.
     """
 
     re: Fraction
@@ -108,17 +63,6 @@ class Coefficient:
     def weight(self) -> Fraction:
         """|coefficient|^2, exact."""
         return (self.re * self.re + self.im * self.im) * self.root
-
-    def is_exact(self) -> bool:
-        return _fraction_sqrt(self.root) is not None
-
-    def exact_value(self) -> QComplex:
-        r = _fraction_sqrt(self.root)
-        if r is None:
-            raise ConfigurationError(
-                f"coefficient magnitude sqrt({self.root}) is irrational"
-            )
-        return QComplex(self.re * r, self.im * r)
 
     def to_complex(self) -> complex:
         scale = math.sqrt(float(self.root))
@@ -236,16 +180,6 @@ def index_add(b: int, k: int, l: int) -> int:
     return out
 
 
-def index_neg(b: int, l: int) -> int:
-    """Digitwise additive inverse mod b (conjugation on indices)."""
-    length = digit_length(b, l)
-    out = 0
-    for pos in range(length - 1, -1, -1):
-        d = (l // b ** pos) % b
-        out = out * b + (-d) % b
-    return out
-
-
 def shell_size(b: int, k_vec: Sequence[int]) -> int:
     size = 1
     for kj in k_vec:
@@ -288,15 +222,8 @@ class WalshPolynomial:
     def coefficient(self, l: Sequence[int]) -> Coefficient:
         return self.terms.get(tuple(l), Coefficient(Fraction(0), Fraction(0)))
 
-    def indices(self) -> tuple[WalshIndex, ...]:
-        return tuple(WalshIndex(self.b, l) for l in sorted(self.terms))
-
     def constant_coefficient(self) -> Coefficient:
         return self.coefficient((0,) * self.s)
-
-    def integral(self) -> complex:
-        """Exact integral over the unit cube: the coefficient at index 0."""
-        return self.constant_coefficient().to_complex()
 
     def shells(self) -> dict[tuple[int, ...], Fraction]:
         """Total squared coefficient mass per digit-length shell."""
@@ -305,9 +232,6 @@ class WalshPolynomial:
             k = tuple(digit_length(self.b, lj) for lj in l)
             out[k] = out.get(k, Fraction(0)) + coef.weight
         return out
-
-    def sigma2(self, k_vec: Sequence[int]) -> Fraction:
-        return self.shells().get(tuple(k_vec), Fraction(0))
 
     def total_weight_nonconstant(self) -> Fraction:
         zero = (0,) * self.s
@@ -418,12 +342,12 @@ def _pythagorean_phase(rng: random.Random) -> tuple[Fraction, Fraction]:
     return c, s
 
 
-def _sample_shell(b: int, k_vec: tuple[int, ...], cap: int,
+def _sample_shell(b: int, k_vec: tuple[int, ...],
                   rng: random.Random) -> list[tuple[int, ...]]:
-    if shell_size(b, k_vec) <= cap:
+    if shell_size(b, k_vec) <= SHELL_SUPPORT_CAP:
         return [idx.l for idx in enumerate_L_k(b, k_vec)]
     chosen: set[tuple[int, ...]] = set()
-    while len(chosen) < cap:
+    while len(chosen) < SHELL_SUPPORT_CAP:
         l = tuple(
             0 if kj == 0 else rng.randrange(b ** (kj - 1), b ** kj)
             for kj in k_vec
@@ -441,7 +365,6 @@ def random_decay_polynomial(
     alpha: Fraction,
     k_max: int,
     seed: int,
-    shell_cap: int = SHELL_SUPPORT_CAP,
 ) -> WalshPolynomial:
     """A random finite Walsh series with prescribed shell weights.
 
@@ -451,9 +374,9 @@ def random_decay_polynomial(
     ``a`` argument is ignored.
 
     kind "per-shell": each shell of total length k <= k_max carries total
-    weight a^r (bx)^k alpha, spread uniformly over at most shell_cap indices
-    of the shell; the shell total is preserved exactly, which is all any
-    covariance statement consumes.
+    weight a^r (bx)^k alpha, spread uniformly over at most SHELL_SUPPORT_CAP
+    indices of the shell; the shell total is preserved exactly, which is all
+    any covariance statement consumes.
     """
     validate_base(b)
     x = Fraction(x)
@@ -482,7 +405,7 @@ def random_decay_polynomial(
             support = [idx.l for idx in enumerate_L_k(b, k_vec)]
         else:
             total = a ** r * (b * x) ** k * alpha
-            support = _sample_shell(b, k_vec, shell_cap, rng)
+            support = _sample_shell(b, k_vec, rng)
             w = total / len(support)
         if w == 0:
             continue

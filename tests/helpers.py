@@ -21,7 +21,7 @@ import numpy as np
 from netcov.counting import joint_pdf_closed_form
 from netcov.covkernel import Psi
 from netcov.digits import length_vectors  # noqa: F401  (re-exported to the tests)
-from netcov.walsh import Coefficient, QComplex, WalshPolynomial, index_digits
+from netcov.walsh import Coefficient, WalshPolynomial, index_digits
 
 
 def random_rational(rng: random.Random, num_abs: int = 8, den_max: int = 4) -> Fraction:
@@ -95,21 +95,22 @@ class GammaGrid:
     def _cell_values(self, f: WalshPolynomial):
         """Exact f value per cell as scaled Gaussian integers (re, im, den).
 
-        Base 2 only: there the Walsh characters are +-1 and every value is a
-        rational pair.
+        Base 2 and root 1 only: there the Walsh characters are +-1 and every
+        coefficient is the rational pair (re, im).
         """
         if f.b != 2:
             raise ValueError("exact grid evaluation is implemented for base 2")
+        if any(c.root != 1 for c in f.terms.values()):
+            raise ValueError("exact grid evaluation needs every root to be 1")
         if f.max_digit_length() > self.res:
             raise ValueError("function digits exceed the grid resolution")
         nc = self.g ** self.s
         den = 1
-        exact = {l: c.exact_value() for l, c in f.terms.items()}
-        for v in exact.values():
+        for v in f.terms.values():
             den = math.lcm(den, v.re.denominator, v.im.denominator)
         re = np.zeros(nc, dtype=np.int64)
         im = np.zeros(nc, dtype=np.int64)
-        for l, v in exact.items():
+        for l, v in f.terms.items():
             e = np.zeros(nc, dtype=np.int64)
             for j, lj in enumerate(l):
                 lam = np.array(index_digits(2, lj, self.res), dtype=np.int64)
@@ -134,22 +135,18 @@ class GammaGrid:
         sum_re = np.bincount(flat, weights=prod_re.ravel(), minlength=nkeys)
         sum_im = np.bincount(flat, weights=prod_im.ravel(), minlength=nkeys)
 
-        total = QComplex()
+        total_re = total_im = Fraction(0)
         for kidx in range(nkeys):
             sr, si = int(sum_re[kidx]), int(sum_im[kidx])
             if sr == 0 and si == 0:
                 continue
             psi = joint_pdf_closed_form(self.b, self.m, self.s, self._decode(kidx))
-            if psi == 0:
-                continue
-            total = total + QComplex(Fraction(sr), Fraction(si)).scale(psi)
+            total_re += sr * psi
+            total_im += si * psi
 
-        vol2 = Fraction(1, self.b ** (2 * self.res * self.s))
-        total = total.scale(vol2 / den ** 2)
-        c0 = f.constant_coefficient().exact_value()
-        cov = total - QComplex(c0.abs2())
-        assert cov.im == 0, "pair symmetry must cancel the imaginary part"
-        return cov.re
+        scale = Fraction(1, self.b ** (2 * self.res * self.s) * den ** 2)
+        assert total_im == 0, "pair symmetry must cancel the imaginary part"
+        return total_re * scale - f.constant_coefficient().weight
 
 
 def cov_polynomial_reference(b: int, m: int, s: int, a: Fraction) -> tuple[Fraction, ...]:

@@ -40,11 +40,7 @@ from netcov.checks import (
 )
 from netcov.counting import pdf_normalization
 from netcov.covkernel import cov_polynomial, psi_hat_zero_t, q_s_polynomial
-from netcov.estimators import (
-    ExperimentConfig,
-    run_experiment,
-    variance_identity_check,
-)
+from netcov.estimators import ExperimentConfig, run_experiment
 from netcov.nets import faure_net, verify_net
 from netcov.scramble import ScrambleSeed, owen_scramble
 
@@ -206,8 +202,7 @@ def test_criterion_09_simulation_matches_analytic_predictions():
             assert report.cov_analytic == target
             assert abs(report.cov_emp - float(target)) <= 3 * report.cov_se + 1e-12
             assert report.est_var <= float(report.var_mc_analytic) + 1e-12
-            residual, se = variance_identity_check(report)
-            assert residual <= 3 * se + 1e-12
+            assert abs(report.identity_residual) <= 3 * report.identity_se + 1e-12
 
         _, wal_reran = run_with_rerun(make_wal, wal_gates)
 
@@ -227,8 +222,7 @@ def test_criterion_09_simulation_matches_analytic_predictions():
             assert abs(report.cov_emp - float(predicted)) <= 3 * report.cov_se + 1e-12
             assert report.cov_emp < 0
             assert report.est_var <= float(report.var_mc_analytic) + 1e-12
-            residual, se = variance_identity_check(report)
-            assert residual <= 3 * se + 1e-12
+            assert abs(report.identity_residual) <= 3 * report.identity_se + 1e-12
 
         _, decay_reran = run_with_rerun(make_decay, decay_gates)
 

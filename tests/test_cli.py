@@ -57,6 +57,17 @@ def test_net_gen_rejects_bases_past_the_text_digits(tmp_path, capsys):
                        "--s", "1", "--out", str(tmp_path / "x.txt"))
     assert code == 2
     assert err.startswith("error:")
+    # the writer also refuses P = 0, which the reader refuses, and writes nothing
+    code, _, err = run(capsys, "net", "gen", "--base", "2", "--m", "0",
+                       "--s", "1", "--out", str(tmp_path / "p0.txt"))
+    assert (code, err) == (2, "error: need P >= 1 to write a point file, got P=0\n")
+    one_point = tmp_path / "m0.txt"
+    assert run(capsys, "net", "gen", "--base", "2", "--m", "0", "--s", "1",
+               "--precision", "1", "--out", str(one_point))[0] == 0
+    code, out, err = run(capsys, "scramble", "--precision", "0", "--out-prefix",
+                         str(tmp_path / "rep"), str(one_point))
+    assert (code, out) == (2, "") and "P >= 1" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m0.txt"]
 
 
 def test_net_verify_passes_a_real_net(tmp_path, capsys):
@@ -396,7 +407,10 @@ def test_analysis_errors_exit_cleanly(capsys):
     ["covpoly", "--base", "2", "--m", "3", "--s", "3", "--a", "1/2",
      "--x-grid", "1e100:1e100:1"],
     ["figure-scan", "--preset", "3b", "--x-grid", "1e60:1e60:1"],
-], ids=["x-past-float-range", "value-past-float-range", "figure-value"])
+    # the presets before the failing one are built but not written
+    ["figure-scan", "--x-grid", "1e60:1e60:1"],
+], ids=["x-past-float-range", "value-past-float-range", "figure-value",
+        "figure-all-presets"])
 def test_a_scan_past_float_range_is_a_usage_error(tmp_path, capsys, argv):
     out = tmp_path / "out"
     flag = "--out-dir" if argv[0] == "figure-scan" else "--out"

@@ -96,17 +96,6 @@ def test_profile_exact_count_bounds():
         profile.exact_count((0,))
 
 
-def test_profile_at_least_count_bounds():
-    profile = profile_bruteforce(faure_net(2, 2, 2))
-    assert profile.at_least_count((-3, 0)) == profile.at_least_count((0, 0))
-    assert profile.at_least_count((0, 0)) == 12
-    assert profile.at_least_count((2, 2)) == 0
-    with pytest.raises(PrecisionError):
-        profile.at_least_count((3, 0))
-    with pytest.raises(ConfigurationError):
-        profile.at_least_count((0, 0, 0))
-
-
 def test_saturated_pairs_on_a_degenerate_set():
     # two points sharing coordinate 0 through every stored digit
     digits = np.array([[[0, 1], [0, 0]],

@@ -30,7 +30,6 @@ from netcov.checks import (
     recurrence_vanishes,
     witness_difference_holds,
 )
-from netcov.counting import profile_bruteforce
 from netcov.covkernel import (
     Psi,
     cov_polynomial,
@@ -47,9 +46,9 @@ from netcov.covkernel import (
     recurrence_residual,
 )
 from netcov.digits import ConfigurationError
-from netcov.nets import faure_net
+from netcov.nets import dominated_counts, faure_net
 from netcov.scramble import ScrambleSeed, owen_scramble
-from netcov.walsh import WalshIndex, enumerate_L_k
+from netcov.walsh import Coefficient, WalshIndex, WalshPolynomial, enumerate_L_k
 
 
 def test_shell_coefficient_values():
@@ -105,17 +104,17 @@ def test_psi_hat_routes_agree_on_formula_counts(b, m, s):
 
 
 def test_psi_hat_from_measured_counts():
-    # the general route fed with brute-force counts from an actual scrambled
-    # net, against the closed form
+    # the general route fed with the prefix-cell counts of an actual
+    # scrambled net, against the closed form
     b, m, s = 2, 3, 2
     ps = owen_scramble(faure_net(b, m, s, precision=m + 2),
                        ScrambleSeed(17), precision=m + 2)
-    profile = profile_bruteforce(ps)
+    counts = dominated_counts(ps)
     for k_vec in length_vectors(s, m + 1):
         for idx in enumerate_L_k(b, k_vec):
             if idx.is_zero():
                 continue
-            got = psi_hat_general(profile.at_least_count, idx, ps.n)
+            got = psi_hat_general(lambda k: counts.get(k, 0), idx, ps.n)
             assert got == psi_hat_zero_t(b, m, idx)
 
 
@@ -136,9 +135,6 @@ def test_cov_polynomial_pinned_coefficients():
 def test_cov_polynomial_structure():
     poly = cov_polynomial(3, 2, 2, Fraction(1, 3))
     assert len(poly.coeffs_bx) == 3  # powers 1 .. m+s-1
-    assert poly.coefficient_bx(0) == 0
-    assert poly.coefficient_bx(99) == 0
-    assert poly.degree <= 3
     doc = poly.to_dict()
     assert doc["a"] == "1/3"
     assert set(doc["coefficients"]) == {"1", "2", "3"}
@@ -279,6 +275,10 @@ def test_grid_oracle_guards():
     f = random_walsh_polynomial(random.Random(0), 2, 1, k_cap=4, n_terms=2)
     with pytest.raises(ValueError):
         GammaGrid(2, 1, 1, resolution=3).covariance(f)
+    irrational = WalshPolynomial(b=2, s=1, terms={
+        (1,): Coefficient(Fraction(1), Fraction(0), root=Fraction(2))})
+    with pytest.raises(ValueError):
+        GammaGrid(2, 1, 1, resolution=3).covariance(irrational)
 
 
 # incomplete beta

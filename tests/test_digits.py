@@ -37,7 +37,6 @@ def test_base3_expansion():
 def test_to_fractions_inverts_exact_expansions():
     p = DigitPoint.from_fractions([Fraction(5, 8)], base=2, precision=3)
     assert p.to_fractions() == (Fraction(5, 8),)
-    assert p.to_floats() == (0.625,)
 
 
 def test_point_properties():

@@ -17,9 +17,7 @@ from netcov.estimators import (
     analytic_covariance,
     analytic_variance,
     build_function,
-    estimate,
     run_experiment,
-    variance_identity_check,
 )
 from netcov.nets import faure_net
 from netcov.walsh import Coefficient, WalshIndex, WalshPolynomial
@@ -29,7 +27,8 @@ WAL_SPEC = {"kind": "wal", "l": [1, 1]}
 
 def test_estimate_constant_is_exact():
     f = WalshPolynomial(b=2, s=2, terms={(0, 0): Coefficient(2, 0)}, metadata={})
-    assert estimate(faure_net(2, 2, 2), f) == 2 + 0j
+    ps = faure_net(2, 2, 2)
+    assert f.eval_digit_matrix(ps.digits).mean() == 2 + 0j
 
 
 def test_estimate_character_vanishes_on_the_plain_net():
@@ -37,7 +36,7 @@ def test_estimate_character_vanishes_on_the_plain_net():
     ps = faure_net(2, 2, 2)
     for l in [(1, 0), (0, 1), (1, 1), (2, 1), (3, 0)]:
         f = build_function(2, 2, {"kind": "wal", "l": list(l)})
-        assert estimate(ps, f) == 0j
+        assert f.eval_digit_matrix(ps.digits).mean() == 0j
 
 
 def test_build_function_wal():
@@ -107,9 +106,8 @@ def test_character_experiment_hits_the_exact_covariance():
     assert report.est_var == 0
     assert report.cov_se == 0
     assert abs(report.est_mean) == 0
-    residual, se = variance_identity_check(report)
-    assert residual <= 1e-15
-    assert se <= 1e-15
+    assert abs(report.identity_residual) <= 1e-15
+    assert report.identity_se <= 1e-15
 
 
 def test_analytic_variance_decomposition():
@@ -148,7 +146,8 @@ def test_default_precision_covers_net_and_function():
             "alpha": "1", "k_max": 3, "seed": 0}
     cfg = ExperimentConfig(b=2, m=1, s=2, R=2, seed=0, function_spec=spec)
     report = run_experiment(cfg)
-    assert report.precision == max(1, report.config.build_function().max_digit_length())
+    f = build_function(cfg.b, cfg.s, cfg.function_spec)
+    assert report.precision == max(1, f.max_digit_length())
     cfg2 = ExperimentConfig(b=2, m=3, s=2, R=2, seed=0, function_spec=WAL_SPEC)
     assert run_experiment(cfg2).precision == 3
 
@@ -224,7 +223,7 @@ def test_any_config_json_loads_or_is_a_configuration_error(doc):
     try:
         cfg = ExperimentConfig.from_dict(json.loads(json.dumps(doc)))
         if cfg.function_spec.get("kind") == "wal":
-            cfg.build_function()
+            build_function(cfg.b, cfg.s, cfg.function_spec)
     except ConfigurationError:
         pass
 

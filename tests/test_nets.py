@@ -199,7 +199,7 @@ def test_digits_are_frozen():
 
 def test_point_accessors():
     ps = faure_net(3, 1, 2)
-    assert len(ps) == 3
+    assert ps.n == 3
     assert ps.precision == 1
     third = ps.point(2)
     assert third.base == 3

@@ -16,17 +16,16 @@ from hypothesis import given, strategies as st
 
 from helpers import random_walsh_polynomial
 from netcov.digits import ConfigurationError, DigitPoint, PrecisionError
+from netcov import walsh
 from netcov.nets import faure_net
 from netcov.walsh import (
     Coefficient,
-    QComplex,
     WalshIndex,
     WalshPolynomial,
     digit_length,
     enumerate_L_k,
     index_add,
     index_digits,
-    index_neg,
     random_decay_polynomial,
     root_of_unity,
     shell_size,
@@ -119,18 +118,15 @@ def test_conjugation_rule_on_random_indices():
         b = rng.choice([2, 3, 5])
         l = rng.randrange(0, b ** 4)
         digits = tuple(rng.randrange(b) for _ in range(6))
-        neg = wal_exponent(b, index_neg(b, l), digits)
-        assert (neg + wal_exponent(b, l, digits)) % b == 0
+        # the index whose digits are the negated digits of l
+        neg = sum((-d) % b * b ** i for i, d in enumerate(index_digits(b, l)))
+        assert (wal_exponent(b, neg, digits) + wal_exponent(b, l, digits)) % b == 0
+        assert index_add(b, l, neg) == 0
 
 
 @given(st.integers(0, 255), st.integers(0, 255))
 def test_base2_index_add_is_xor(k, l):
     assert index_add(2, k, l) == (k ^ l)
-
-
-@given(st.sampled_from([2, 3, 5]), st.integers(0, 600))
-def test_index_neg_is_an_inverse(b, l):
-    assert index_add(b, l, index_neg(b, l)) == 0
 
 
 def test_enumerate_shells_pinned():
@@ -222,13 +218,15 @@ def test_parseval_on_the_digit_grid():
                 tuple((c >> (res - 1 - d)) & 1 for d in range(res))
                 for c in (c1, c2)
             )
-            value = QComplex()
+            # root is 1, so each coefficient is exactly re + i*im
+            re = im = Fraction(0)
             for l, coef in f.terms.items():
                 e = sum(wal_exponent(2, lj, cj)
                         for lj, cj in zip(l, coords)) % 2
-                v = coef.exact_value()
-                value = value + (v if e == 0 else QComplex() - v)
-            total += value.abs2()
+                sign = 1 if e == 0 else -1
+                re += sign * coef.re
+                im += sign * coef.im
+            total += re * re + im * im
     cell_average = total / 4 ** res
     assert cell_average == sum(c.weight for c in f.terms.values())
 
@@ -236,28 +234,14 @@ def test_parseval_on_the_digit_grid():
 # coefficient and value containers
 
 
-def test_qcomplex_arithmetic():
-    a = QComplex(Fraction(1, 2), Fraction(1))
-    b = QComplex(Fraction(2), Fraction(-3))
-    assert a + b == QComplex(Fraction(5, 2), Fraction(-2))
-    assert a * b == QComplex(Fraction(4), Fraction(1, 2))
-    assert a.conjugate() == QComplex(Fraction(1, 2), Fraction(-1))
-    assert a.abs2() == Fraction(5, 4)
-    assert b.to_complex() == 2 - 3j
-
-
 def test_coefficient_weight_is_exact():
     c = Coefficient(Fraction(1), Fraction(1), root=Fraction(2))
     assert c.weight == 4
-    assert not c.is_exact()
-    with pytest.raises(ConfigurationError):
-        c.exact_value()
 
 
 def test_coefficient_square_root_extraction():
     c = Coefficient(Fraction(2), Fraction(-1), root=Fraction(9, 4))
-    assert c.is_exact()
-    assert c.exact_value() == QComplex(Fraction(3), Fraction(-3, 2))
+    assert c.weight == Fraction(45, 4)
     assert c.to_complex() == pytest.approx(3 - 1.5j)
 
 
@@ -283,9 +267,7 @@ def test_polynomial_accessors():
     })
     assert f.coefficient((3,)).weight == Fraction(1, 4)
     assert f.coefficient((7,)).weight == 0
-    assert f.constant_coefficient().re == 2
-    assert f.integral() == 2
-    assert [i.l for i in f.indices()] == [(0,), (3,)]
+    assert f.constant_coefficient().to_complex() == 2
     assert f.max_digit_length() == 2
 
 
@@ -301,8 +283,6 @@ def test_shell_weights_and_variance():
     assert shells[(1, 0)] == Fraction(1, 4)
     assert shells[(1, 1)] == Fraction(1, 4)
     assert shells[(0, 1)] == Fraction(1, 2)
-    assert f.sigma2((1, 0)) == Fraction(1, 4)
-    assert f.sigma2((9, 9)) == 0
     assert f.total_weight_nonconstant() == 1
     assert f.variance_mc(4) == Fraction(1, 4)
 
@@ -362,7 +342,7 @@ def test_per_index_kmax_zero_is_constant():
                                 Fraction(9), 0, seed=0)
     assert set(f.terms) == {(0, 0)}
     assert f.constant_coefficient().weight == 9
-    assert f.integral() == 3  # sqrt(alpha)
+    assert f.constant_coefficient().to_complex() == 3  # sqrt(alpha)
 
 
 def test_decay_shell_weight_example():
@@ -372,8 +352,8 @@ def test_decay_shell_weight_example():
                                         Fraction(1, 4), Fraction(1), 1, seed=2)
     per_shell = random_decay_polynomial(2, 1, "per-shell", Fraction(1, 2),
                                         Fraction(1, 4), Fraction(1), 1, seed=2)
-    assert per_index.sigma2((1,)) == Fraction(1, 4)
-    assert per_shell.sigma2((1,)) == Fraction(1, 4)
+    assert per_index.shells()[(1,)] == Fraction(1, 4)
+    assert per_shell.shells()[(1,)] == Fraction(1, 4)
 
 
 def test_per_index_weights_per_index():
@@ -395,10 +375,10 @@ def test_same_seed_reproduces_the_map():
         random_decay_polynomial(**kw).terms
 
 
-def test_large_shells_keep_exact_totals_under_the_cap():
+def test_large_shells_keep_exact_totals_under_the_cap(monkeypatch):
+    monkeypatch.setattr(walsh, "SHELL_SUPPORT_CAP", 16)
     a, x, alpha = Fraction(1, 2), Fraction(3, 8), Fraction(2)
-    f = random_decay_polynomial(2, 1, "per-shell", a, x, alpha, 12,
-                                seed=3, shell_cap=16)
+    f = random_decay_polynomial(2, 1, "per-shell", a, x, alpha, 12, seed=3)
     shells = f.shells()
     for k in range(1, 13):
         assert shells[(k,)] == a * (2 * x) ** k * alpha
