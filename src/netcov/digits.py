@@ -26,12 +26,6 @@ class PrecisionError(ConfigurationError):
     """An operation needs more stored digits than the point carries."""
 
 
-# Digit characters for the text format, covering digit values 0..61
-# (bases up to 53 need at most 52).
-DIGIT_CHARS = "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-_CHAR_TO_DIGIT = {c: v for v, c in enumerate(DIGIT_CHARS)}
-
-
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -197,16 +191,3 @@ def _check_nonnegative(vec: Sequence[int]) -> None:
     if any(v < 0 for v in vec):
         raise ConfigurationError(f"vector components must be >= 0, got {tuple(vec)}")
 
-
-def digits_to_str(digits: Sequence[int]) -> str:
-    return "".join(DIGIT_CHARS[d] for d in digits)
-
-
-def str_to_digits(text: str, base: int) -> tuple[int, ...]:
-    out = []
-    for c in text:
-        d = _CHAR_TO_DIGIT.get(c)
-        if d is None or d >= base:
-            raise ConfigurationError(f"invalid digit character {c!r} for base {base}")
-        out.append(d)
-    return tuple(out)

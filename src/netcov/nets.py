@@ -17,15 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .digits import (
-    DIGIT_CHARS,
-    ConfigurationError,
-    DigitPoint,
-    digits_to_str,
-    length_vectors,
-    str_to_digits,
-    validate_base,
-)
+from .digits import ConfigurationError, DigitPoint, length_vectors, validate_base
 
 
 # Most digits n * s * P (one byte each) a generated or scrambled point set
@@ -136,7 +128,8 @@ def faure_matrices(b: int, m: int, s: int, precision: int | None = None) -> Gene
 
     Matrix j is the (j-1)-th Pascal power; rows beyond m (when a larger
     precision is requested) are zero, matching the canonical finite digit
-    expansion of the generated points.
+    expansion of the generated points.  The precision defaults to m digits,
+    and to 1 for the one-point net m = 0, as a point file needs P >= 1.
     """
     validate_base(b)
     if m < 0:
@@ -147,7 +140,7 @@ def faure_matrices(b: int, m: int, s: int, precision: int | None = None) -> Gene
         raise UnsupportedConstructionError(
             f"this construction needs s <= b, got s={s} > b={b}"
         )
-    p = m if precision is None else precision
+    p = max(m, 1) if precision is None else precision
     if p < m:
         raise ConfigurationError(f"precision {p} smaller than m={m}")
     check_point_digits(b, m, s, p)
@@ -317,6 +310,12 @@ def verify_net(ps: PointSet, t: int) -> NetReport:
     return NetReport(True, t, intervals, shapes, None)
 
 
+# Digit characters of the text format, one per digit value 0..61, so the
+# format holds every prime base up to 61
+DIGIT_CHARS = "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+_CHAR_CODES = np.frombuffer(DIGIT_CHARS.encode("ascii"), dtype=np.uint8)
+
+
 def _check_text_base(b: int) -> None:
     if b > len(DIGIT_CHARS):
         raise ConfigurationError(
@@ -329,19 +328,23 @@ def save_point_set(ps: PointSet, fh) -> None:
     coordinates as base-b digit strings separated by spaces.  Refuses what
     load_point_set refuses, P = 0, before anything is written."""
     _check_text_base(ps.b)
-    if ps.precision < 1:
-        raise ConfigurationError(
-            f"need P >= 1 to write a point file, got P={ps.precision}")
-    fh.write(f"{ps.b} {ps.m} {ps.s} {ps.t} {ps.precision}\n")
-    for i in range(ps.n):
-        line = " ".join(digits_to_str(ps.digits[i, j]) for j in range(ps.s))
-        fh.write(line + "\n")
+    n, s, p = ps.digits.shape
+    if p < 1:
+        raise ConfigurationError(f"need P >= 1 to write a point file, got P={p}")
+    # each coordinate's digit characters, then its separator
+    body = np.empty((n, s, p + 1), dtype=np.uint8)
+    body[:, :, :p] = _CHAR_CODES[ps.digits]
+    body[:, :, p] = ord(" ")
+    body[:, -1, p] = ord("\n")
+    fh.write(f"{ps.b} {ps.m} {s} {ps.t} {p}\n")
+    fh.write(body.tobytes().decode("ascii"))
 
 
 def load_point_set(fh) -> PointSet:
     """Read the text format of ``save_point_set``; a malformed line is named
-    by its 1-based line number.  The header is line 1, which also takes the
-    blame when its m or t does not fit the points below it."""
+    by its 1-based line number, the first such line winning.  The header is
+    line 1, which also takes the blame when its m or t does not fit the
+    points below it."""
     header = fh.readline().split()
     try:
         if len(header) != 5:
@@ -352,26 +355,39 @@ def load_point_set(fh) -> PointSet:
             raise ConfigurationError(f"need s >= 1 and P >= 1, got s={s}, P={p}")
     except ValueError as exc:  # ConfigurationError is a ValueError too
         raise ConfigurationError(f"line 1: {exc}") from None
-    rows = []
+    # the shape of each line is checked as it is read; its characters are
+    # decoded at the end, all at once, so a shape error stands only if no
+    # earlier line holds a bad character
+    coords, linenos, shape_error = [], [], None
     for lineno, line in enumerate(fh, start=2):
         parts = line.split()
         if not parts:
             continue
-        try:
-            if len(parts) != s:
-                raise ConfigurationError(
-                    f"expected {s} coordinates, got {len(parts)}")
-            for part in parts:
-                if len(part) != p:
-                    raise ConfigurationError(
-                        f"expected {p} digits per coordinate, got {len(part)}")
-            rows.append([str_to_digits(part, b) for part in parts])
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"line {lineno}: {exc}") from None
-    if not rows:
+        if len(parts) != s:
+            shape_error = f"line {lineno}: expected {s} coordinates, got {len(parts)}"
+            break
+        width = next((len(part) for part in parts if len(part) != p), p)
+        if width != p:
+            shape_error = f"line {lineno}: expected {p} digits per coordinate, got {width}"
+            break
+        coords += parts
+        linenos.append(lineno)
+    # "replace" encodes each character as one byte, a non-ASCII one as "?",
+    # so byte i is character i of the text
+    text = "".join(coords)
+    table = np.full(256, 255, dtype=np.uint8)  # 255: not a digit of base b
+    table[_CHAR_CODES[:b]] = np.arange(b)
+    digits = table[np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)]
+    bad = digits == 255
+    if bad.any():
+        i = int(bad.argmax())
+        raise ConfigurationError(f"line {linenos[i // (s * p)]}: invalid digit "
+                                 f"character {text[i]!r} for base {b}")
+    if shape_error:
+        raise ConfigurationError(shape_error)
+    if not linenos:
         raise ConfigurationError("line 1: no point lines follow the header")
-    digits = np.array(rows, dtype=np.uint8).reshape(len(rows), s, p)
     try:
-        return PointSet(b=b, m=m, s=s, t=t, digits=digits)
+        return PointSet(b=b, m=m, s=s, t=t, digits=digits.reshape(len(linenos), s, p))
     except ConfigurationError as exc:
         raise ConfigurationError(f"line 1: {exc}") from None

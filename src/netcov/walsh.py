@@ -225,24 +225,24 @@ class WalshPolynomial:
     def constant_coefficient(self) -> Coefficient:
         return self.coefficient((0,) * self.s)
 
-    def shells(self) -> dict[tuple[int, ...], Fraction]:
-        """Total squared coefficient mass per digit-length shell."""
+    def shells(self) -> Mapping[tuple[int, ...], Fraction]:
+        """Total squared coefficient mass per digit-length shell, read-only:
+        summed once, for variance_mc and the analytic covariance alike."""
+        return self._shells
+
+    @functools.cached_property
+    def _shells(self) -> Mapping[tuple[int, ...], Fraction]:
         out: dict[tuple[int, ...], Fraction] = {}
         for l, coef in self.terms.items():
             k = tuple(digit_length(self.b, lj) for lj in l)
             out[k] = out.get(k, Fraction(0)) + coef.weight
-        return out
-
-    def total_weight_nonconstant(self) -> Fraction:
-        zero = (0,) * self.s
-        return sum(
-            (c.weight for l, c in self.terms.items() if l != zero), Fraction(0)
-        )
+        return MappingProxyType(out)
 
     def variance_mc(self, n: int) -> Fraction:
         """Single-replication Monte-Carlo variance of the sample mean of n
-        i.i.d. uniform evaluations."""
-        return self.total_weight_nonconstant() / n
+        i.i.d. uniform evaluations: the weight off the zero shell, which
+        holds only the constant index."""
+        return sum((w for k, w in self.shells().items() if any(k)), Fraction(0)) / n
 
     def covariance_analytic(self, psi_hat: Callable[[WalshIndex], Fraction]) -> Fraction:
         """Sum over nonzero indices of |coefficient|^2 * psi_hat(l), exact."""

@@ -58,12 +58,14 @@ def test_net_gen_rejects_bases_past_the_text_digits(tmp_path, capsys):
     assert code == 2
     assert err.startswith("error:")
     # the writer also refuses P = 0, which the reader refuses, and writes nothing
-    code, _, err = run(capsys, "net", "gen", "--base", "2", "--m", "0",
-                       "--s", "1", "--out", str(tmp_path / "p0.txt"))
+    code, _, err = run(capsys, "net", "gen", "--base", "2", "--m", "0", "--s", "1",
+                       "--precision", "0", "--out", str(tmp_path / "p0.txt"))
     assert (code, err) == (2, "error: need P >= 1 to write a point file, got P=0\n")
+    # the one-point net m = 0 defaults to one digit
     one_point = tmp_path / "m0.txt"
     assert run(capsys, "net", "gen", "--base", "2", "--m", "0", "--s", "1",
-               "--precision", "1", "--out", str(one_point))[0] == 0
+               "--out", str(one_point))[0] == 0
+    assert one_point.read_text(encoding="utf-8") == "2 0 1 0 1\n0\n"
     code, out, err = run(capsys, "scramble", "--precision", "0", "--out-prefix",
                          str(tmp_path / "rep"), str(one_point))
     assert (code, out) == (2, "") and "P >= 1" in err

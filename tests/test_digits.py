@@ -11,9 +11,7 @@ from netcov.counting import common_digits, gamma_matrix
 from netcov.digits import (
     ConfigurationError,
     DigitPoint,
-    digits_to_str,
     length_vectors,
-    str_to_digits,
     validate_base,
     volume_prefix_eq,
     volume_prefix_ge,
@@ -220,15 +218,3 @@ def test_truncation_error_bound(x, p):
     pt = DigitPoint.from_fractions([x], base=2, precision=p)
     (back,) = pt.to_fractions()
     assert 0 <= x - back < Fraction(1, 2 ** p)
-
-
-@given(st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=12))
-def test_digit_string_roundtrip(digs):
-    assert str_to_digits(digits_to_str(digs), 5) == tuple(digs)
-
-
-def test_str_to_digits_rejects_out_of_base():
-    with pytest.raises(ConfigurationError):
-        str_to_digits("012", 2)
-    with pytest.raises(ConfigurationError):
-        str_to_digits("0!1", 2)

@@ -269,8 +269,18 @@ def test_generated_digits_match_matrix_arithmetic():
     ("2 1 1 -5 1\n0\n1\n", "line 1: quality parameter t=-5"),
     ("2 99999999 1 0 1\n0\n1\n", "line 1: point count 2 is not b^m"),
     ("2 1 1 0 1\n\n", "line 1: no point lines follow the header"),
+    # a bad character wins over a shape error on a later line
+    ("2 1 1 0 1\n2\n1 1\n", "line 2: invalid digit character '2'"),
+    ("2 1 1 0 1\n0\né\n", "line 3: invalid digit character 'é' for base 2"),
+    ("3 1 2 0 2\n00 01\n12 1x\n20 22\n", "line 3: invalid digit character 'x'"),
+    # CRLF line ends and tabs are whitespace like any other: the file loads
+    ("2 1 2 0 1\r\n0\t1\r\n1 \t0\r\n", None),
 ])
 def test_load_errors_name_the_line(text, line):
+    if line is None:
+        ps = load_point_set(io.StringIO(text))
+        assert ps.digits.tolist() == [[[0], [1]], [[1], [0]]]
+        return
     with pytest.raises(ConfigurationError, match=re.escape(line)):
         load_point_set(io.StringIO(text))
 
