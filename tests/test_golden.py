@@ -96,7 +96,12 @@ def test_simulate_report_and_trace_are_pinned(tmp_path, capsys):
     (5, 2, 3, 4, 20,
      "a72e2b6d5ee41d99e5a8e87d0a003545890bc23a837d2552ed3191673bcc5673",
      "2b5ee96ff0c89d63426f7f1fe74ffe563069b88f2e75ccc646117a043ab8a6d9"),
-], ids=["2-4-2-R50", "3-3-3-R20", "5-2-3-R20"])
+    # criterion 9's shape at R = 1500: two scramble blocks (1365 + 135) and
+    # many evaluation chunks, the last one partial
+    (2, 4, 2, 5, 1500,
+     "d87e3fae03ce7cc09f68113dac92934e86b329ca31b385466467706a7db779a4",
+     "70d4528316c240d9c79896abc03691df233aa430b1822ddbe8b1cabbd8ded4af"),
+], ids=["2-4-2-R50", "3-3-3-R20", "5-2-3-R20", "2-4-2-R1500"])
 def test_simulate_decay_runs_are_pinned(tmp_path, capsys, b, m, s, k_max, R,
                                         report_digest, trace_digest):
     config = tmp_path / "cfg.json"
@@ -110,6 +115,23 @@ def test_simulate_decay_runs_are_pinned(tmp_path, capsys, b, m, s, k_max, R,
         "--out", str(report), "--trace", str(trace))
     assert sha256(report.read_bytes()) == report_digest
     assert sha256(trace.read_bytes()) == trace_digest
+
+
+def test_simulate_wal_run_is_pinned(tmp_path, capsys):
+    # one term and 9 points a replication: thousands of replications share
+    # an evaluation chunk
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "b": 3, "m": 2, "s": 3, "R": 3000,
+        "function": {"kind": "wal", "l": [1, 3, 5]},
+    }), encoding="utf-8")
+    report, trace = tmp_path / "report.json", tmp_path / "trace.csv"
+    run(capsys, "--seed", "5", "simulate", "--config", str(config),
+        "--out", str(report), "--trace", str(trace))
+    assert sha256(report.read_bytes()) == \
+        "99064414c77008b0cee75f3ef17ad3ee02e5fb3d079c4fe9ee841441ee9ff874"
+    assert sha256(trace.read_bytes()) == \
+        "457e926bb01d28b4ca26a401dc1af5a74d33cb66319d5efc02d6b04d612dca0d"
 
 
 @pytest.mark.parametrize("b,m,s,shape,digest", [
