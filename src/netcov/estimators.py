@@ -21,9 +21,13 @@ import numpy as np
 from .covkernel import psi_hat_zero_t
 from .digits import (
     ConfigurationError, json_field, json_index, json_integer, json_object, json_rational)
-from .nets import PointSet, faure_net
-from .scramble import replicate
+from .nets import faure_net
+from .scramble import replicate_blocks
 from .walsh import Coefficient, WalshIndex, WalshPolynomial, random_decay_polynomial
+
+# Points x terms evaluated at once: whole replications, so a chunk's
+# temporaries stay small enough to be reused rather than page-faulted in
+CHUNK_ENTRIES = 2 ** 14
 
 
 def build_function(b: int, s: int, spec: Mapping) -> WalshPolynomial:
@@ -132,36 +136,40 @@ class ExperimentReport:
             yield r, float(e.real), float(e.imag), float(t)
 
 
-def _replication_stats(ps: PointSet, f: WalshPolynomial):
-    values = f.eval_digit_matrix(ps.digits)
-    n = ps.n
-    total = values.sum()
-    pair = (abs(total) ** 2 - float((np.abs(values) ** 2).sum())) / (n * (n - 1))
-    return total / n, pair
-
-
-def _shell_kernels(f: WalshPolynomial, b: int, m: int):
-    """(shell weight, psi_hat of the shell) for every nonzero shell of f: the
-    t = 0 kernel depends on an index only through (r, |k|), so one
-    representative index per shell stands for all of them."""
+def _class_kernels(f: WalshPolynomial, b: int, m: int):
+    """(summed shell weight, psi_hat) for every (r, max(|k| - m, 0)) class
+    of f's nonzero shells: the t = 0 kernel depends on an index only through
+    that pair, so one representative index stands for the whole class."""
+    classes: dict[tuple[int, int], tuple[tuple[int, ...], Fraction]] = {}
     for k_vec, weight in f.shells().items():
         if any(k_vec):
-            rep = tuple(f.b ** (kj - 1) if kj else 0 for kj in k_vec)
-            yield weight, psi_hat_zero_t(b, m, WalshIndex(f.b, rep))
+            key = (sum(1 for kj in k_vec if kj), max(sum(k_vec) - m, 0))
+            rep, total = classes.get(key, (k_vec, 0))
+            classes[key] = (rep, total + weight)
+    for k_vec, total in classes.values():
+        rep = tuple(f.b ** (kj - 1) if kj else 0 for kj in k_vec)
+        yield total, psi_hat_zero_t(b, m, WalshIndex(f.b, rep))
 
 
 def analytic_covariance(f: WalshPolynomial, b: int, m: int) -> Fraction:
     """Exact pair covariance of f over one scrambled t = 0 net, summed per
-    shell: weight times psi_hat."""
-    return sum((w * psi for w, psi in _shell_kernels(f, b, m)), Fraction(0))
+    kernel class: weight times psi_hat."""
+    return sum((w * psi for w, psi in _class_kernels(f, b, m)), Fraction(0))
 
 
 def analytic_variance(f: WalshPolynomial, b: int, m: int) -> Fraction:
-    """Exact estimator variance, assembled per shell: each nonzero shell
-    contributes its weight times (1 + (n-1) psi_hat)/n."""
+    """Exact estimator variance, assembled per kernel class: each class of
+    nonzero shells contributes its weight times (1 + (n-1) psi_hat)/n."""
     n = b ** m
-    return sum((w * (1 + (n - 1) * psi) / n for w, psi in _shell_kernels(f, b, m)),
+    return sum((w * (1 + (n - 1) * psi) / n for w, psi in _class_kernels(f, b, m)),
                Fraction(0))
+
+
+def _abs2(z: np.ndarray) -> np.ndarray:
+    """|z|^2 elementwise, rounded as Python's abs(z) ** 2 rounds a numpy
+    complex scalar: hypot, then pow (np.abs and squaring each differ in the
+    last bit)."""
+    return np.float_power(np.hypot(z.real, z.imag), 2)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -170,7 +178,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     Per replication: the sample mean of f and the mean of f(x) conj(f(y))
     over all ordered distinct point pairs.  The pair statistic is computed
     from the identity sum_{i != j} v_i conj(v_j) = |sum v|^2 - sum |v|^2, so
-    each replication costs one pass over the points.
+    each replication costs one pass over the points.  Whole replications are
+    evaluated a chunk of at most CHUNK_ENTRIES points x terms at a time.
     """
     f = build_function(cfg.b, cfg.s, cfg.function_spec)
     if f.b != cfg.b:
@@ -180,11 +189,18 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         precision = max(cfg.m, f.max_digit_length(), 1)
     base = faure_net(cfg.b, cfg.m, cfg.s, precision=precision)
     n = base.n
-    results = [_replication_stats(ps, f)
-               for ps in replicate(base, cfg.seed, cfg.R, precision)]
-
-    estimates = np.array([e for e, _ in results], dtype=np.complex128)
-    pair_terms = np.array([t for _, t in results], dtype=np.float64)
+    per_chunk = max(1, CHUNK_ENTRIES // (n * max(len(f.terms), 1)))
+    totals, squares = [], []
+    for block in replicate_blocks(base, cfg.seed, cfg.R, precision):
+        for start in range(0, len(block), per_chunk):
+            chunk = block[start:start + per_chunk]
+            values = f.eval_digit_matrix(chunk.reshape(-1, cfg.s, precision))
+            values = values.reshape(len(chunk), n)
+            totals.append(values.sum(axis=1))
+            squares.append(np.square(np.abs(values)).sum(axis=1))
+    total = np.concatenate(totals)
+    estimates = total / n
+    pair_terms = (_abs2(total) - np.concatenate(squares)) / (n * (n - 1))
 
     coef0 = f.constant_coefficient()
     integral = coef0.to_complex()
@@ -192,17 +208,16 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
     est_mean = complex(math.fsum(estimates.real) / R,
                        math.fsum(estimates.imag) / R)
-    est_var = math.fsum(abs(e - est_mean) ** 2 for e in estimates) / (R - 1)
+    est_var = math.fsum(_abs2(estimates - est_mean)) / (R - 1)
 
     w0 = float(coef0.weight)
     cov_emp = math.fsum(pair_terms) / R - w0
     cov_se = float(np.std(pair_terms, ddof=1)) / math.sqrt(R)
 
     var_mc = f.variance_mc(n)
-    deltas = [abs(e - integral) ** 2 - (n - 1) / n * (t - w0)
-              for e, t in zip(estimates, pair_terms)]
+    deltas = _abs2(estimates - integral) - (n - 1) / n * (pair_terms - w0)
     identity_residual = math.fsum(deltas) / R - float(var_mc)
-    identity_se = float(np.std(np.array(deltas), ddof=1)) / math.sqrt(R)
+    identity_se = float(np.std(deltas, ddof=1)) / math.sqrt(R)
 
     return ExperimentReport(
         config=cfg, n=n, precision=precision,

@@ -12,6 +12,7 @@ sets can be checked as well.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -355,10 +356,11 @@ def load_point_set(fh) -> PointSet:
             raise ConfigurationError(f"need s >= 1 and P >= 1, got s={s}, P={p}")
     except ValueError as exc:  # ConfigurationError is a ValueError too
         raise ConfigurationError(f"line 1: {exc}") from None
-    # the shape of each line is checked as it is read; its characters are
-    # decoded at the end, all at once, so a shape error stands only if no
-    # earlier line holds a bad character
-    coords, linenos, shape_error = [], [], None
+    # the shape of each line is checked as it is read and its coordinates
+    # joined into one string; the characters are decoded at the end, all at
+    # once, so a shape error stands only if no earlier line holds a bad
+    # character
+    lines, linenos, shape_error = [], array("q"), None
     for lineno, line in enumerate(fh, start=2):
         parts = line.split()
         if not parts:
@@ -370,11 +372,12 @@ def load_point_set(fh) -> PointSet:
         if width != p:
             shape_error = f"line {lineno}: expected {p} digits per coordinate, got {width}"
             break
-        coords += parts
+        lines.append("".join(parts))
         linenos.append(lineno)
     # "replace" encodes each character as one byte, a non-ASCII one as "?",
     # so byte i is character i of the text
-    text = "".join(coords)
+    text = "".join(lines)
+    del lines
     table = np.full(256, 255, dtype=np.uint8)  # 255: not a digit of base b
     table[_CHAR_CODES[:b]] = np.arange(b)
     digits = table[np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)]

@@ -127,17 +127,26 @@ def owen_scramble(ps: PointSet, seed: ScrambleSeed, precision: int | None = None
     return PointSet(b=ps.b, m=ps.m, s=ps.s, t=ps.t, digits=digits)
 
 
-def replicate(ps: PointSet, master_seed: int, count: int,
-              precision: int | None = None) -> Iterator[PointSet]:
-    """Stream of independent scrambles; replication r uses
-    (master_seed, r), so any prefix of the stream is run-length independent.
-    Replications are drawn a block of up to BLOCK_WORDS words at a time."""
+def replicate_blocks(ps: PointSet, master_seed: int, count: int,
+                     precision: int | None = None) -> Iterator[np.ndarray]:
+    """Output digits of replications 0 .. count-1, in order, as
+    (replications, n, s, P) uint8 blocks of up to BLOCK_WORDS words;
+    replication r uses (master_seed, r), so any prefix of the stream is
+    run-length independent."""
     if count < 1:
         raise ConfigurationError(f"replication count must be >= 1, got {count}")
     ScrambleSeed(master_seed)
     p_out = _output_precision(ps, precision)
     block = max(1, BLOCK_WORDS // (ps.n * ps.s * (p_out + 1)))
     for start in range(0, count, block):
-        reps = range(start, min(start + block, count))
-        for digits in _scramble_block(ps, master_seed, reps, p_out):
+        yield _scramble_block(ps, master_seed,
+                              range(start, min(start + block, count)), p_out)
+
+
+def replicate(ps: PointSet, master_seed: int, count: int,
+              precision: int | None = None) -> Iterator[PointSet]:
+    """Stream of independent scrambles, one point set per replication of
+    replicate_blocks."""
+    for block in replicate_blocks(ps, master_seed, count, precision):
+        for digits in block:
             yield PointSet(b=ps.b, m=ps.m, s=ps.s, t=ps.t, digits=digits)

@@ -41,6 +41,11 @@ from .digits import (
 
 # Indices per shell kept when spreading a shell weight over a large shell.
 SHELL_SUPPORT_CAP = 256
+# Most terms a random decay function may span; the counting stops past it.
+MAX_TERMS = 2 ** 16
+# Most entries of an evaluation plan's root table indexed by the unreduced
+# exponent; past it the exponents are reduced mod b instead.
+MAX_ROOT_TABLE = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -61,8 +66,12 @@ class Coefficient:
 
     @property
     def weight(self) -> Fraction:
-        """|coefficient|^2, exact."""
-        return (self.re * self.re + self.im * self.im) * self.root
+        """|coefficient|^2, exact: one Fraction from the integer parts."""
+        re, im, root = self.re, self.im, self.root
+        return Fraction(
+            (re.numerator ** 2 * im.denominator ** 2
+             + im.numerator ** 2 * re.denominator ** 2) * root.numerator,
+            (re.denominator * im.denominator) ** 2 * root.denominator)
 
     def to_complex(self) -> complex:
         scale = math.sqrt(float(self.root))
@@ -187,15 +196,20 @@ def shell_size(b: int, k_vec: Sequence[int]) -> int:
     return size
 
 
-def enumerate_L_k(b: int, k_vec: Sequence[int]) -> tuple[WalshIndex, ...]:
-    """All indices whose per-coordinate digit lengths equal k_vec."""
+def _shell_indices(b: int, k_vec: Sequence[int]) -> list[tuple[int, ...]]:
+    """The index vectors of enumerate_L_k, in its order."""
     validate_base(b)
     ranges = []
     for kj in k_vec:
         if kj < 0:
             raise ConfigurationError(f"length components must be >= 0, got {kj}")
         ranges.append(range(0, 1) if kj == 0 else range(b ** (kj - 1), b ** kj))
-    return tuple(WalshIndex(b, combo) for combo in product(*ranges))
+    return list(product(*ranges))
+
+
+def enumerate_L_k(b: int, k_vec: Sequence[int]) -> tuple[WalshIndex, ...]:
+    """All indices whose per-coordinate digit lengths equal k_vec."""
+    return tuple(WalshIndex(b, l) for l in _shell_indices(b, k_vec))
 
 
 @dataclass(frozen=True)
@@ -232,10 +246,15 @@ class WalshPolynomial:
 
     @functools.cached_property
     def _shells(self) -> Mapping[tuple[int, ...], Fraction]:
-        out: dict[tuple[int, ...], Fraction] = {}
+        # each shell is summed over the common denominator of its weights
+        weights: dict[tuple[int, ...], list[Fraction]] = {}
         for l, coef in self.terms.items():
             k = tuple(digit_length(self.b, lj) for lj in l)
-            out[k] = out.get(k, Fraction(0)) + coef.weight
+            weights.setdefault(k, []).append(coef.weight)
+        out = {}
+        for k, ws in weights.items():
+            den = math.lcm(*(w.denominator for w in ws))
+            out[k] = Fraction(sum(w.numerator * (den // w.denominator) for w in ws), den)
         return MappingProxyType(out)
 
     def variance_mc(self, n: int) -> Fraction:
@@ -255,12 +274,9 @@ class WalshPolynomial:
         return total
 
     def max_digit_length(self) -> int:
-        """Digits of precision needed to evaluate this function."""
-        need = 0
-        for l in self.terms:
-            for lj in l:
-                need = max(need, digit_length(self.b, lj))
-        return need
+        """Digits of precision needed to evaluate this function: the longest
+        coordinate of any shell."""
+        return max((kj for k in self.shells() for kj in k), default=0)
 
     def eval_point(self, x: DigitPoint) -> complex:
         total = 0j
@@ -272,35 +288,41 @@ class WalshPolynomial:
     @functools.cached_property
     def _plan(self):
         """(digits needed, index digit matrix of shape (s * need, terms),
-        coefficient values, the b roots of unity), terms in sorted order."""
-        need = self.max_digit_length()
+        coefficient values, root table, whether exponents need reducing),
+        terms in sorted order.  The root table is indexed by the unreduced
+        exponent, which is at most s * need * (b-1)^2, unless that table
+        would pass MAX_ROOT_TABLE entries; then it holds the b roots."""
+        b, need = self.b, self.max_digit_length()
         ls = sorted(self.terms)
-        lam = np.zeros((self.s * need, len(ls)), dtype=np.int64)
-        for t, l in enumerate(ls):
-            for j, lj in enumerate(l):
-                for d, digit in enumerate(index_digits(self.b, lj)):
-                    lam[j * need + d, t] = digit
+        # digit d of coordinate j of every index, least significant first
+        lam = (np.array(ls, dtype=object).reshape(len(ls), self.s, 1)
+               // np.array([b ** d for d in range(need)], dtype=object)) % b
+        lam = lam.astype(np.int64).reshape(len(ls), self.s * need).T.copy()
         coefs = np.array([self.terms[l].to_complex() for l in ls],
                          dtype=np.complex128)
-        roots = np.array([root_of_unity(self.b, e) for e in range(self.b)],
-                         dtype=np.complex128)
-        return need, lam, coefs, roots
+        roots = np.array([root_of_unity(b, e) for e in range(b)], dtype=np.complex128)
+        size = self.s * need * (b - 1) ** 2 + 1
+        reduce = size > MAX_ROOT_TABLE
+        if not reduce:
+            roots = roots[np.arange(size) % b]
+        return need, lam, coefs, roots, reduce
 
     def eval_digit_matrix(self, digits: np.ndarray) -> np.ndarray:
         """Evaluate at every row of an (n, s, P) digit array at once.
 
-        Exponents come from one integer matrix product mod b; only the final
+        Exponents come from one integer matrix product; only the final
         combination with the coefficient values is floating point.
         """
         n, s, p = digits.shape
         if s != self.s:
             raise ConfigurationError(f"point dimension {s}, function dimension {self.s}")
-        need, lam, coefs, roots = self._plan
+        need, lam, coefs, roots, reduce = self._plan
         if p < need:
             raise PrecisionError(f"function needs {need} digits, points carry {p}")
-        flat = digits[:, :, :need].reshape(n, s * need).astype(np.int64)
-        exps = (flat @ lam) % self.b  # (n, terms)
-        return roots[exps] @ coefs
+        exps = digits[:, :, :need].reshape(n, s * need).astype(np.int64) @ lam
+        if reduce:
+            exps %= self.b
+        return roots.take(exps) @ coefs  # (n,)
 
     def to_json(self) -> str:
         rows = []
@@ -331,10 +353,11 @@ class WalshPolynomial:
 
 
 def _pythagorean_phase(rng: random.Random) -> tuple[Fraction, Fraction]:
-    """A uniform-ish exact rational point on the unit circle."""
-    t = Fraction(rng.randint(-12, 12), rng.randint(1, 12))
-    den = 1 + t * t
-    c, s = (1 - t * t) / den, 2 * t / den
+    """A uniform-ish exact rational point on the unit circle: at t = p/q,
+    ((1 - t^2) + 2t i)/(1 + t^2), in integers."""
+    p, q = rng.randint(-12, 12), rng.randint(1, 12)
+    den = q * q + p * p
+    c, s = Fraction(q * q - p * p, den), Fraction(2 * p * q, den)
     if rng.random() < 0.5:
         c, s = s, c
     if rng.random() < 0.5:
@@ -345,7 +368,7 @@ def _pythagorean_phase(rng: random.Random) -> tuple[Fraction, Fraction]:
 def _sample_shell(b: int, k_vec: tuple[int, ...],
                   rng: random.Random) -> list[tuple[int, ...]]:
     if shell_size(b, k_vec) <= SHELL_SUPPORT_CAP:
-        return [idx.l for idx in enumerate_L_k(b, k_vec)]
+        return _shell_indices(b, k_vec)
     chosen: set[tuple[int, ...]] = set()
     while len(chosen) < SHELL_SUPPORT_CAP:
         l = tuple(
@@ -391,9 +414,18 @@ def random_decay_polynomial(
         a = Fraction(a)
         if not 0 <= a <= 1:
             raise ConfigurationError(f"a must lie in [0,1], got {a}")
+    zero = (0,) * s
+    count = 1  # the constant term
+    for k_vec in length_vectors(s, k_max):
+        if k_vec != zero:
+            size = shell_size(b, k_vec)
+            count += size if kind == "per-index" else min(size, SHELL_SUPPORT_CAP)
+            if count > MAX_TERMS:
+                raise ConfigurationError(
+                    f"{kind} decay up to k_max={k_max} spans at least {count} "
+                    f"terms, more than {MAX_TERMS}")
     rng = random.Random(seed)
     terms: dict[tuple[int, ...], Coefficient] = {}
-    zero = (0,) * s
     terms[zero] = Coefficient(Fraction(1), Fraction(0), root=alpha)
     for k_vec in length_vectors(s, k_max):
         if k_vec == zero:
@@ -402,7 +434,7 @@ def random_decay_polynomial(
         r = sum(1 for kj in k_vec if kj > 0)
         if kind == "per-index":
             w = x ** k * alpha
-            support = [idx.l for idx in enumerate_L_k(b, k_vec)]
+            support = _shell_indices(b, k_vec)
         else:
             total = a ** r * (b * x) ** k * alpha
             support = _sample_shell(b, k_vec, rng)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -493,6 +494,25 @@ def test_simulate_config_that_is_not_an_object_is_a_usage_error(
     code, _, err = run(capsys, "simulate", "--config", str(config))
     assert code == 2
     assert message in err
+
+
+@pytest.mark.parametrize("decay,k_max", [("per-index", 14), ("per-shell", 40),
+                                         ("per-shell", 10 ** 6)])
+def test_simulate_decay_past_the_term_cap_is_refused_at_once(
+        tmp_path, capsys, decay, k_max):
+    # counted before any term is built: these ran for 10 s and more, or
+    # without bound, before the cap
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "b": 2, "m": 2, "s": 2, "R": 4,
+        "function": {**DECAY_SPEC, "decay": decay, "k_max": k_max}}),
+        encoding="utf-8")
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, "simulate", "--config", str(config))
+    assert time.perf_counter() - t0 < 0.5
+    assert code == 2
+    assert f"{decay} decay up to k_max={k_max} spans at least" in err
+    assert "terms, more than 65536" in err
 
 
 @pytest.mark.parametrize("text,message", [

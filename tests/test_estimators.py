@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import random_walsh_polynomial
+from netcov import estimators, scramble
 from netcov.covkernel import psi_hat_zero_t
 from netcov.digits import ConfigurationError
 from netcov.estimators import (
@@ -20,6 +21,7 @@ from netcov.estimators import (
     run_experiment,
 )
 from netcov.nets import faure_net
+from netcov.scramble import ScrambleSeed, owen_scramble
 from netcov.walsh import Coefficient, WalshIndex, WalshPolynomial
 
 WAL_SPEC = {"kind": "wal", "l": [1, 1]}
@@ -150,6 +152,38 @@ def test_default_precision_covers_net_and_function():
     assert report.precision == max(1, f.max_digit_length())
     cfg2 = ExperimentConfig(b=2, m=3, s=2, R=2, seed=0, function_spec=WAL_SPEC)
     assert run_experiment(cfg2).precision == 3
+
+
+@pytest.mark.parametrize("b,m,s,R,spec", [
+    (2, 2, 2, 23, {"kind": "decay", "decay": "per-shell", "a": "1/2",
+                   "x": "3/20", "alpha": "1", "k_max": 3, "seed": 7}),
+    (3, 1, 2, 31, {"kind": "wal", "l": [2, 5]}),
+])
+def test_replications_match_a_per_replication_recomputation(monkeypatch, b, m, s, R,
+                                                            spec):
+    # blocks of a few replications and chunks that straddle block edges, the
+    # last chunk and block partial; each replication is recomputed alone
+    monkeypatch.setattr(scramble, "BLOCK_WORDS", 7 * b ** m * s * (3 + 1))
+    f = build_function(b, s, spec)
+    monkeypatch.setattr(estimators, "CHUNK_ENTRIES", 3 * b ** m * len(f.terms))
+    report = run_experiment(ExperimentConfig(b=b, m=m, s=s, R=R, seed=13,
+                                             function_spec=spec, precision=3))
+    n = b ** m
+    base = faure_net(b, m, s, precision=3)
+    for r in range(R):
+        ps = owen_scramble(base, ScrambleSeed(13, r), precision=3)
+        values = f.eval_digit_matrix(ps.digits)
+        total = values.sum()
+        # the formula as evaluated one replication at a time, to the bit
+        assert report.estimates[r] == total / n
+        assert report.pair_terms[r] == \
+            (abs(total) ** 2 - float((np.abs(values) ** 2).sum())) / (n * (n - 1))
+        # and the pointwise oracle
+        points = [f.eval_point(p) for p in ps]
+        total = sum(points)
+        assert report.estimates[r] == pytest.approx(total / n, abs=1e-12)
+        pair = (abs(total) ** 2 - sum(abs(v) ** 2 for v in points)) / (n * (n - 1))
+        assert report.pair_terms[r] == pytest.approx(pair, abs=1e-12)
 
 
 def test_function_base_must_match_the_config(tmp_path):

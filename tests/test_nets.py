@@ -2,6 +2,7 @@
 
 import io
 import re
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -283,6 +284,23 @@ def test_load_errors_name_the_line(text, line):
         return
     with pytest.raises(ConfigurationError, match=re.escape(line)):
         load_point_set(io.StringIO(text))
+
+
+def test_loading_keeps_no_string_per_coordinate(tmp_path):
+    # the 0.47 MiB file `net gen --base 2 --m 14 --s 2` writes: one string per
+    # coordinate peaked at 4.2 MiB of Python heap, one per line at 1.9 MiB
+    path = tmp_path / "net.txt"
+    with open(path, "w", encoding="utf-8") as fh:
+        save_point_set(faure_net(2, 14, 2), fh)
+    tracemalloc.start()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            ps = load_point_set(fh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ps.digits.shape == (2 ** 14, 2, 14)
+    assert peak < 3 * 2 ** 20
 
 
 VALID = "2 2 2 0 2\n00 00\n10 11\n01 10\n11 01\n"

@@ -19,6 +19,7 @@ from netcov.digits import ConfigurationError, DigitPoint, PrecisionError
 from netcov import walsh
 from netcov.nets import faure_net
 from netcov.walsh import (
+    MAX_TERMS,
     Coefficient,
     WalshIndex,
     WalshPolynomial,
@@ -302,6 +303,42 @@ def test_matrix_and_pointwise_evaluation_agree():
     vals = f.eval_digit_matrix(ps.digits)
     for i, p in enumerate(ps):
         assert vals[i] == pytest.approx(f.eval_point(p), abs=1e-12)
+
+
+@pytest.mark.parametrize("b,k_cap,reduce", [(2, 3, False), (251, 2, True)],
+                         ids=["direct-table", "reduced-mod-b"])
+def test_matrix_evaluation_matches_pointwise_in_both_root_tables(b, k_cap, reduce):
+    # at b = 251, s = 2 and two digits a root table indexed by the unreduced
+    # exponent would need 2 * 2 * 250^2 + 1 = 250,001 entries, so the
+    # exponents are reduced mod b instead
+    rng = random.Random(b)
+    f = random_walsh_polynomial(rng, b=b, s=2, k_cap=k_cap, n_terms=8)
+    assert f.max_digit_length() == k_cap
+    assert f._plan[4] is reduce
+    digits = np.array([[[rng.randrange(b) for _ in range(k_cap + 1)]
+                        for _ in range(2)] for _ in range(60)], dtype=np.uint8)
+    digits[0] = b - 1  # the largest exponent of every term
+    vals = f.eval_digit_matrix(digits)
+    for i, row in enumerate(digits):
+        point = DigitPoint(b, tuple(tuple(int(d) for d in c) for c in row))
+        assert vals[i] == pytest.approx(f.eval_point(point), abs=1e-12)
+
+
+def test_decay_functions_past_the_term_cap_are_refused():
+    # counted before anything is built: sum of shell sizes per index, capped
+    # at SHELL_SUPPORT_CAP per shell
+    # s = 1, per index: 2^k_max terms, so k_max = 16 is the largest allowed
+    assert MAX_TERMS == 2 ** 16
+    with pytest.raises(ConfigurationError, match="spans at least 131072 terms, "
+                                                 "more than 65536"):
+        random_decay_polynomial(2, 1, "per-index", None, Fraction(1, 4),
+                                Fraction(1), 17, seed=0)
+    with pytest.raises(ConfigurationError, match="more than 65536"):
+        random_decay_polynomial(2, 2, "per-index", None, Fraction(1, 4),
+                                Fraction(1), 10 ** 9, seed=0)
+    with pytest.raises(ConfigurationError, match="more than 65536"):
+        random_decay_polynomial(2, 2, "per-shell", Fraction(1, 2), Fraction(1, 4),
+                                Fraction(1), 40, seed=0)
 
 
 def test_matrix_evaluation_checks_precision():
