@@ -196,20 +196,15 @@ def shell_size(b: int, k_vec: Sequence[int]) -> int:
     return size
 
 
-def _shell_indices(b: int, k_vec: Sequence[int]) -> list[tuple[int, ...]]:
-    """The index vectors of enumerate_L_k, in its order."""
+def enumerate_L_k(b: int, k_vec: Sequence[int]) -> tuple[WalshIndex, ...]:
+    """All indices whose per-coordinate digit lengths equal k_vec."""
     validate_base(b)
     ranges = []
     for kj in k_vec:
         if kj < 0:
             raise ConfigurationError(f"length components must be >= 0, got {kj}")
         ranges.append(range(0, 1) if kj == 0 else range(b ** (kj - 1), b ** kj))
-    return list(product(*ranges))
-
-
-def enumerate_L_k(b: int, k_vec: Sequence[int]) -> tuple[WalshIndex, ...]:
-    """All indices whose per-coordinate digit lengths equal k_vec."""
-    return tuple(WalshIndex(b, l) for l in _shell_indices(b, k_vec))
+    return tuple(WalshIndex(b, combo) for combo in product(*ranges))
 
 
 @dataclass(frozen=True)
@@ -246,15 +241,10 @@ class WalshPolynomial:
 
     @functools.cached_property
     def _shells(self) -> Mapping[tuple[int, ...], Fraction]:
-        # each shell is summed over the common denominator of its weights
-        weights: dict[tuple[int, ...], list[Fraction]] = {}
+        out: dict[tuple[int, ...], Fraction] = {}
         for l, coef in self.terms.items():
             k = tuple(digit_length(self.b, lj) for lj in l)
-            weights.setdefault(k, []).append(coef.weight)
-        out = {}
-        for k, ws in weights.items():
-            den = math.lcm(*(w.denominator for w in ws))
-            out[k] = Fraction(sum(w.numerator * (den // w.denominator) for w in ws), den)
+            out[k] = out.get(k, Fraction(0)) + coef.weight
         return MappingProxyType(out)
 
     def variance_mc(self, n: int) -> Fraction:
@@ -294,10 +284,11 @@ class WalshPolynomial:
         would pass MAX_ROOT_TABLE entries; then it holds the b roots."""
         b, need = self.b, self.max_digit_length()
         ls = sorted(self.terms)
-        # digit d of coordinate j of every index, least significant first
-        lam = (np.array(ls, dtype=object).reshape(len(ls), self.s, 1)
-               // np.array([b ** d for d in range(need)], dtype=object)) % b
-        lam = lam.astype(np.int64).reshape(len(ls), self.s * need).T.copy()
+        lam = np.zeros((self.s * need, len(ls)), dtype=np.int64)
+        for t, l in enumerate(ls):
+            for j, lj in enumerate(l):
+                for d, digit in enumerate(index_digits(b, lj)):
+                    lam[j * need + d, t] = digit
         coefs = np.array([self.terms[l].to_complex() for l in ls],
                          dtype=np.complex128)
         roots = np.array([root_of_unity(b, e) for e in range(b)], dtype=np.complex128)
@@ -322,7 +313,7 @@ class WalshPolynomial:
         exps = digits[:, :, :need].reshape(n, s * need).astype(np.int64) @ lam
         if reduce:
             exps %= self.b
-        return roots.take(exps) @ coefs  # (n,)
+        return roots[exps] @ coefs
 
     def to_json(self) -> str:
         rows = []
@@ -368,7 +359,7 @@ def _pythagorean_phase(rng: random.Random) -> tuple[Fraction, Fraction]:
 def _sample_shell(b: int, k_vec: tuple[int, ...],
                   rng: random.Random) -> list[tuple[int, ...]]:
     if shell_size(b, k_vec) <= SHELL_SUPPORT_CAP:
-        return _shell_indices(b, k_vec)
+        return [idx.l for idx in enumerate_L_k(b, k_vec)]
     chosen: set[tuple[int, ...]] = set()
     while len(chosen) < SHELL_SUPPORT_CAP:
         l = tuple(
@@ -434,7 +425,7 @@ def random_decay_polynomial(
         r = sum(1 for kj in k_vec if kj > 0)
         if kind == "per-index":
             w = x ** k * alpha
-            support = _shell_indices(b, k_vec)
+            support = [idx.l for idx in enumerate_L_k(b, k_vec)]
         else:
             total = a ** r * (b * x) ** k * alpha
             support = _sample_shell(b, k_vec, rng)

@@ -324,23 +324,6 @@ def test_matrix_evaluation_matches_pointwise_in_both_root_tables(b, k_cap, reduc
         assert vals[i] == pytest.approx(f.eval_point(point), abs=1e-12)
 
 
-def test_decay_functions_past_the_term_cap_are_refused():
-    # counted before anything is built: sum of shell sizes per index, capped
-    # at SHELL_SUPPORT_CAP per shell
-    # s = 1, per index: 2^k_max terms, so k_max = 16 is the largest allowed
-    assert MAX_TERMS == 2 ** 16
-    with pytest.raises(ConfigurationError, match="spans at least 131072 terms, "
-                                                 "more than 65536"):
-        random_decay_polynomial(2, 1, "per-index", None, Fraction(1, 4),
-                                Fraction(1), 17, seed=0)
-    with pytest.raises(ConfigurationError, match="more than 65536"):
-        random_decay_polynomial(2, 2, "per-index", None, Fraction(1, 4),
-                                Fraction(1), 10 ** 9, seed=0)
-    with pytest.raises(ConfigurationError, match="more than 65536"):
-        random_decay_polynomial(2, 2, "per-shell", Fraction(1, 2), Fraction(1, 4),
-                                Fraction(1), 40, seed=0)
-
-
 def test_matrix_evaluation_checks_precision():
     f = WalshPolynomial(b=2, s=1, terms={(4,): Coefficient(Fraction(1), Fraction(0))})
     ps = faure_net(2, 2, 1)
@@ -447,6 +430,11 @@ def test_decay_parameter_validation():
     with pytest.raises(ConfigurationError):
         random_decay_polynomial(2, 1, "per-shell", Fraction(3, 2),
                                 Fraction(1, 4), Fraction(1), 2, seed=0)
+    # s = 1, per index: 2^k_max terms, counted before any is built
+    with pytest.raises(ConfigurationError, match=f"spans at least {2 * MAX_TERMS} "
+                                                 f"terms, more than {MAX_TERMS}"):
+        random_decay_polynomial(2, 1, "per-index", None, Fraction(1, 4),
+                                Fraction(1), 17, seed=0)
 
 
 def test_polynomial_terms_are_read_only():
