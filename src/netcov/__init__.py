@@ -30,10 +30,10 @@ from .nets import (
 from .scramble import ScrambleSeed, default_precision, owen_scramble, replicate
 from .walsh import (
     Coefficient,
-    WalshIndex,
     WalshPolynomial,
     enumerate_L_k,
     random_decay_polynomial,
+    shell_of,
     shell_size,
     wal_eval,
     wal_exponent,
@@ -90,7 +90,6 @@ __all__ = [
     "PrecisionError",
     "Psi",
     "ScrambleSeed",
-    "WalshIndex",
     "WalshPolynomial",
     "analytic_covariance",
     "analytic_variance",
@@ -121,6 +120,7 @@ __all__ = [
     "replicate",
     "run_experiment",
     "save_point_set",
+    "shell_of",
     "shell_size",
     "verify_all",
     "verify_net",

@@ -25,7 +25,7 @@ from . import counting, covkernel
 from .digits import length_vectors
 from .nets import PointSet, dominated_counts, faure_net, verify_net
 from .scramble import ScrambleSeed, owen_scramble
-from .walsh import WalshIndex, enumerate_L_k, index_add, shell_size, wal_eval
+from .walsh import enumerate_L_k, index_add, shell_of, shell_size, wal_eval
 
 
 class CheckFailure(AssertionError):
@@ -57,15 +57,17 @@ def profile_matches_closed_forms(ps: PointSet) -> int:
 
 def psi_hat_routes_agree(b: int, m: int, s: int, depth: int) -> int:
     """psi_hat_general over M_closed_form equals psi_hat_zero_t on every
-    nonzero index of every shell with |k| <= depth."""
-    indices = [idx for k_vec in length_vectors(s, depth)
-               for idx in enumerate_L_k(b, k_vec) if not idx.is_zero()]
-    for idx in indices:
+    nonzero index of every shell with |k| <= depth, each at its own
+    shell_of."""
+    indices = [l for k_vec in length_vectors(s, depth)
+               for l in enumerate_L_k(b, k_vec) if any(l)]
+    for l in indices:
+        k_vec = shell_of(b, l)
         general = covkernel.psi_hat_general(
-            lambda k: counting.M_closed_form(b, m, k), idx, b ** m)
-        shell = covkernel.psi_hat_zero_t(b, m, idx)
-        expect(general == shell, f"routes disagree at {(b, m, s)}, "
-               f"l={idx.l}: {general} vs {shell}")
+            lambda k: counting.M_closed_form(b, m, k), b, k_vec, b ** m)
+        closed = covkernel.psi_hat_zero_t(b, m, k_vec)
+        expect(general == closed, f"routes disagree at {(b, m, s)}, "
+               f"l={l}: {general} vs {closed}")
     return len(indices)
 
 
@@ -191,10 +193,10 @@ def check_psi_hat_flat_zone() -> str:
         for k_vec in length_vectors(2, m):
             if sum(k_vec) == 0:
                 continue
-            for idx in enumerate_L_k(b, k_vec):
-                value = covkernel.psi_hat_zero_t(b, m, idx)
+            for l in enumerate_L_k(b, k_vec):
+                value = covkernel.psi_hat_zero_t(b, m, shell_of(b, l))
                 expect(value == Fraction(-1, n - 1),
-                       f"flat zone broken at b={b}, m={m}, l={idx.l}: {value}")
+                       f"flat zone broken at b={b}, m={m}, l={l}: {value}")
                 checked += 1
     return f"{checked} shallow indices sit at -1/(n-1)"
 
@@ -267,7 +269,7 @@ def check_walsh_orthogonality() -> str:
         k = 2
         net = faure_net(b, k, 1, precision=k)
         for l in range(1, b ** k):
-            total = sum(wal_eval(WalshIndex(b, (l,)), p) for p in net)
+            total = sum(wal_eval(b, (l,), p) for p in net)
             expect(abs(total) < 1e-9,
                    f"character sum over the base-{b} grid not zero at l={l}")
             checked += 1
@@ -288,9 +290,8 @@ def check_walsh_product_rule() -> str:
             l = rng.randrange(0, b ** 3)
             kl = index_add(b, k, l)
             for p in (net.point(0), net.point(1), net.point(net.n - 1)):
-                lhs = (wal_eval(WalshIndex(b, (k,)), p)
-                       * wal_eval(WalshIndex(b, (l,)), p))
-                rhs = wal_eval(WalshIndex(b, (kl,)), p)
+                lhs = wal_eval(b, (k,), p) * wal_eval(b, (l,), p)
+                rhs = wal_eval(b, (kl,), p)
                 expect(abs(lhs - rhs) < 1e-9,
                        f"product rule fails at base {b}, k={k}, l={l}")
                 checked += 1

@@ -28,7 +28,7 @@ from .digits import (
     validate_base,
     volume_prefix_eq,
 )
-from .nets import MAX_PROFILE_WORK, PointSet, dominated_counts  # noqa: F401  (pair_profile's cap)
+from .nets import PointSet, dominated_counts
 
 
 @dataclass(frozen=True)

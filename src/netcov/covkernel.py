@@ -19,38 +19,43 @@ from math import comb, factorial
 from typing import Callable, Sequence
 
 from .digits import ConfigurationError, validate_base
-from .walsh import WalshIndex
+
+
+def _support_size(b: int, k: Sequence[int]) -> int:
+    """r, the number of occupied coordinates of a nonzero shell k."""
+    validate_base(b)
+    if any(kj < 0 for kj in k):
+        raise ConfigurationError(f"shell components must be >= 0, got {tuple(k)}")
+    if not any(k):
+        raise ConfigurationError("the zero shell carries the constant term 1")
+    return sum(1 for kj in k if kj)
 
 
 def psi_hat_general(
     M: Callable[[tuple[int, ...]], int],
-    l: WalshIndex,
+    b: int,
+    k: Sequence[int],
     n: int,
 ) -> Fraction:
-    """Walsh coefficient of the pair density from dominated-pair counts.
+    """Walsh coefficient of the pair density on the nonzero shell k, from
+    dominated-pair counts.
 
     M maps a componentwise bound vector k - e, with e_j = 1 only where
-    l_j > 0 and so never negative, to the number of ordered distinct pairs
+    k_j > 0 and so never negative, to the number of ordered distinct pairs
     whose common-digit vector dominates it.  Valid for any scrambled digital
     point set, not only t = 0 nets.
     """
     if n < 2:
         raise ConfigurationError("pair density needs at least two points")
-    if l.is_zero():
-        raise ConfigurationError("the zero index carries the constant term 1")
-    b = l.b
-    k_vec = l.k_vec
-    active = [j for j, rj in enumerate(l.r_vec) if rj == 1]
-    r = len(active)
+    r = _support_size(b, k)
+    active = [j for j, kj in enumerate(k) if kj]
     total = Fraction(0)
     for bits in product((0, 1), repeat=r):
-        e = [0] * l.s
+        shifted = list(k)
         for j, bit in zip(active, bits):
-            e[j] = bit
+            shifted[j] -= bit
         w = sum(bits)
-        shifted = tuple(kj - ej for kj, ej in zip(k_vec, e))
-        term = Fraction(M(shifted), b ** w)
-        total += -term if w % 2 else term
+        total += Fraction((-1) ** w * M(tuple(shifted)), b ** w)
     return Fraction(1, n * (n - 1)) * Fraction(b, b - 1) ** r * total
 
 
@@ -71,14 +76,10 @@ def Psi(b: int, r: int, c: int) -> Fraction:
     return -Fraction(1 - b) ** (1 - r) * total
 
 
-def psi_hat_zero_t(b: int, m: int, idx: WalshIndex) -> Fraction:
-    """Walsh coefficient of the t = 0 net pair density for a nonzero index."""
-    validate_base(b)
-    if idx.b != b:
-        raise ConfigurationError(f"base mismatch: {idx.b} vs {b}")
-    if idx.is_zero():
-        raise ConfigurationError("the zero index carries the constant term 1")
-    return Psi(b, idx.r, max(idx.k - m, 0)) / (b ** m - 1)
+def psi_hat_zero_t(b: int, m: int, k: Sequence[int]) -> Fraction:
+    """Walsh coefficient of the t = 0 net pair density on the nonzero
+    shell k."""
+    return Psi(b, _support_size(b, k), max(sum(k) - m, 0)) / (b ** m - 1)
 
 
 def horner(coeffs: Sequence[int], p: int, q: int) -> tuple[int, int]:

@@ -178,13 +178,29 @@ def volume_prefix_eq(b: int, i: Sequence[int]) -> Fraction:
 
 def length_vectors(s: int, total_max: int) -> Iterator[tuple[int, ...]]:
     """All vectors in N^s with component sum <= total_max, first component
-    outermost; seeded callers draw in this order, so it must not change."""
+    outermost; seeded callers draw in this order, so it must not change.
+
+    An odometer: the last component counts up while the sum allows, then
+    the last nonzero component rolls over into its left neighbour."""
+    if s < 0:
+        raise ConfigurationError(f"dimension must be >= 0, got {s}")
     if s == 0:
         yield ()
         return
-    for first in range(total_max + 1):
-        for rest in length_vectors(s - 1, total_max - first):
-            yield (first,) + rest
+    k, total = [0] * s, 0
+    while total <= total_max:
+        yield tuple(k)
+        if total < total_max:
+            k[-1] += 1
+            total += 1
+            continue
+        j = s - 1
+        while j > 0 and k[j] == 0:
+            j -= 1
+        if j == 0:
+            return
+        total -= k[j] - 1
+        k[j], k[j - 1] = 0, k[j - 1] + 1
 
 
 def _check_nonnegative(vec: Sequence[int]) -> None:

@@ -21,9 +21,9 @@ import numpy as np
 from .covkernel import psi_hat_zero_t
 from .digits import (
     ConfigurationError, json_field, json_index, json_integer, json_object, json_rational)
-from .nets import faure_net
+from .nets import check_net_shape, faure_net
 from .scramble import replicate_blocks
-from .walsh import Coefficient, WalshIndex, WalshPolynomial, random_decay_polynomial
+from .walsh import Coefficient, WalshPolynomial, random_decay_polynomial
 
 # Points x terms evaluated at once: whole replications, so a chunk's
 # temporaries stay small enough to be reused rather than page-faulted in
@@ -81,6 +81,8 @@ class ExperimentConfig:
             raise ConfigurationError(f"need m >= 1, got m={self.m}")
         if self.R < 2:
             raise ConfigurationError(f"need at least 2 replications, got {self.R}")
+        # refused before the function is built: a decay function spans s
+        check_net_shape(self.b, self.m, self.s, self.precision)
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "ExperimentConfig":
@@ -138,17 +140,16 @@ class ExperimentReport:
 
 def _class_kernels(f: WalshPolynomial, b: int, m: int):
     """(summed shell weight, psi_hat) for every (r, max(|k| - m, 0)) class
-    of f's nonzero shells: the t = 0 kernel depends on an index only through
-    that pair, so one representative index stands for the whole class."""
+    of f's nonzero shells: the t = 0 kernel depends on a shell only through
+    that pair, so the first shell of a class stands for the whole class."""
     classes: dict[tuple[int, int], tuple[tuple[int, ...], Fraction]] = {}
     for k_vec, weight in f.shells().items():
         if any(k_vec):
             key = (sum(1 for kj in k_vec if kj), max(sum(k_vec) - m, 0))
-            rep, total = classes.get(key, (k_vec, 0))
-            classes[key] = (rep, total + weight)
-    for k_vec, total in classes.values():
-        rep = tuple(f.b ** (kj - 1) if kj else 0 for kj in k_vec)
-        yield total, psi_hat_zero_t(b, m, WalshIndex(f.b, rep))
+            shell, total = classes.get(key, (k_vec, 0))
+            classes[key] = (shell, total + weight)
+    for shell, total in classes.values():
+        yield total, psi_hat_zero_t(b, m, shell)
 
 
 def analytic_covariance(f: WalshPolynomial, b: int, m: int) -> Fraction:

@@ -124,14 +124,11 @@ def pascal_matrix_power(b: int, m: int, power: int) -> np.ndarray:
     return out
 
 
-def faure_matrices(b: int, m: int, s: int, precision: int | None = None) -> GeneratingMatrices:
-    """Generating matrices for a (0,m,s)-net in prime base b, s <= b.
-
-    Matrix j is the (j-1)-th Pascal power; rows beyond m (when a larger
-    precision is requested) are zero, matching the canonical finite digit
-    expansion of the generated points.  The precision defaults to m digits,
-    and to 1 for the one-point net m = 0, as a point file needs P >= 1.
-    """
+def check_net_shape(b: int, m: int, s: int, precision: int | None = None) -> int:
+    """Refuse, by arithmetic alone, a (0,m,s)-net in base b with P digits that
+    faure_matrices cannot build; return P.  The precision defaults to m
+    digits, and to 1 for the one-point net m = 0, as a point file needs
+    P >= 1."""
     validate_base(b)
     if m < 0:
         raise ConfigurationError(f"m must be >= 0, got {m}")
@@ -145,6 +142,18 @@ def faure_matrices(b: int, m: int, s: int, precision: int | None = None) -> Gene
     if p < m:
         raise ConfigurationError(f"precision {p} smaller than m={m}")
     check_point_digits(b, m, s, p)
+    return p
+
+
+def faure_matrices(b: int, m: int, s: int, precision: int | None = None) -> GeneratingMatrices:
+    """Generating matrices for a (0,m,s)-net in prime base b, s <= b, at the
+    precision check_net_shape settles.
+
+    Matrix j is the (j-1)-th Pascal power; rows beyond m (when a larger
+    precision is requested) are zero, matching the canonical finite digit
+    expansion of the generated points.
+    """
+    p = check_net_shape(b, m, s, precision)
     mats = []
     for j in range(s):
         top = pascal_matrix_power(b, m, j)

@@ -6,8 +6,9 @@ only at summation boundaries, so products and conjugations are free of
 round-off.  Functions enter the system as finite coefficient maps; every
 variance and covariance statement downstream lives in coefficient space.
 
-Index shells: for a length vector k, the shell L_k holds all indices l whose
-per-coordinate base-b digit lengths equal k (the digit length of 0 is 0).
+Indices are int tuples l in N^s.  The shell of l is its vector k of
+per-coordinate base-b digit lengths (the digit length of 0 is 0), and L_k
+holds every index of shell k.
 """
 
 from __future__ import annotations
@@ -102,43 +103,9 @@ def index_digits(b: int, l: int, length: int | None = None) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class WalshIndex:
-    """An index vector l in N^s with its derived digit-length bookkeeping."""
-
-    b: int
-    l: tuple[int, ...]
-
-    def __post_init__(self):
-        validate_base(self.b)
-        if not self.l:
-            raise ConfigurationError("index needs at least one coordinate")
-        for lj in self.l:
-            if lj < 0:
-                raise ConfigurationError(f"index component must be >= 0, got {lj}")
-
-    @property
-    def s(self) -> int:
-        return len(self.l)
-
-    @property
-    def k_vec(self) -> tuple[int, ...]:
-        return tuple(digit_length(self.b, lj) for lj in self.l)
-
-    @property
-    def r_vec(self) -> tuple[int, ...]:
-        return tuple(1 if lj > 0 else 0 for lj in self.l)
-
-    @property
-    def k(self) -> int:
-        return sum(self.k_vec)
-
-    @property
-    def r(self) -> int:
-        return sum(self.r_vec)
-
-    def is_zero(self) -> bool:
-        return all(lj == 0 for lj in self.l)
+def shell_of(b: int, l: Sequence[int]) -> tuple[int, ...]:
+    """The shell of an index: the base-b digit length of each component."""
+    return tuple(digit_length(b, lj) for lj in l)
 
 
 def wal_exponent(b: int, l: int, digits: Sequence[int]) -> int:
@@ -158,12 +125,12 @@ def wal_exponent(b: int, l: int, digits: Sequence[int]) -> int:
     return e % b
 
 
-def wal_exponent_vector(idx: WalshIndex, x: DigitPoint) -> int:
-    if x.base != idx.b:
-        raise ConfigurationError(f"base mismatch: {x.base} vs {idx.b}")
-    if x.s != idx.s:
-        raise ConfigurationError(f"dimension mismatch: {x.s} vs {idx.s}")
-    return sum(wal_exponent(idx.b, lj, cj) for lj, cj in zip(idx.l, x.coords)) % idx.b
+def wal_exponent_vector(b: int, l: Sequence[int], x: DigitPoint) -> int:
+    if x.base != b:
+        raise ConfigurationError(f"base mismatch: {x.base} vs {b}")
+    if x.s != len(l):
+        raise ConfigurationError(f"dimension mismatch: {x.s} vs {len(l)}")
+    return sum(wal_exponent(b, lj, cj) for lj, cj in zip(l, x.coords)) % b
 
 
 def root_of_unity(b: int, e: int) -> complex:
@@ -172,9 +139,9 @@ def root_of_unity(b: int, e: int) -> complex:
     return cmath.exp(2j * cmath.pi * (e % b) / b)
 
 
-def wal_eval(idx: WalshIndex, x: DigitPoint) -> complex:
+def wal_eval(b: int, l: Sequence[int], x: DigitPoint) -> complex:
     """wal_l(x) as a complex number on the unit circle."""
-    return root_of_unity(idx.b, wal_exponent_vector(idx, x))
+    return root_of_unity(b, wal_exponent_vector(b, l, x))
 
 
 def index_add(b: int, k: int, l: int) -> int:
@@ -196,15 +163,13 @@ def shell_size(b: int, k_vec: Sequence[int]) -> int:
     return size
 
 
-def enumerate_L_k(b: int, k_vec: Sequence[int]) -> tuple[WalshIndex, ...]:
+def enumerate_L_k(b: int, k_vec: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """All indices whose per-coordinate digit lengths equal k_vec."""
     validate_base(b)
-    ranges = []
-    for kj in k_vec:
-        if kj < 0:
-            raise ConfigurationError(f"length components must be >= 0, got {kj}")
-        ranges.append(range(0, 1) if kj == 0 else range(b ** (kj - 1), b ** kj))
-    return tuple(WalshIndex(b, combo) for combo in product(*ranges))
+    if any(kj < 0 for kj in k_vec):
+        raise ConfigurationError(f"length components must be >= 0, got {tuple(k_vec)}")
+    return tuple(product(*(range(0, 1) if kj == 0 else range(b ** (kj - 1), b ** kj)
+                           for kj in k_vec)))
 
 
 @dataclass(frozen=True)
@@ -243,7 +208,7 @@ class WalshPolynomial:
     def _shells(self) -> Mapping[tuple[int, ...], Fraction]:
         out: dict[tuple[int, ...], Fraction] = {}
         for l, coef in self.terms.items():
-            k = tuple(digit_length(self.b, lj) for lj in l)
+            k = shell_of(self.b, l)
             out[k] = out.get(k, Fraction(0)) + coef.weight
         return MappingProxyType(out)
 
@@ -253,15 +218,12 @@ class WalshPolynomial:
         holds only the constant index."""
         return sum((w for k, w in self.shells().items() if any(k)), Fraction(0)) / n
 
-    def covariance_analytic(self, psi_hat: Callable[[WalshIndex], Fraction]) -> Fraction:
-        """Sum over nonzero indices of |coefficient|^2 * psi_hat(l), exact."""
-        total = Fraction(0)
-        for l, coef in self.terms.items():
-            idx = WalshIndex(self.b, l)
-            if idx.is_zero():
-                continue
-            total += coef.weight * psi_hat(idx)
-        return total
+    def covariance_analytic(
+            self, psi_hat: Callable[[tuple[int, ...]], Fraction]) -> Fraction:
+        """Sum over nonzero indices l of |coefficient|^2 * psi_hat(shell of l),
+        exact."""
+        return sum((coef.weight * psi_hat(shell_of(self.b, l))
+                    for l, coef in self.terms.items() if any(l)), Fraction(0))
 
     def max_digit_length(self) -> int:
         """Digits of precision needed to evaluate this function: the longest
@@ -271,7 +233,7 @@ class WalshPolynomial:
     def eval_point(self, x: DigitPoint) -> complex:
         total = 0j
         for l, coef in self.terms.items():
-            e = wal_exponent_vector(WalshIndex(self.b, l), x)
+            e = wal_exponent_vector(self.b, l, x)
             total += coef.to_complex() * root_of_unity(self.b, e)
         return total
 
@@ -359,7 +321,7 @@ def _pythagorean_phase(rng: random.Random) -> tuple[Fraction, Fraction]:
 def _sample_shell(b: int, k_vec: tuple[int, ...],
                   rng: random.Random) -> list[tuple[int, ...]]:
     if shell_size(b, k_vec) <= SHELL_SUPPORT_CAP:
-        return [idx.l for idx in enumerate_L_k(b, k_vec)]
+        return list(enumerate_L_k(b, k_vec))
     chosen: set[tuple[int, ...]] = set()
     while len(chosen) < SHELL_SUPPORT_CAP:
         l = tuple(
@@ -401,7 +363,11 @@ def random_decay_polynomial(
         raise ConfigurationError(f"x must lie in [0, 1/b), got {x}")
     if kind not in ("per-index", "per-shell"):
         raise ConfigurationError(f"unknown decay kind {kind!r}")
+    if k_max < 0:
+        raise ConfigurationError(f"k_max must be >= 0, got {k_max}")
     if kind == "per-shell":
+        if a is None:
+            raise ConfigurationError("per-shell decay needs the weight a")
         a = Fraction(a)
         if not 0 <= a <= 1:
             raise ConfigurationError(f"a must lie in [0,1], got {a}")
@@ -425,7 +391,7 @@ def random_decay_polynomial(
         r = sum(1 for kj in k_vec if kj > 0)
         if kind == "per-index":
             w = x ** k * alpha
-            support = [idx.l for idx in enumerate_L_k(b, k_vec)]
+            support = enumerate_L_k(b, k_vec)
         else:
             total = a ** r * (b * x) ** k * alpha
             support = _sample_shell(b, k_vec, rng)

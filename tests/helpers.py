@@ -20,7 +20,6 @@ import numpy as np
 
 from netcov.counting import joint_pdf_closed_form
 from netcov.covkernel import Psi
-from netcov.digits import length_vectors  # noqa: F401  (re-exported to the tests)
 from netcov.walsh import Coefficient, WalshPolynomial, index_digits
 
 

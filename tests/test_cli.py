@@ -12,10 +12,10 @@ import pytest
 
 import netcov
 from netcov import checks, cli
-from netcov.counting import MAX_PROFILE_WORK
 from netcov.digits import ConfigurationError
 from netcov.nets import (
     MAX_POINT_DIGITS,
+    MAX_PROFILE_WORK,
     PointSet,
     check_point_digits,
     load_point_set,
@@ -114,6 +114,16 @@ def test_net_verify_refuses_t_outside_0_to_m(tmp_path, capsys, t):
     code, out, err = run(capsys, "net", "verify", "--t", t, str(path))
     assert (code, out) == (2, "")
     assert f"t={t} must lie in 0..m=3" in err
+
+
+def test_net_verify_takes_a_net_in_a_thousand_dimensions(tmp_path, capsys):
+    # two points, all 0 digits and all 1 digits: a (0,1,1000)-net in base 2
+    path = tmp_path / "wide.txt"
+    path.write_text("2 1 1000 0 1\n" + " ".join("0" * 1000) + "\n"
+                    + " ".join("1" * 1000) + "\n", encoding="utf-8")
+    code, out, _ = run(capsys, "net", "verify", str(path))
+    assert code == 0
+    assert json.loads(out)["shapes_checked"] == 1001
 
 
 def test_net_verify_reports_corrupt_files(tmp_path, capsys):
@@ -513,6 +523,29 @@ def test_simulate_decay_past_the_term_cap_is_refused_at_once(
     assert code == 2
     assert f"{decay} decay up to k_max={k_max} spans at least" in err
     assert "terms, more than 65536" in err
+
+
+@pytest.mark.parametrize("edit,message", [
+    ({"function": {k: v for k, v in DECAY_SPEC.items() if k != "a"}},
+     "per-shell decay needs the weight a"),
+    ({"function": {**DECAY_SPEC, "k_max": -3}}, "k_max must be >= 0, got -3"),
+    # the net's shape is refused before a decay function spans s coordinates
+    ({"s": -1}, "s must be >= 1, got -1"),
+    ({"s": 3000}, "this construction needs s <= b, got s=3000 > b=2"),
+    ({"s": 10 ** 12}, "this construction needs s <= b"),
+    ({"m": 40}, "more than 16777216 digits"),
+], ids=["no-a", "negative-k_max", "negative-s", "s-past-b", "huge-s", "huge-m"])
+def test_simulate_refuses_a_bad_decay_or_net_shape_at_once(
+        tmp_path, capsys, edit, message):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"b": 2, "m": 2, "s": 2, "R": 5,
+                                  "function": {**DECAY_SPEC, "k_max": 2}, **edit}),
+                      encoding="utf-8")
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, "simulate", "--config", str(config))
+    assert time.perf_counter() - t0 < 0.5
+    assert code == 2
+    assert message in err
 
 
 @pytest.mark.parametrize("text,message", [

@@ -15,12 +15,7 @@ from itertools import product
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import (
-    GammaGrid,
-    cov_polynomial_reference,
-    length_vectors,
-    random_walsh_polynomial,
-)
+from helpers import GammaGrid, cov_polynomial_reference, random_walsh_polynomial
 from netcov import cli
 from netcov.checks import (
     assembly_matches_witness,
@@ -45,10 +40,11 @@ from netcov.covkernel import (
     recmain_eval,
     recurrence_residual,
 )
-from netcov.digits import ConfigurationError
+from netcov.counting import M_closed_form
+from netcov.digits import ConfigurationError, length_vectors
 from netcov.nets import dominated_counts, faure_net
 from netcov.scramble import ScrambleSeed, owen_scramble
-from netcov.walsh import Coefficient, WalshIndex, WalshPolynomial, enumerate_L_k
+from netcov.walsh import Coefficient, WalshPolynomial, shell_of
 
 
 def test_shell_coefficient_values():
@@ -82,20 +78,28 @@ def test_shell_coefficient_validation():
 
 def test_psi_hat_pinned_values():
     # below the depth threshold every coefficient is -1/(n-1)
-    assert psi_hat_zero_t(2, 2, WalshIndex(2, (1, 0))) == Fraction(-1, 3)
+    assert psi_hat_zero_t(2, 2, (1, 0)) == Fraction(-1, 3)
     # one step past it, with both coordinates occupied, the sign flips
-    assert psi_hat_zero_t(2, 2, WalshIndex(2, (2, 1))) == Fraction(1, 3)
+    assert psi_hat_zero_t(2, 2, (2, 1)) == Fraction(1, 3)
+    # l = (3, 0, 1) has shell (2, 0, 1): |k| = 3 and r = 2 enter Psi
+    k = shell_of(2, (3, 0, 1))
+    assert k == (2, 0, 1)
+    for m in (1, 2, 3, 4):
+        assert psi_hat_zero_t(2, m, k) == Psi(2, 2, max(3 - m, 0)) / (2 ** m - 1)
+    # the general route from the t = 0 counts lands on the same value
+    assert psi_hat_general(lambda v: M_closed_form(2, 2, v), 2, k, 4) == \
+        psi_hat_zero_t(2, 2, k)
 
 
 def test_psi_hat_rejects_misuse():
+    # the zero shell, an empty one, a negative component, a bad base
+    for b, k in [(2, (0, 0)), (2, ()), (2, (-1,)), (2, (2, -1)), (4, (1,)), (1, (1,))]:
+        with pytest.raises(ConfigurationError):
+            psi_hat_zero_t(b, 2, k)
+        with pytest.raises(ConfigurationError):
+            psi_hat_general(lambda v: 0, b, k, 4)
     with pytest.raises(ConfigurationError):
-        psi_hat_zero_t(2, 2, WalshIndex(2, (0, 0)))
-    with pytest.raises(ConfigurationError):
-        psi_hat_zero_t(2, 2, WalshIndex(3, (1,)))
-    with pytest.raises(ConfigurationError):
-        psi_hat_general(lambda k: 0, WalshIndex(2, (0,)), 4)
-    with pytest.raises(ConfigurationError):
-        psi_hat_general(lambda k: 0, WalshIndex(2, (1,)), 1)
+        psi_hat_general(lambda v: 0, 2, (1,), 1)
 
 
 @pytest.mark.parametrize("b,m,s", [(2, 2, 2), (3, 1, 2)])
@@ -111,11 +115,9 @@ def test_psi_hat_from_measured_counts():
                        ScrambleSeed(17), precision=m + 2)
     counts = dominated_counts(ps)
     for k_vec in length_vectors(s, m + 1):
-        for idx in enumerate_L_k(b, k_vec):
-            if idx.is_zero():
-                continue
-            got = psi_hat_general(lambda k: counts.get(k, 0), idx, ps.n)
-            assert got == psi_hat_zero_t(b, m, idx)
+        if any(k_vec):
+            got = psi_hat_general(lambda k: counts.get(k, 0), b, k_vec, ps.n)
+            assert got == psi_hat_zero_t(b, m, k_vec)
 
 
 def test_psi_hat_flat_below_the_depth_threshold():

@@ -124,6 +124,13 @@ def test_length_vectors_order_and_count():
         (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
     assert list(length_vectors(0, 3)) == [()]
     assert sum(1 for _ in length_vectors(3, 4)) == 35  # C(4 + 3, 3)
+    assert list(length_vectors(2, -1)) == []
+    # 1,000 dimensions take no recursion: the origin, then each unit vector
+    # from the last coordinate to the first
+    shapes = list(length_vectors(1000, 1))
+    assert len(shapes) == 1001 and shapes[1][-1] == 1 and shapes[-1][0] == 1
+    with pytest.raises(ConfigurationError, match="dimension must be >= 0"):
+        list(length_vectors(-1, 3))
 
 
 def test_region_volumes():

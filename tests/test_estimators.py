@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from helpers import random_walsh_polynomial
 from netcov import estimators, scramble
@@ -22,7 +22,7 @@ from netcov.estimators import (
 )
 from netcov.nets import faure_net
 from netcov.scramble import ScrambleSeed, owen_scramble
-from netcov.walsh import Coefficient, WalshIndex, WalshPolynomial
+from netcov.walsh import Coefficient, WalshPolynomial, shell_of
 
 WAL_SPEC = {"kind": "wal", "l": [1, 1]}
 
@@ -207,7 +207,7 @@ def test_per_shell_references_equal_per_index_sums():
             per_index = f.covariance_analytic(lambda idx: psi_hat_zero_t(b, m, idx))
             assert analytic_covariance(f, b, m) == per_index
             variance = sum(
-                (c.weight * (1 + (n - 1) * psi_hat_zero_t(b, m, WalshIndex(b, l))) / n
+                (c.weight * (1 + (n - 1) * psi_hat_zero_t(b, m, shell_of(b, l))) / n
                  for l, c in f.terms.items() if any(l)),
                 Fraction(0))
             assert analytic_variance(f, b, m) == variance
@@ -250,16 +250,27 @@ VALID_CONFIG = {"b": 2, "m": 2, "s": 2, "R": 4, "seed": 1, "precision": 3,
                              "alpha": "1", "decay": "per-shell", "seed": 0}}
 CONFIG_PATHS = [(key,) for key in VALID_CONFIG] + [
     ("function", key) for key in VALID_CONFIG["function"]]
+VALID_DECAY_CONFIG = {**VALID_CONFIG, "function": {
+    "kind": "decay", "decay": "per-shell", "a": "1/2", "x": "3/20", "alpha": "1",
+    "k_max": 2, "seed": 0}}
+DECAY_CONFIG_PATHS = [(key,) for key in VALID_DECAY_CONFIG] + [
+    ("function", key) for key in VALID_DECAY_CONFIG["function"]]
 
 
-@given(_fuzzed(VALID_CONFIG, CONFIG_PATHS))
+@given(_fuzzed(VALID_CONFIG, CONFIG_PATHS)
+       | _fuzzed(VALID_DECAY_CONFIG, DECAY_CONFIG_PATHS))
+@example(_edited(VALID_DECAY_CONFIG, ("function", "a"), DELETE))
+@example(_edited(VALID_DECAY_CONFIG, ("function", "k_max"), -3))
+@example(_edited(VALID_DECAY_CONFIG, ("s",), -1))
+@example(_edited(VALID_DECAY_CONFIG, ("s",), 3000))
 def test_any_config_json_loads_or_is_a_configuration_error(doc):
     try:
         cfg = ExperimentConfig.from_dict(json.loads(json.dumps(doc)))
-        if cfg.function_spec.get("kind") == "wal":
-            build_function(cfg.b, cfg.s, cfg.function_spec)
+        build_function(cfg.b, cfg.s, cfg.function_spec)
     except ConfigurationError:
-        pass
+        return
+    function = doc["function"]
+    assert function.get("kind") == "wal" or function.get("k_max", 0) >= 0
 
 
 VALID_COEFFICIENTS = json.loads(WalshPolynomial(

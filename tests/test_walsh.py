@@ -21,7 +21,6 @@ from netcov.nets import faure_net
 from netcov.walsh import (
     MAX_TERMS,
     Coefficient,
-    WalshIndex,
     WalshPolynomial,
     digit_length,
     enumerate_L_k,
@@ -29,6 +28,7 @@ from netcov.walsh import (
     index_digits,
     random_decay_polynomial,
     root_of_unity,
+    shell_of,
     shell_size,
     wal_eval,
     wal_exponent,
@@ -78,18 +78,18 @@ def test_wal_exponent_needs_enough_digits():
 
 def test_wal_eval_zero_vector_is_one():
     x = DigitPoint(2, ((1, 0), (0, 1)))
-    assert wal_eval(WalshIndex(2, (0, 0)), x) == 1
+    assert wal_eval(2, (0, 0), x) == 1
 
 
 def test_wal_eval_product_of_scalars():
     x = DigitPoint.from_fractions([Fraction(3, 4), Fraction(1, 2)],
                                   base=2, precision=2)
-    assert wal_eval(WalshIndex(2, (1, 1)), x) == 1
+    assert wal_eval(2, (1, 1), x) == 1
 
 
 def test_wal_eval_base3_value():
     x = DigitPoint.from_fractions([Fraction(2, 3)], base=3, precision=1)
-    got = wal_eval(WalshIndex(3, (1,)), x)
+    got = wal_eval(3, (1,), x)
     want = complex(math.cos(4 * math.pi / 3), math.sin(4 * math.pi / 3))
     assert got == pytest.approx(want)
 
@@ -97,9 +97,9 @@ def test_wal_eval_base3_value():
 def test_wal_exponent_vector_validates():
     x = DigitPoint(2, ((0,),))
     with pytest.raises(ConfigurationError):
-        wal_exponent_vector(WalshIndex(3, (1,)), x)
+        wal_exponent_vector(3, (1,), x)
     with pytest.raises(ConfigurationError):
-        wal_exponent_vector(WalshIndex(2, (1, 1)), x)
+        wal_exponent_vector(2, (1, 1), x)
 
 
 def test_product_rule_on_random_indices():
@@ -131,9 +131,9 @@ def test_base2_index_add_is_xor(k, l):
 
 
 def test_enumerate_shells_pinned():
-    assert [i.l for i in enumerate_L_k(2, (1,))] == [(1,)]
-    assert [i.l for i in enumerate_L_k(2, (2, 1))] == [(2, 1), (3, 1)]
-    assert [i.l for i in enumerate_L_k(3, (1, 0))] == [(1, 0), (2, 0)]
+    assert enumerate_L_k(2, (1,)) == ((1,),)
+    assert enumerate_L_k(2, (2, 1)) == ((2, 1), (3, 1))
+    assert enumerate_L_k(3, (1, 0)) == ((1, 0), (2, 0))
     # |L_k| = ((b-1)/b)^r * b^k
     assert len(enumerate_L_k(2, (2, 1))) == 2
     with pytest.raises(ConfigurationError):
@@ -146,8 +146,8 @@ def test_shell_size_matches_enumeration(b, k_vec):
     k_vec = tuple(k_vec)
     shell = enumerate_L_k(b, k_vec)
     assert len(shell) == shell_size(b, k_vec)
-    for idx in shell:
-        assert idx.k_vec == k_vec
+    for l in shell:
+        assert shell_of(b, l) == k_vec
 
 
 def test_shells_partition_the_index_lattice():
@@ -155,34 +155,19 @@ def test_shells_partition_the_index_lattice():
         seen = {}
         for k1 in range(3):
             for k2 in range(3):
-                for idx in enumerate_L_k(b, (k1, k2)):
-                    assert idx.l not in seen
-                    seen[idx.l] = (k1, k2)
+                for l in enumerate_L_k(b, (k1, k2)):
+                    assert l not in seen
+                    seen[l] = (k1, k2)
         full = {(l1, l2) for l1 in range(b ** 2) for l2 in range(b ** 2)}
         assert set(seen) == full
 
 
-def test_walsh_index_bookkeeping():
-    idx = WalshIndex(2, (3, 0, 1))
-    assert idx.s == 3
-    assert idx.k_vec == (2, 0, 1)
-    assert idx.r_vec == (1, 0, 1)
-    assert idx.k == 3
-    assert idx.r == 2
-    assert not idx.is_zero()
-    assert WalshIndex(2, (0, 0)).is_zero()
-    for lj, kj in zip(idx.l, idx.k_vec):
-        if lj > 0:
-            assert 2 ** (kj - 1) <= lj < 2 ** kj
-
-
-def test_walsh_index_validation():
+def test_shell_of():
+    assert shell_of(2, (3, 0, 1)) == (2, 0, 1)
+    assert shell_of(3, (0, 8, 9)) == (0, 2, 3)
+    assert shell_of(2, ()) == ()
     with pytest.raises(ConfigurationError):
-        WalshIndex(2, ())
-    with pytest.raises(ConfigurationError):
-        WalshIndex(2, (-1,))
-    with pytest.raises(ConfigurationError):
-        WalshIndex(4, (1,))
+        shell_of(2, (1, -1))
 
 
 def test_root_of_unity():
