@@ -184,6 +184,8 @@ def length_vectors(s: int, total_max: int) -> Iterator[tuple[int, ...]]:
     the last nonzero component rolls over into its left neighbour."""
     if s < 0:
         raise ConfigurationError(f"dimension must be >= 0, got {s}")
+    if total_max < 0:
+        return
     if s == 0:
         yield ()
         return

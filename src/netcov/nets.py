@@ -12,7 +12,6 @@ sets can be checked as well.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -350,6 +349,27 @@ def save_point_set(ps: PointSet, fh) -> None:
     fh.write(body.tobytes().decode("ascii"))
 
 
+# Point lines load_point_set decodes at a time: its heap holds the digit
+# array and one block's strings, never a string per line of the file
+LOAD_BLOCK = 2 ** 11
+
+
+def _decode_lines(lines: list[str], linenos: list[int], table: np.ndarray,
+                  b: int) -> bytes:
+    """The digit values, one byte each, of equally long lines of digit
+    characters; the first bad character is named with its line."""
+    text = "".join(lines)
+    # "replace" encodes each character as one byte, a non-ASCII one as "?",
+    # so byte i is character i of the text
+    digits = table[np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)]
+    bad = digits == 255
+    if bad.any():
+        i = int(bad.argmax())
+        raise ConfigurationError(f"line {linenos[i // len(lines[0])]}: invalid "
+                                 f"digit character {text[i]!r} for base {b}")
+    return digits.tobytes()
+
+
 def load_point_set(fh) -> PointSet:
     """Read the text format of ``save_point_set``; a malformed line is named
     by its 1-based line number, the first such line winning.  The header is
@@ -366,10 +386,12 @@ def load_point_set(fh) -> PointSet:
     except ValueError as exc:  # ConfigurationError is a ValueError too
         raise ConfigurationError(f"line 1: {exc}") from None
     # the shape of each line is checked as it is read and its coordinates
-    # joined into one string; the characters are decoded at the end, all at
-    # once, so a shape error stands only if no earlier line holds a bad
-    # character
-    lines, linenos, shape_error = [], array("q"), None
+    # joined into one string; the characters are decoded a block of lines at
+    # a time and before a shape error is raised, so a shape error stands
+    # only if no earlier line holds a bad character
+    table = np.full(256, 255, dtype=np.uint8)  # 255: not a digit of base b
+    table[_CHAR_CODES[:b]] = np.arange(b)
+    digits, lines, linenos, shape_error = bytearray(), [], [], None
     for lineno, line in enumerate(fh, start=2):
         parts = line.split()
         if not parts:
@@ -383,23 +405,16 @@ def load_point_set(fh) -> PointSet:
             break
         lines.append("".join(parts))
         linenos.append(lineno)
-    # "replace" encodes each character as one byte, a non-ASCII one as "?",
-    # so byte i is character i of the text
-    text = "".join(lines)
-    del lines
-    table = np.full(256, 255, dtype=np.uint8)  # 255: not a digit of base b
-    table[_CHAR_CODES[:b]] = np.arange(b)
-    digits = table[np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)]
-    bad = digits == 255
-    if bad.any():
-        i = int(bad.argmax())
-        raise ConfigurationError(f"line {linenos[i // (s * p)]}: invalid digit "
-                                 f"character {text[i]!r} for base {b}")
+        if len(lines) == LOAD_BLOCK:
+            digits += _decode_lines(lines, linenos, table, b)
+            lines, linenos = [], []
+    digits += _decode_lines(lines, linenos, table, b)
     if shape_error:
         raise ConfigurationError(shape_error)
-    if not linenos:
+    if not digits:
         raise ConfigurationError("line 1: no point lines follow the header")
+    digits = np.frombuffer(digits, dtype=np.uint8).reshape(-1, s, p)
     try:
-        return PointSet(b=b, m=m, s=s, t=t, digits=digits.reshape(len(linenos), s, p))
+        return PointSet(b=b, m=m, s=s, t=t, digits=digits)
     except ConfigurationError as exc:
         raise ConfigurationError(f"line 1: {exc}") from None

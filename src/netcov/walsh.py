@@ -47,6 +47,9 @@ MAX_TERMS = 2 ** 16
 # Most entries of an evaluation plan's root table indexed by the unreduced
 # exponent; past it the exponents are reduced mod b instead.
 MAX_ROOT_TABLE = 2 ** 16
+# Most entries (coordinates x b^digits cells x terms) of an evaluation plan's
+# exponent tables; past it the exponents come from the digit product.
+MAX_EXPONENT_TABLE = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -65,14 +68,18 @@ class Coefficient:
         if self.root < 0:
             raise ConfigurationError("coefficient root factor must be >= 0")
 
+    def weight_parts(self) -> tuple[int, int]:
+        """|coefficient|^2 as an unreduced (numerator, denominator) pair of
+        integers."""
+        re, im, root = self.re, self.im, self.root
+        return ((re.numerator ** 2 * im.denominator ** 2
+                 + im.numerator ** 2 * re.denominator ** 2) * root.numerator,
+                (re.denominator * im.denominator) ** 2 * root.denominator)
+
     @property
     def weight(self) -> Fraction:
         """|coefficient|^2, exact: one Fraction from the integer parts."""
-        re, im, root = self.re, self.im, self.root
-        return Fraction(
-            (re.numerator ** 2 * im.denominator ** 2
-             + im.numerator ** 2 * re.denominator ** 2) * root.numerator,
-            (re.denominator * im.denominator) ** 2 * root.denominator)
+        return Fraction(*self.weight_parts())
 
     def to_complex(self) -> complex:
         scale = math.sqrt(float(self.root))
@@ -206,10 +213,13 @@ class WalshPolynomial:
 
     @functools.cached_property
     def _shells(self) -> Mapping[tuple[int, ...], Fraction]:
-        out: dict[tuple[int, ...], Fraction] = {}
+        parts: dict[tuple[int, ...], list[tuple[int, int]]] = {}
         for l, coef in self.terms.items():
-            k = shell_of(self.b, l)
-            out[k] = out.get(k, Fraction(0)) + coef.weight
+            parts.setdefault(shell_of(self.b, l), []).append(coef.weight_parts())
+        out = {}
+        for k, pairs in parts.items():
+            den = math.lcm(*(d for _, d in pairs))
+            out[k] = Fraction(sum(num * (den // d) for num, d in pairs), den)
         return MappingProxyType(out)
 
     def variance_mc(self, n: int) -> Fraction:
@@ -239,40 +249,59 @@ class WalshPolynomial:
 
     @functools.cached_property
     def _plan(self):
-        """(digits needed, index digit matrix of shape (s * need, terms),
-        coefficient values, root table, whether exponents need reducing),
-        terms in sorted order.  The root table is indexed by the unreduced
-        exponent, which is at most s * need * (b-1)^2, unless that table
-        would pass MAX_ROOT_TABLE entries; then it holds the b roots."""
-        b, need = self.b, self.max_digit_length()
+        """(exponent tables or None, index digit matrix of shape
+        (s * need, terms), coefficient values, root table, whether exponents
+        need reducing), terms in sorted order, need = max_digit_length().
+
+        The exponent tables, of shape (s, b^need, terms), hold each
+        coordinate's partial exponents indexed by the value of its first
+        need digits, so a point's exponents are s table rows added; they
+        are None when empty or past MAX_EXPONENT_TABLE entries, and the
+        exponents then come from the digit product.  The root table is
+        indexed by the unreduced exponent, which is at most
+        s * need * (b-1)^2, unless that table would pass MAX_ROOT_TABLE
+        entries; then it holds the b roots."""
+        b, s, need = self.b, self.s, self.max_digit_length()
         ls = sorted(self.terms)
-        lam = np.zeros((self.s * need, len(ls)), dtype=np.int64)
-        for t, l in enumerate(ls):
-            for j, lj in enumerate(l):
-                for d, digit in enumerate(index_digits(b, lj)):
-                    lam[j * need + d, t] = digit
+        # object dtype: index components of 2^63 and above divide exactly
+        comps = np.array(ls, dtype=object).reshape(len(ls), s, 1)
+        place = np.array([b ** d for d in range(need)], dtype=object)
+        lam = (comps // place % b).astype(np.int64).reshape(len(ls), s * need).T
+        tables = None
+        if 0 < s * b ** need * len(ls) <= MAX_EXPONENT_TABLE:
+            cell_digits = np.arange(b ** need)[:, None] // b ** np.arange(need) % b
+            tables = cell_digits @ lam.reshape(s, need, len(ls))
         coefs = np.array([self.terms[l].to_complex() for l in ls],
                          dtype=np.complex128)
         roots = np.array([root_of_unity(b, e) for e in range(b)], dtype=np.complex128)
-        size = self.s * need * (b - 1) ** 2 + 1
+        size = s * need * (b - 1) ** 2 + 1
         reduce = size > MAX_ROOT_TABLE
         if not reduce:
             roots = roots[np.arange(size) % b]
-        return need, lam, coefs, roots, reduce
+        return tables, lam, coefs, roots, reduce
 
     def eval_digit_matrix(self, digits: np.ndarray) -> np.ndarray:
         """Evaluate at every row of an (n, s, P) digit array at once.
 
-        Exponents come from one integer matrix product; only the final
-        combination with the coefficient values is floating point.
+        Exponents come from integer table gathers (or one integer matrix
+        product); only the final combination with the coefficient values
+        is floating point.
         """
         n, s, p = digits.shape
         if s != self.s:
             raise ConfigurationError(f"point dimension {s}, function dimension {self.s}")
-        need, lam, coefs, roots, reduce = self._plan
+        need = self.max_digit_length()
         if p < need:
             raise PrecisionError(f"function needs {need} digits, points carry {p}")
-        exps = digits[:, :, :need].reshape(n, s * need).astype(np.int64) @ lam
+        tables, lam, coefs, roots, reduce = self._plan
+        digits = digits[:, :, :need].astype(np.int64)
+        if tables is None:
+            exps = digits.reshape(n, s * need) @ lam
+        else:
+            cells = digits @ self.b ** np.arange(need)
+            exps = tables[0][cells[:, 0]]
+            for j in range(1, s):
+                exps += tables[j][cells[:, j]]
         if reduce:
             exps %= self.b
         return roots[exps] @ coefs
@@ -305,12 +334,17 @@ class WalshPolynomial:
             doc.get("metadata", {}), "coefficient file metadata"))
 
 
+@functools.cache
+def _circle_point(p: int, q: int) -> tuple[Fraction, Fraction]:
+    """The circle point at t = p/q; 300 (p, q) pairs are ever drawn."""
+    den = q * q + p * p
+    return Fraction(q * q - p * p, den), Fraction(2 * p * q, den)
+
+
 def _pythagorean_phase(rng: random.Random) -> tuple[Fraction, Fraction]:
     """A uniform-ish exact rational point on the unit circle: at t = p/q,
     ((1 - t^2) + 2t i)/(1 + t^2), in integers."""
-    p, q = rng.randint(-12, 12), rng.randint(1, 12)
-    den = q * q + p * p
-    c, s = Fraction(q * q - p * p, den), Fraction(2 * p * q, den)
+    c, s = _circle_point(rng.randint(-12, 12), rng.randint(1, 12))
     if rng.random() < 0.5:
         c, s = s, c
     if rng.random() < 0.5:

@@ -125,6 +125,7 @@ def test_length_vectors_order_and_count():
     assert list(length_vectors(0, 3)) == [()]
     assert sum(1 for _ in length_vectors(3, 4)) == 35  # C(4 + 3, 3)
     assert list(length_vectors(2, -1)) == []
+    assert list(length_vectors(0, -1)) == []
     # 1,000 dimensions take no recursion: the origin, then each unit vector
     # from the last coordinate to the first
     shapes = list(length_vectors(1000, 1))

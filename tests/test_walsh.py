@@ -257,6 +257,25 @@ def test_polynomial_accessors():
     assert f.max_digit_length() == 2
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_shell_sums_match_the_fraction_sum_of_weights(seed):
+    # shells() sums integer parts over a common denominator; the oracle adds
+    # the Fractions one term at a time, in the terms' order
+    rng = random.Random(seed)
+    b = rng.choice([2, 3, 5])
+    maps = [random_walsh_polynomial(rng, b=b, s=2, k_cap=3, n_terms=20),
+            random_decay_polynomial(b, 2, rng.choice(["per-index", "per-shell"]),
+                                    Fraction(1, 3), Fraction(1, 2 * b), Fraction(3, 7),
+                                    3, seed)]
+    for f in maps:
+        expected: dict[tuple[int, ...], Fraction] = {}
+        for l, c in f.terms.items():
+            assert c.weight == (c.re ** 2 + c.im ** 2) * c.root
+            k = shell_of(b, l)
+            expected[k] = expected.get(k, Fraction(0)) + c.weight
+        assert list(f.shells().items()) == list(expected.items())
+
+
 def test_shell_weights_and_variance():
     f = WalshPolynomial(b=2, s=2, terms={
         (0, 0): Coefficient(Fraction(1), Fraction(0)),
@@ -290,15 +309,20 @@ def test_matrix_and_pointwise_evaluation_agree():
         assert vals[i] == pytest.approx(f.eval_point(p), abs=1e-12)
 
 
-@pytest.mark.parametrize("b,k_cap,reduce", [(2, 3, False), (251, 2, True)],
-                         ids=["direct-table", "reduced-mod-b"])
-def test_matrix_evaluation_matches_pointwise_in_both_root_tables(b, k_cap, reduce):
-    # at b = 251, s = 2 and two digits a root table indexed by the unreduced
-    # exponent would need 2 * 2 * 250^2 + 1 = 250,001 entries, so the
-    # exponents are reduced mod b instead
-    rng = random.Random(b)
+@pytest.mark.parametrize("b,k_cap,tables,reduce",
+                         [(2, 3, True, False), (251, 1, True, True),
+                          (251, 2, False, True)],
+                         ids=["tables-direct", "tables-reduced", "product-reduced"])
+def test_matrix_evaluation_matches_pointwise_in_both_root_tables(b, k_cap, tables,
+                                                                 reduce):
+    # at b = 251 and s = 2 a root table indexed by the unreduced exponent
+    # would need 2 * k_cap * 250^2 + 1 > 2^16 entries, so the exponents are
+    # reduced mod b instead; at two digits the exponent tables would need
+    # 2 * 251^2 * 9 entries, so the exponents come from the digit product
+    rng = random.Random(b + k_cap)
     f = random_walsh_polynomial(rng, b=b, s=2, k_cap=k_cap, n_terms=8)
     assert f.max_digit_length() == k_cap
+    assert (f._plan[0] is not None) is tables
     assert f._plan[4] is reduce
     digits = np.array([[[rng.randrange(b) for _ in range(k_cap + 1)]
                         for _ in range(2)] for _ in range(60)], dtype=np.uint8)
@@ -316,6 +340,16 @@ def test_matrix_evaluation_checks_precision():
         f.eval_digit_matrix(ps.digits)
     with pytest.raises(ConfigurationError):
         f.eval_digit_matrix(faure_net(2, 2, 2, precision=3).digits)
+    # a component past int64 needs 64 digits: refused before any plan is
+    # built, and exact once the points carry them
+    f = WalshPolynomial(b=2, s=1, terms={
+        (2 ** 63 + 1,): Coefficient(Fraction(1), Fraction(0))})
+    with pytest.raises(PrecisionError, match="needs 64 digits"):
+        f.eval_digit_matrix(ps.digits)
+    assert "_plan" not in f.__dict__
+    digits = np.zeros((4, 1, 64), dtype=np.uint8)
+    digits[1, 0, 0] = digits[2, 0, 63] = digits[3, 0, [0, 63]] = 1
+    assert list(f.eval_digit_matrix(digits)) == [1, -1, -1, 1]
 
 
 def test_json_roundtrip_is_exact_for_dyadic_coefficients():
