@@ -349,25 +349,62 @@ def save_point_set(ps: PointSet, fh) -> None:
     fh.write(body.tobytes().decode("ascii"))
 
 
-# Point lines load_point_set decodes at a time: its heap holds the digit
-# array and one block's strings, never a string per line of the file
+# Point lines load_point_set reads as one chunk of the layout save_point_set
+# writes: its heap holds the digit array and one chunk, never a string per
+# line of the file
 LOAD_BLOCK = 2 ** 11
+# Most characters one chunk is read as, whatever s and P the header claims
+MAX_LOAD_CHUNK = 2 ** 22
 
 
-def _decode_lines(lines: list[str], linenos: list[int], table: np.ndarray,
-                  b: int) -> bytes:
-    """The digit values, one byte each, of equally long lines of digit
-    characters; the first bad character is named with its line."""
-    text = "".join(lines)
+def _decode_block(chunk: str, s: int, p: int, table: bytes, b: int) -> bytes | None:
+    """The digit values, one byte each, of lines in exactly the layout
+    save_point_set writes, decoded as one array; None for any other text."""
+    width = s * (p + 1)
+    if not chunk.isascii() or len(chunk) % width:
+        return None
+    text = chunk.encode("ascii")
+    cells = np.frombuffer(text, dtype=np.uint8).reshape(-1, s, p + 1)
+    digits = np.frombuffer(text.translate(table), dtype=np.uint8).reshape(cells.shape)[:, :, :p]
+    if ((cells[:, :-1, p] == ord(" ")).all() and (cells[:, -1, p] == ord("\n")).all()
+            and digits.max() < b):
+        return digits.tobytes()
+    return None
+
+
+def _decode_lines(chunk: str, lineno: int, s: int, p: int, table: bytes, b: int) -> bytes:
+    """The digit values, one byte each, of the point lines of chunk, its
+    first line numbered lineno, read line by line: any whitespace separates
+    coordinates and blank lines are skipped.  A malformed line is named by
+    its number; the shape of each line is checked as it is read, and the
+    characters of the lines before a shape error are decoded before it is
+    raised, so it stands only if none of them holds a bad character."""
+    rows, linenos, shape_error = [], [], None
+    # lines end at "\n" alone, as file iteration ends them
+    for lineno, line in enumerate(chunk.removesuffix("\n").split("\n"), start=lineno):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != s:
+            shape_error = f"line {lineno}: expected {s} coordinates, got {len(parts)}"
+            break
+        width = next((len(part) for part in parts if len(part) != p), p)
+        if width != p:
+            shape_error = f"line {lineno}: expected {p} digits per coordinate, got {width}"
+            break
+        rows.append("".join(parts))
+        linenos.append(lineno)
+    text = "".join(rows)
     # "replace" encodes each character as one byte, a non-ASCII one as "?",
     # so byte i is character i of the text
-    digits = table[np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)]
-    bad = digits == 255
-    if bad.any():
-        i = int(bad.argmax())
-        raise ConfigurationError(f"line {linenos[i // len(lines[0])]}: invalid "
-                                 f"digit character {text[i]!r} for base {b}")
-    return digits.tobytes()
+    digits = text.encode("ascii", "replace").translate(table)
+    bad = digits.find(255)
+    if bad >= 0:
+        raise ConfigurationError(f"line {linenos[bad // (s * p)]}: invalid "
+                                 f"digit character {text[bad]!r} for base {b}")
+    if shape_error:
+        raise ConfigurationError(shape_error)
+    return digits
 
 
 def load_point_set(fh) -> PointSet:
@@ -385,32 +422,18 @@ def load_point_set(fh) -> PointSet:
             raise ConfigurationError(f"need s >= 1 and P >= 1, got s={s}, P={p}")
     except ValueError as exc:  # ConfigurationError is a ValueError too
         raise ConfigurationError(f"line 1: {exc}") from None
-    # the shape of each line is checked as it is read and its coordinates
-    # joined into one string; the characters are decoded a block of lines at
-    # a time and before a shape error is raised, so a shape error stands
-    # only if no earlier line holds a bad character
     table = np.full(256, 255, dtype=np.uint8)  # 255: not a digit of base b
     table[_CHAR_CODES[:b]] = np.arange(b)
-    digits, lines, linenos, shape_error = bytearray(), [], [], None
-    for lineno, line in enumerate(fh, start=2):
-        parts = line.split()
-        if not parts:
-            continue
-        if len(parts) != s:
-            shape_error = f"line {lineno}: expected {s} coordinates, got {len(parts)}"
-            break
-        width = next((len(part) for part in parts if len(part) != p), p)
-        if width != p:
-            shape_error = f"line {lineno}: expected {p} digits per coordinate, got {width}"
-            break
-        lines.append("".join(parts))
-        linenos.append(lineno)
-        if len(lines) == LOAD_BLOCK:
-            digits += _decode_lines(lines, linenos, table, b)
-            lines, linenos = [], []
-    digits += _decode_lines(lines, linenos, table, b)
-    if shape_error:
-        raise ConfigurationError(shape_error)
+    table = table.tobytes()
+    # a chunk of whole lines is decoded as one array when it is in the saved
+    # layout, else line by line; every chunk before it decoded cleanly
+    digits, lineno = bytearray(), 2
+    while chunk := fh.read(min(LOAD_BLOCK * s * (p + 1), MAX_LOAD_CHUNK)):
+        if not chunk.endswith("\n"):
+            chunk += fh.readline()
+        block = _decode_block(chunk, s, p, table, b)
+        digits += _decode_lines(chunk, lineno, s, p, table, b) if block is None else block
+        lineno += chunk.count("\n")
     if not digits:
         raise ConfigurationError("line 1: no point lines follow the header")
     digits = np.frombuffer(digits, dtype=np.uint8).reshape(-1, s, p)

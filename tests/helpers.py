@@ -33,8 +33,12 @@ def random_walsh_polynomial(
     """A sparse Walsh series with Gaussian-rational coefficients.
 
     Every index component stays below b^k_cap, so k_cap bounds the digit
-    lengths; root is left at 1 so every coefficient value is exact.
+    lengths; root is left at 1 so every coefficient value is exact.  More
+    terms than the b^(s k_cap) - 1 nonzero indices is a ValueError.
     """
+    if n_terms > b ** (s * k_cap) - 1:
+        raise ValueError(f"{n_terms} terms need more than the "
+                         f"{b ** (s * k_cap) - 1} nonzero indices below b^k_cap")
     zero = (0,) * s
     terms = {zero: Coefficient(random_rational(rng), random_rational(rng))}
     while len(terms) < n_terms + 1:

@@ -24,6 +24,7 @@ from netcov.nets import (
     save_point_set,
     verify_net,
 )
+from netcov.scramble import ScrambleSeed, owen_scramble
 
 
 def test_first_matrix_is_identity():
@@ -276,20 +277,53 @@ def test_generated_digits_match_matrix_arithmetic():
     ("3 1 2 0 2\n00 01\n12 1x\n20 22\n", "line 3: invalid digit character 'x'"),
     # CRLF line ends and tabs are whitespace like any other: the file loads
     ("2 1 2 0 1\r\n0\t1\r\n1 \t0\r\n", None),
+    # so are the characters str.split splits at and a file's lines do not
+    # end at
+    ("2 1 2 0 1\n0\x0b1\n1\x1c0\n", None),
+    ("2 1 2 0 1\n0\xa01\n1 0\n", None),
+    ("2 1 2 0 1\n0 1\n1 0", None),
+    # two points' width of characters, but one line
+    ("2 1 1 0 1\n0 1\n", "line 2: expected 1 coordinates, got 2"),
+    # at LOAD_BLOCK = 2 the bad line is in the second chunk
+    ("2 2 1 0 1\n0\n1\n0\n2\n", "line 5: invalid digit character '2'"),
+    # a P past any read size is named, not read
+    ("2 1 1 0 " + "9" * 30 + "\n0\n", f"line 2: expected {'9' * 30} digits"),
 ])
-def test_load_errors_name_the_line(text, line):
-    if line is None:
-        ps = load_point_set(io.StringIO(text))
-        assert ps.digits.tolist() == [[[0], [1]], [[1], [0]]]
-        return
-    with pytest.raises(ConfigurationError, match=re.escape(line)):
-        load_point_set(io.StringIO(text))
+def test_load_errors_name_the_line(text, line, monkeypatch):
+    # a file reads the same in one chunk as in chunks of 2 lines
+    for block in (nets.LOAD_BLOCK, 2):
+        monkeypatch.setattr(nets, "LOAD_BLOCK", block)
+        if line is None:
+            ps = load_point_set(io.StringIO(text))
+            assert ps.digits.tolist() == [[[0], [1]], [[1], [0]]]
+            continue
+        with pytest.raises(ConfigurationError, match=re.escape(line)):
+            load_point_set(io.StringIO(text))
+
+
+@pytest.mark.parametrize("block", [nets.LOAD_BLOCK, 3])
+def test_saved_files_load_as_whole_chunks(tmp_path, monkeypatch, block):
+    # the scrambled (2,10,2) net at 41 digits never reaches the line reader
+    ps = owen_scramble(faure_net(2, 10, 2), ScrambleSeed(9973))
+    path = tmp_path / "net.txt"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        save_point_set(ps, fh)
+
+    def refuse(*args):
+        raise AssertionError("a saved file was read line by line")
+    monkeypatch.setattr(nets, "_decode_lines", refuse)
+    monkeypatch.setattr(nets, "LOAD_BLOCK", block)
+    with open(path, encoding="utf-8") as fh:
+        back = load_point_set(fh)
+    assert ps.precision == 41
+    assert np.array_equal(back.digits, ps.digits)
 
 
 def test_loading_keeps_no_string_per_coordinate(tmp_path):
     # the 0.47 MiB file `net gen --base 2 --m 14 --s 2` writes: one string per
     # coordinate peaked at 4.2 MiB of Python heap, one per line at 1.9 MiB,
-    # one per line of a 2^11-line block at 0.87 MiB (0.44 MiB of digits)
+    # one per line of a 2^11-line block at 0.87 MiB, a 2^11-line chunk
+    # decoded as one array at 0.73 MiB (0.44 MiB of digits)
     path = tmp_path / "net.txt"
     with open(path, "w", encoding="utf-8") as fh:
         save_point_set(faure_net(2, 14, 2), fh)
@@ -301,7 +335,7 @@ def test_loading_keeps_no_string_per_coordinate(tmp_path):
     finally:
         tracemalloc.stop()
     assert ps.digits.shape == (2 ** 14, 2, 14)
-    assert peak < 1.25 * 2 ** 20
+    assert peak < 0.8 * 2 ** 20
 
 
 VALID = "2 2 2 0 2\n00 00\n10 11\n01 10\n11 01\n"
@@ -326,6 +360,35 @@ def test_save_then_load_round_trips(b, m, s, p, t, seed):
     back = load_point_set(io.StringIO(buf.getvalue()))
     assert (back.b, back.m, back.s, back.t) == (b, m, s, min(t, m))
     assert np.array_equal(back.digits, digits)
+
+
+# a saved file with one span replaced, as (b, m, s, P, seed, i, j, new)
+MUTATED = st.tuples(
+    st.sampled_from([(2, 0), (2, 3), (3, 2), (5, 1), (37, 1)]), st.integers(1, 3),
+    st.integers(1, 4), st.integers(0), st.integers(0, 400), st.integers(0, 400),
+    st.text("019azA \n\t\r\x0b\xa0éx", max_size=4))
+
+
+@given(MUTATED)
+def test_chunks_read_as_their_lines_read(case):
+    # a trailing space on every line sends each chunk to the line reader
+    (b, m), s, p, seed, i, j, new = case
+    digits = np.random.default_rng(seed).integers(0, b, (b ** m, s, p), dtype=np.uint8)
+    buf = io.StringIO()
+    save_point_set(PointSet(b=b, m=m, s=s, t=0, digits=digits), buf)
+    text = buf.getvalue()
+    text = text[:i] + new + text[max(i, j):]
+    spaced = text.replace("\n", " \n")
+
+    def load(text):
+        try:
+            return load_point_set(io.StringIO(text)).digits.tolist()
+        except ConfigurationError as exc:
+            return str(exc)
+    for block in (1, 2, 2 ** 11):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(nets, "LOAD_BLOCK", block)
+            assert load(text) == load(spaced)
 
 
 def test_generated_digits_do_not_depend_on_the_block_size(monkeypatch):

@@ -193,6 +193,14 @@ def test_orthonormality_on_dyadic_cells():
             assert total == (8 if k == l else 0)
 
 
+def test_random_series_refuse_more_terms_than_indices():
+    # b = 2, s = 2, k_cap = 2 leaves 2^4 - 1 = 15 nonzero indices
+    with pytest.raises(ValueError, match="15 nonzero indices"):
+        random_walsh_polynomial(random.Random(0), b=2, s=2, k_cap=2, n_terms=20)
+    f = random_walsh_polynomial(random.Random(0), b=2, s=2, k_cap=2, n_terms=15)
+    assert len(f.terms) == 16
+
+
 def test_parseval_on_the_digit_grid():
     rng = random.Random(4)
     f = random_walsh_polynomial(rng, b=2, s=2, k_cap=2, n_terms=5)
