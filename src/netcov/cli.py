@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .counting import common_digits, joint_pdf, pair_profile
-from .covkernel import cov_polynomial, horner, q_s_polynomial
+from .covkernel import cov_polynomial, q_s_polynomial
 from .digits import ConfigurationError, DigitPoint
 from .estimators import ExperimentConfig, run_experiment
 from .nets import faure_net, load_point_set, save_point_set, verify_net
@@ -44,32 +44,42 @@ FIGURE_PRESETS = {
 }
 
 
-def figure_scan(name: str, grid: Sequence[Fraction]) -> str:
+def figure_scan(name: str, grid: tuple[range, int]) -> str:
     """CSV of one preset sweep of the covariance polynomial scaled by
     1/(b^m - 1): one row per (swept value, grid x), fixed parameters
     recorded on the leading comment line."""
     vary, values, fixed = FIGURE_PRESETS[name]
     header = " ".join(f"{key}={val}" for key, val in fixed.items())
     lines = [f"# fixed: {header} scale=1/(b^m-1)", f"{vary},x,value"]
+    polys = []
     for val in values:
         params = {**fixed, vary: val}
         b, m = params["base"], params["m"]
         a = Fraction(b - 1, b) if params["a"] == CRITICAL else params["a"]
         poly = cov_polynomial(b, m, params["s"], a)
-        lines += _scan_rows(poly.x_numerators,
-                            poly.x_denominator * (b ** m - 1), grid, f"{val},")
-    return "\n".join(lines) + "\n"
+        polys.append((poly.x_numerators, poly.x_denominator * (b ** m - 1),
+                      f"{val},"))
+    return "\n".join(lines + _scan_rows(polys, grid)) + "\n"
 
 
-def _scan_rows(coeffs: Sequence[int], den: int, grid: Sequence[Fraction],
-               prefix: str = "") -> list[str]:
-    """CSV rows "x,value" of the integer polynomial coeffs over den > 0, each
-    float one correctly rounded int/int division, as float(Fraction) does."""
+def _scan_rows(polys: Sequence[tuple[Sequence[int], int, str]],
+               grid: tuple[range, int]) -> list[str]:
+    """CSV rows "<prefix>x,value" at the grid points p/q for each integer
+    polynomial (coeffs, den > 0, prefix) in polys.  The x labels are formatted
+    once; coefficients are scaled once to c_k q^(d-k), so a row is a Horner
+    pass in p and one int/int division, correctly rounded, reduced or not,
+    as float(Fraction) is."""
+    numerators, q = grid
+    labels = [f"{p / q!r}," for p in numerators]
     rows = []
-    for x in grid:
-        p, q = x.numerator, x.denominator
-        num, q_d = horner(coeffs, p, q)
-        rows.append(f"{prefix}{p / q!r},{num / (q_d * den)!r}")
+    for coeffs, den, prefix in polys:
+        lead, *rest = [c * q ** k for k, c in enumerate(reversed(coeffs))]
+        den *= q ** (len(coeffs) - 1)
+        for p, label in zip(numerators, labels):
+            num = lead
+            for c in rest:
+                num = num * p + c
+            rows.append(f"{prefix}{label}{num / den!r}")
     return rows
 
 
@@ -80,7 +90,9 @@ def _parse_fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
-def _parse_grid(text: str) -> tuple[Fraction, ...]:
+def _parse_grid(text: str) -> tuple[range, int]:
+    """lo:hi:step as (numerators, q): the points lo + i * step are p / q
+    over the one denominator q = lo.den * step.den, in lowest terms or not."""
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(
@@ -92,10 +104,8 @@ def _parse_grid(text: str) -> tuple[Fraction, ...]:
     if count > MAX_GRID_POINTS:
         raise argparse.ArgumentTypeError(
             f"grid {text!r} has {count} points, more than {MAX_GRID_POINTS}")
-    # lo + i * step over one common denominator: one gcd per point
     num, inc = lo.numerator * step.denominator, step.numerator * lo.denominator
-    den = lo.denominator * step.denominator
-    return tuple(Fraction(num + i * inc, den) for i in range(count))
+    return range(num, num + count * inc, inc), lo.denominator * step.denominator
 
 
 def _write(text: str, path: str | None) -> None:
@@ -181,17 +191,19 @@ def _cmd_covpoly(args) -> int:
         return 0
     den = poly.x_denominator * (args.base ** args.m - 1
                                 if args.scale == "inv-nm1" else 1)
-    lines = ["x,value", *_scan_rows(poly.x_numerators, den, args.x_grid)]
+    lines = ["x,value", *_scan_rows([(poly.x_numerators, den, "")], args.x_grid)]
     _write("\n".join(lines) + "\n", args.out)
     return 0
 
 
 def _cmd_qscan(args) -> int:
     coeffs = q_s_polynomial(args.base, args.m, args.s)
-    for x in args.x_grid:
-        if not 0 <= x.numerator <= x.denominator:
-            raise ConfigurationError(f"x must lie in [0,1], got {x}")
-    lines = ["x,value", *_scan_rows(coeffs, 1, args.x_grid)]
+    numerators, q = args.x_grid
+    for p in numerators:
+        if not 0 <= p <= q:
+            raise ConfigurationError(
+                f"x must lie in [0,1], got {Fraction(p, q)}")
+    lines = ["x,value", *_scan_rows([(coeffs, 1, "")], args.x_grid)]
     _write("\n".join(lines) + "\n", args.out)
     return 0
 

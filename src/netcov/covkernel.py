@@ -6,8 +6,8 @@ they induce under geometric shell decay, the regularized incomplete beta
 function for integer parameters, the nonpositivity witness Q_s with its
 telescoping difference, a four-term recurrence those values satisfy, and an
 independent hypergeometric-style assembly of the same quantity.  Floating
-point appears nowhere: scans evaluate integer polynomials with ``horner``
-and divide two integers once per row.
+point appears nowhere: the polynomials here have integer numerators, which
+the command-line scans evaluate in integers and divide once per row.
 """
 
 from __future__ import annotations
@@ -98,16 +98,21 @@ def horner(coeffs: Sequence[int], p: int, q: int) -> tuple[int, int]:
 class CovPolynomial:
     """Exact coefficients of the scaled covariance under shell decay
     sigma_k^2 = a^r (bx)^k alpha: value(x) * alpha / (b^m - 1) is the pair
-    covariance.  Stored on the (bx) monomial basis, powers 1 .. m+s-1, and
-    as integer x-basis numerators (constant term first) over x_denominator."""
+    covariance.  Stored as integer x-basis numerators (constant term first)
+    over x_denominator; the (bx) monomial basis is derived from them."""
 
     b: int
     m: int
     s: int
     a: Fraction
-    coeffs_bx: tuple[Fraction, ...]
     x_numerators: tuple[int, ...]
     x_denominator: int
+
+    @property
+    def coeffs_bx(self) -> tuple[Fraction, ...]:
+        """Coefficients on the (bx) monomial basis, powers 1 .. m+s-1."""
+        return tuple(Fraction(c, self.x_denominator * self.b ** k)
+                     for k, c in enumerate(self.x_numerators[1:], start=1))
 
     def x_coefficients(self) -> tuple[Fraction, ...]:
         """Coefficients on the plain x basis, constant term first."""
@@ -156,8 +161,10 @@ def cov_polynomial(b: int, m: int, s: int, a) -> CovPolynomial:
     nums = [sum(comb(k - 1, r - 1) * weight[r] * partial[r][r - max(k - m, 0)]
                 for r in range(max(k - m, 0) + 1, min(k, s) + 1))
             for k in range(1, m + s)]
+    # no tuple(generator): it resizes a 10-slot tuple, filling the free list
+    # of the final size, which scans make too few GC-tracked objects to empty
     return CovPolynomial(
-        b=b, m=m, s=s, a=a, coeffs_bx=tuple(Fraction(n, den) for n in nums),
+        b=b, m=m, s=s, a=a,
         x_numerators=(0, *(n * b ** k for k, n in enumerate(nums, start=1))),
         x_denominator=den)
 

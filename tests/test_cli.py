@@ -1,6 +1,7 @@
 """End-to-end command-line coverage, run in process."""
 
 import argparse
+import gc
 import json
 import os
 import subprocess
@@ -268,6 +269,30 @@ def test_qscan_refuses_x_outside_the_unit_interval(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_qscan_names_a_first_bad_x_below_zero(tmp_path, capsys):
+    out = tmp_path / "q.csv"
+    code, stdout, err = run(capsys, "qscan", "--base", "2", "--m", "1",
+                            "--s", "1", "--x-grid=-1/2:1:1/2", "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err == "error: x must lie in [0,1], got -1/2\n"
+    assert not out.exists()
+
+
+def test_a_grid_from_a_negative_lo_is_passed_with_an_equals_sign(capsys):
+    # argparse reads "-1:1:1/64" after a space as an option, not a value
+    argv = ["covpoly", "--base", "3", "--m", "2", "--s", "3", "--a", "2/3"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--x-grid", "-1:1:1/64"])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+    code, out, _ = run(capsys, *argv, "--x-grid=-1:1:1/64")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "x,value" and len(lines) == 1 + 129
+    assert [float(line.split(",")[0]) for line in lines[1:]] == \
+        [i / 64 for i in range(-64, 65)]
+
+
 def test_figure_scan_single_preset(tmp_path, capsys):
     out_dir = tmp_path / "figs"
     code, _, _ = run(capsys, "figure-scan", "--preset", "3a",
@@ -294,6 +319,20 @@ def test_figure_scan_emits_all_presets(tmp_path, capsys):
     names = sorted(p.name for p in out_dir.iterdir())
     assert names == ["fig3a.csv", "fig3b.csv", "fig3c.csv", "fig4.csv",
                      "fig5a.csv", "fig5b.csv", "fig5c.csv"]
+
+
+def test_figure_scans_do_not_fill_the_tuple_free_lists():
+    # a scan makes few GC-tracked objects, so no full collection runs to
+    # empty CPython's per-size tuple free lists: tuple(generator), once per
+    # swept value, grew them by 4,688 blocks over these 300 sweeps; without
+    # it about 190 blocks stay, however many sweeps run
+    grid = cli._parse_grid("0:1:1/100")
+    cli.figure_scan("3b", grid)
+    gc.collect()
+    before = sys.getallocatedblocks()
+    for _ in range(300):
+        cli.figure_scan("3b", grid)
+    assert sys.getallocatedblocks() - before < 1000
 
 
 def test_simulate_report_and_trace(tmp_path, capsys):
@@ -372,8 +411,8 @@ def test_grid_size_is_capped_before_it_is_built(capsys):
                   "--x-grid", "0:1:1/1000000000"])
     assert exc.value.code == 2
     assert "more than 100000" in capsys.readouterr().err
-    assert len(cli._parse_grid(f"0:{cli.MAX_GRID_POINTS - 1}:1")) \
-        == cli.MAX_GRID_POINTS
+    numerators, _ = cli._parse_grid(f"0:{cli.MAX_GRID_POINTS - 1}:1")
+    assert len(numerators) == cli.MAX_GRID_POINTS
     with pytest.raises(argparse.ArgumentTypeError):
         cli._parse_grid(f"0:{cli.MAX_GRID_POINTS}:1")
 

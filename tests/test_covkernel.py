@@ -8,6 +8,8 @@ telescoping, the recurrence against both solution families, and the
 hypergeometric assembly against the direct witness.
 """
 
+import contextlib
+import io
 import random
 from fractions import Fraction
 from itertools import product
@@ -218,10 +220,50 @@ def test_scan_values_are_the_exact_value_rounded_once(poly, p, q, unreduce,
     assert q_d > 0
     assert Fraction(num, q_d * den) == exact
     assert repr(num / (q_d * den)) == repr(float(exact))
-    row = cli._scan_rows(coeffs, den, [x], "v,")
+    # a one-point grid whose denominator |unreduce| * q is not in lowest
+    # terms
+    grid = cli._parse_grid(f"{x}:{x}:1/{abs(unreduce)}")
+    row = cli._scan_rows([(coeffs, den, "v,")], grid)
     assert row == [f"v,{float(x)!r},{float(exact)!r}"]
     if exact == 0:
         assert row[0].endswith(",0.0")
+
+
+@settings(max_examples=200, deadline=None)
+@given(b=st.sampled_from([2, 3, 5, 53]), m=st.integers(1, 6),
+       s=st.integers(1, 6), a=st.fractions(0, 1, max_denominator=16),
+       lo=st.tuples(st.integers(-40, 40), st.integers(1, 12)),
+       step=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+       unreduce=st.integers(1, 4), points=st.integers(1, 12),
+       slack=st.fractions(0, 1, max_denominator=8).filter(lambda f: f < 1),
+       scale=st.sampled_from(["none", "inv-nm1"]))
+@example(b=53, m=6, s=6, a=Fraction(52, 53), lo=(-7, 3), step=(2, 4),
+         unreduce=3, points=1, slack=Fraction(1, 2), scale="inv-nm1")
+def test_covpoly_grid_rows_are_the_reference_rounded_once(
+        b, m, s, a, lo, step, unreduce, points, slack, scale):
+    # lo and step written unreduced, lo possibly negative, the grid often
+    # holding fewer points than the degree plus one; every row against the
+    # shell-by-shell Fraction reference
+    lo_text = f"{lo[0] * unreduce}/{lo[1] * unreduce}"
+    step_text = f"{step[0] * unreduce}/{step[1] * unreduce}"
+    lo, step = Fraction(*lo), Fraction(*step)
+    hi = lo + (points - 1 + slack) * step
+    reference = cov_polynomial_reference(b, m, s, a)
+    divisor = b ** m - 1 if scale == "inv-nm1" else 1
+    expected = ["x,value"]
+    for i in range(points):
+        x = lo + i * step
+        exact = sum((cf * (b * x) ** k for k, cf in enumerate(reference, 1)),
+                    Fraction(0)) / divisor
+        expected.append(f"{float(x)!r},{float(exact)!r}")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["covpoly", "--base", str(b), "--m", str(m),
+                         "--s", str(s), "--a", str(a),
+                         f"--x-grid={lo_text}:{hi}:{step_text}",
+                         "--scale", scale])
+    assert code == 0
+    assert out.getvalue() == "\n".join(expected) + "\n"
 
 
 def test_cov_polynomial_validation():
