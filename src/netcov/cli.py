@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .counting import common_digits, joint_pdf, pair_profile
-from .covkernel import cov_polynomial, q_s_polynomial
+from .covkernel import cov_polynomial, horner, q_s_polynomial
 from .digits import ConfigurationError, DigitPoint
 from .estimators import ExperimentConfig, run_experiment
 from .nets import faure_net, load_point_set, save_point_set, verify_net
@@ -66,20 +66,16 @@ def _scan_rows(polys: Sequence[tuple[Sequence[int], int, str]],
                grid: tuple[range, int]) -> list[str]:
     """CSV rows "<prefix>x,value" at the grid points p/q for each integer
     polynomial (coeffs, den > 0, prefix) in polys.  The x labels are formatted
-    once; coefficients are scaled once to c_k q^(d-k), so a row is a Horner
-    pass in p and one int/int division, correctly rounded, reduced or not,
+    once; a value is one int/int division, correctly rounded, reduced or not,
     as float(Fraction) is."""
     numerators, q = grid
     labels = [f"{p / q!r}," for p in numerators]
     rows = []
     for coeffs, den, prefix in polys:
-        lead, *rest = [c * q ** k for k, c in enumerate(reversed(coeffs))]
-        den *= q ** (len(coeffs) - 1)
-        for p, label in zip(numerators, labels):
-            num = lead
-            for c in rest:
-                num = num * p + c
-            rows.append(f"{prefix}{label}{num / den!r}")
+        nums, q_d = horner(coeffs, numerators, q)
+        den *= q_d
+        rows += [f"{prefix}{label}{num / den!r}"
+                 for label, num in zip(labels, nums)]
     return rows
 
 

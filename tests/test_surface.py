@@ -1,6 +1,7 @@
 """The public surface of ``src/netcov``: every public function, class and
-method is used by the package or the benchmark, and README's library
-example runs as written."""
+method is used by the package or the benchmark, the package's
+``__init__`` re-exports nothing, and README's library example runs as
+written."""
 
 import ast
 import glob
@@ -57,6 +58,15 @@ def test_every_public_name_has_a_caller():
     unused = {name for path in modules for name in _public_names(path)
               if name not in used}
     assert unused == set(KEEP)
+
+
+def test_package_init_imports_nothing():
+    # each name has one home, the module that defines it
+    with open(os.path.join(SRC, "__init__.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imports = [node.lineno for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert imports == []
 
 
 def test_readme_library_example_runs():
