@@ -117,6 +117,31 @@ def test_simulate_decay_runs_are_pinned(tmp_path, capsys, b, m, s, k_max, R,
     assert sha256(trace.read_bytes()) == trace_digest
 
 
+@pytest.mark.parametrize("b,m,s,k_max,x,alpha,R,report_digest,trace_digest", [
+    # alpha != 1: one root per total length, each with an irrational square root
+    (3, 2, 2, 3, "1/5", "2/3", 30,
+     "6e238abd36b5e38c51f661a4119e82c1220b7fab8ada5d0bf2498a9cae71dcfe",
+     "15bee8d9a3a9f314961cad2e380f96a5d585b4e18a8c5c6cd9ccfd4e8debda14"),
+    (2, 3, 2, 4, "1/3", "5/3", 40,
+     "da4068c0e83f46b069cb055c35681a262fe651d1bc9a06a0cb5c65ff2924a48d",
+     "23cd10f4d938eaf365fe59cc83af1d3d6802325b524a61e22565ae1ca432fbe3"),
+], ids=["3-2-2-R30", "2-3-2-R40"])
+def test_simulate_per_index_runs_are_pinned(tmp_path, capsys, b, m, s, k_max,
+                                            x, alpha, R, report_digest,
+                                            trace_digest):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "b": b, "m": m, "s": s, "R": R,
+        "function": {"kind": "decay", "decay": "per-index", "x": x,
+                     "alpha": alpha, "k_max": k_max, "seed": 9},
+    }), encoding="utf-8")
+    report, trace = tmp_path / "report.json", tmp_path / "trace.csv"
+    run(capsys, "--seed", "13", "simulate", "--config", str(config),
+        "--out", str(report), "--trace", str(trace))
+    assert sha256(report.read_bytes()) == report_digest
+    assert sha256(trace.read_bytes()) == trace_digest
+
+
 def test_simulate_wal_run_is_pinned(tmp_path, capsys):
     # one term and 9 points a replication: thousands of replications share
     # an evaluation chunk
