@@ -20,6 +20,15 @@ from typing import Callable, Iterable, Sequence
 
 from .digits import ConfigurationError, validate_base
 
+# Most m + s the polynomial builders accept: at 512 a build takes under a
+# second, and the builders' work grows faster than the square of m + s
+MAX_ORDER = 2 ** 9
+
+
+def _check_order(m: int, s: int) -> None:
+    if m + s > MAX_ORDER:
+        raise ConfigurationError(f"m + s = {m + s} is more than {MAX_ORDER}")
+
 
 def _support_size(b: int, k: Sequence[int]) -> int:
     """r, the number of occupied coordinates of a nonzero shell k."""
@@ -152,6 +161,7 @@ def cov_polynomial(b: int, m: int, s: int, a) -> CovPolynomial:
     validate_base(b)
     if m < 1 or s < 1:
         raise ConfigurationError("need m >= 1 and s >= 1")
+    _check_order(m, s)
     a = Fraction(a)
     if not 0 <= a <= 1:
         raise ConfigurationError(f"decay weight a must lie in [0,1], got {a}")
@@ -251,6 +261,7 @@ def q_s_polynomial(b: int, m: int, s: int) -> tuple[int, ...]:
     validate_base(b)
     if m < 1 or s < 0:
         raise ConfigurationError("need m >= 1 and s >= 0")
+    _check_order(m, s)
     top = m + s
     acc = [1]
     power = [1]  # (1-x)^(top-j); (1-x)^s once the head is done

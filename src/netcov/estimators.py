@@ -23,11 +23,13 @@ from .digits import (
     ConfigurationError, json_field, json_index, json_integer, json_object, json_rational)
 from .nets import check_net_shape, faure_net
 from .scramble import replicate_blocks
-from .walsh import Coefficient, WalshPolynomial, random_decay_polynomial
+from .walsh import Coefficient, WalshPolynomial, fraction_sum, random_decay_polynomial
 
 # Points x terms evaluated at once: whole replications, so a chunk's
 # temporaries stay small enough to be reused rather than page-faulted in
 CHUNK_ENTRIES = 2 ** 14
+# Most points (R x b^m) one experiment scrambles: about half a minute's work
+MAX_POINTS = 2 ** 24
 
 
 def build_function(b: int, s: int, spec: Mapping) -> WalshPolynomial:
@@ -43,11 +45,8 @@ def build_function(b: int, s: int, spec: Mapping) -> WalshPolynomial:
         l = json_field(spec, "l", "function", json_index)
         if len(l) != s:
             raise ConfigurationError(f"index {l} has wrong dimension for s={s}")
-        return WalshPolynomial(
-            b=b, s=s,
-            terms={l: Coefficient(Fraction(1), Fraction(0))},
-            metadata={"kind": "wal", "l": list(l)},
-        )
+        return WalshPolynomial(b=b, s=s, terms={l: Coefficient(Fraction(1), Fraction(0))},
+                               metadata={"kind": "wal", "l": list(l)})
     if kind == "decay":
         return random_decay_polynomial(
             b=b, s=s,
@@ -83,6 +82,9 @@ class ExperimentConfig:
             raise ConfigurationError(f"need at least 2 replications, got {self.R}")
         # refused before the function is built: a decay function spans s
         check_net_shape(self.b, self.m, self.s, self.precision)
+        if self.R * self.b ** self.m > MAX_POINTS:
+            raise ConfigurationError(f"R={self.R} replications of {self.b}^{self.m} "
+                                     f"points are more than {MAX_POINTS} points")
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "ExperimentConfig":
@@ -118,13 +120,9 @@ class ExperimentReport:
         return {
             "b": cfg.b, "m": cfg.m, "s": cfg.s, "n": self.n,
             "R": cfg.R, "seed": cfg.seed, "precision": self.precision,
-            "integral_re": self.integral.real,
-            "integral_im": self.integral.imag,
-            "est_mean_re": self.est_mean.real,
-            "est_mean_im": self.est_mean.imag,
-            "est_var": self.est_var,
-            "cov_emp": self.cov_emp,
-            "cov_se": self.cov_se,
+            "integral_re": self.integral.real, "integral_im": self.integral.imag,
+            "est_mean_re": self.est_mean.real, "est_mean_im": self.est_mean.imag,
+            "est_var": self.est_var, "cov_emp": self.cov_emp, "cov_se": self.cov_se,
             "cov_analytic": str(self.cov_analytic),
             "cov_analytic_float": float(self.cov_analytic),
             "var_mc_analytic": str(self.var_mc_analytic),
@@ -142,28 +140,27 @@ def _class_kernels(f: WalshPolynomial, b: int, m: int):
     """(summed shell weight, psi_hat) for every (r, max(|k| - m, 0)) class
     of f's nonzero shells: the t = 0 kernel depends on a shell only through
     that pair, so the first shell of a class stands for the whole class."""
-    classes: dict[tuple[int, int], tuple[tuple[int, ...], Fraction]] = {}
+    classes: dict[tuple[int, int], tuple[tuple[int, ...], list]] = {}
     for k_vec, weight in f.shells().items():
         if any(k_vec):
             key = (sum(1 for kj in k_vec if kj), max(sum(k_vec) - m, 0))
-            shell, total = classes.get(key, (k_vec, 0))
-            classes[key] = (shell, total + weight)
-    for shell, total in classes.values():
-        yield total, psi_hat_zero_t(b, m, shell)
+            classes.setdefault(key, (k_vec, []))[1].append(weight.as_integer_ratio())
+    for shell, weights in classes.values():
+        yield fraction_sum(weights), psi_hat_zero_t(b, m, shell)
 
 
 def analytic_covariance(f: WalshPolynomial, b: int, m: int) -> Fraction:
     """Exact pair covariance of f over one scrambled t = 0 net, summed per
-    kernel class: weight times psi_hat."""
-    return sum((w * psi for w, psi in _class_kernels(f, b, m)), Fraction(0))
+    kernel class in integers: weight times psi_hat."""
+    return fraction_sum([(w * psi).as_integer_ratio() for w, psi in _class_kernels(f, b, m)])
 
 
 def analytic_variance(f: WalshPolynomial, b: int, m: int) -> Fraction:
-    """Exact estimator variance, assembled per kernel class: each class of
-    nonzero shells contributes its weight times (1 + (n-1) psi_hat)/n."""
+    """Exact estimator variance, summed per kernel class in integers: each
+    class of nonzero shells contributes its weight times (1 + (n-1) psi_hat)/n."""
     n = b ** m
-    return sum((w * (1 + (n - 1) * psi) / n for w, psi in _class_kernels(f, b, m)),
-               Fraction(0))
+    return fraction_sum([(w * (1 + (n - 1) * psi) / n).as_integer_ratio()
+                         for w, psi in _class_kernels(f, b, m)])
 
 
 def _abs2(z: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
@@ -65,16 +65,15 @@ class Coefficient:
     root: Fraction = Fraction(1)
 
     def __post_init__(self):
-        if self.root < 0:
+        if self.root.numerator < 0:
             raise ConfigurationError("coefficient root factor must be >= 0")
 
     def weight_parts(self) -> tuple[int, int]:
         """|coefficient|^2 as an unreduced (numerator, denominator) pair of
         integers."""
-        re, im, root = self.re, self.im, self.root
-        return ((re.numerator ** 2 * im.denominator ** 2
-                 + im.numerator ** 2 * re.denominator ** 2) * root.numerator,
-                (re.denominator * im.denominator) ** 2 * root.denominator)
+        (rn, rd), (i_n, i_d) = self.re.as_integer_ratio(), self.im.as_integer_ratio()
+        root_n, root_d = self.root.as_integer_ratio()
+        return (rn * rn * i_d * i_d + i_n * i_n * rd * rd) * root_n, (rd * i_d) ** 2 * root_d
 
     @property
     def weight(self) -> Fraction:
@@ -103,11 +102,7 @@ def index_digits(b: int, l: int, length: int | None = None) -> tuple[int, ...]:
     length = k if length is None else length
     if length < k:
         raise ConfigurationError(f"{l} does not fit in {length} base-{b} digits")
-    out = []
-    for _ in range(length):
-        out.append(l % b)
-        l //= b
-    return tuple(out)
+    return tuple(l // b ** i % b for i in range(length))
 
 
 def shell_of(b: int, l: Sequence[int]) -> tuple[int, ...]:
@@ -126,10 +121,7 @@ def wal_exponent(b: int, l: int, digits: Sequence[int]) -> int:
         raise PrecisionError(
             f"index {l} needs {need} digits, point has only {len(digits)}"
         )
-    e = 0
-    for lam, xi in zip(index_digits(b, l), digits):
-        e += lam * xi
-    return e % b
+    return sum(lam * xi for lam, xi in zip(index_digits(b, l), digits)) % b
 
 
 def wal_exponent_vector(b: int, l: Sequence[int], x: DigitPoint) -> int:
@@ -155,12 +147,7 @@ def index_add(b: int, k: int, l: int) -> int:
     """Digitwise sum mod b of two indices (the group operation under which
     wal_k * wal_l = wal_{k (+) l})."""
     length = max(digit_length(b, k), digit_length(b, l))
-    out = 0
-    for pos in range(length - 1, -1, -1):
-        dk = (k // b ** pos) % b
-        dl = (l // b ** pos) % b
-        out = out * b + (dk + dl) % b
-    return out
+    return sum((k // b ** p + l // b ** p) % b * b ** p for p in range(length))
 
 
 def shell_size(b: int, k_vec: Sequence[int]) -> int:
@@ -170,13 +157,24 @@ def shell_size(b: int, k_vec: Sequence[int]) -> int:
     return size
 
 
+def _digit_ranges(b: int, k_vec: Sequence[int]) -> list[range]:
+    """The values of each index component in the shell k_vec."""
+    return [range(b ** (kj - 1), b ** kj) if kj else range(1) for kj in k_vec]
+
+
 def enumerate_L_k(b: int, k_vec: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """All indices whose per-coordinate digit lengths equal k_vec."""
     validate_base(b)
     if any(kj < 0 for kj in k_vec):
         raise ConfigurationError(f"length components must be >= 0, got {tuple(k_vec)}")
-    return tuple(product(*(range(0, 1) if kj == 0 else range(b ** (kj - 1), b ** kj)
-                           for kj in k_vec)))
+    return tuple(product(*_digit_ranges(b, k_vec)))
+
+
+def fraction_sum(parts: Sequence[tuple[int, int]]) -> Fraction:
+    """The sum of (numerator, denominator > 0) integer pairs as one Fraction,
+    over their least common denominator: one gcd in all."""
+    den = math.lcm(*(d for _, d in parts))
+    return Fraction(sum(num * (den // d) for num, d in parts), den)
 
 
 @dataclass(frozen=True)
@@ -197,7 +195,7 @@ class WalshPolynomial:
         for l in self.terms:
             if len(l) != self.s:
                 raise ConfigurationError(f"index {l} has wrong dimension")
-            if any(c < 0 for c in l):
+            if min(l, default=0) < 0:
                 raise ConfigurationError(f"index {l} has negative components")
 
     def coefficient(self, l: Sequence[int]) -> Coefficient:
@@ -216,17 +214,14 @@ class WalshPolynomial:
         parts: dict[tuple[int, ...], list[tuple[int, int]]] = {}
         for l, coef in self.terms.items():
             parts.setdefault(shell_of(self.b, l), []).append(coef.weight_parts())
-        out = {}
-        for k, pairs in parts.items():
-            den = math.lcm(*(d for _, d in pairs))
-            out[k] = Fraction(sum(num * (den // d) for num, d in pairs), den)
-        return MappingProxyType(out)
+        return MappingProxyType({k: fraction_sum(p) for k, p in parts.items()})
 
     def variance_mc(self, n: int) -> Fraction:
         """Single-replication Monte-Carlo variance of the sample mean of n
         i.i.d. uniform evaluations: the weight off the zero shell, which
         holds only the constant index."""
-        return sum((w for k, w in self.shells().items() if any(k)), Fraction(0)) / n
+        return fraction_sum([(w.numerator, w.denominator * n)
+                             for k, w in self.shells().items() if any(k)])
 
     def covariance_analytic(
             self, psi_hat: Callable[[tuple[int, ...]], Fraction]) -> Fraction:
@@ -241,11 +236,8 @@ class WalshPolynomial:
         return max((kj for k in self.shells() for kj in k), default=0)
 
     def eval_point(self, x: DigitPoint) -> complex:
-        total = 0j
-        for l, coef in self.terms.items():
-            e = wal_exponent_vector(self.b, l, x)
-            total += coef.to_complex() * root_of_unity(self.b, e)
-        return total
+        return sum((coef.to_complex() * wal_eval(self.b, l, x)
+                    for l, coef in self.terms.items()), 0j)
 
     @functools.cached_property
     def _plan(self):
@@ -254,25 +246,36 @@ class WalshPolynomial:
         need reducing), terms in sorted order, need = max_digit_length().
 
         The exponent tables, of shape (s, b^need, terms), hold each
-        coordinate's partial exponents indexed by the value of its first
-        need digits, so a point's exponents are s table rows added; they
-        are None when empty or past MAX_EXPONENT_TABLE entries, and the
-        exponents then come from the digit product.  The root table is
-        indexed by the unreduced exponent, which is at most
-        s * need * (b-1)^2, unless that table would pass MAX_ROOT_TABLE
-        entries; then it holds the b roots."""
+        coordinate's partial exponents by the value of its first need
+        digits, so a point's exponents are s table rows added; past
+        MAX_EXPONENT_TABLE entries they are None and the exponents come from
+        the digit product.  The root table is indexed by the unreduced
+        exponent, at most s * need * (b-1)^2, or past MAX_ROOT_TABLE entries
+        holds the b roots."""
         b, s, need = self.b, self.s, self.max_digit_length()
         ls = sorted(self.terms)
-        # object dtype: index components of 2^63 and above divide exactly
-        comps = np.array(ls, dtype=object).reshape(len(ls), s, 1)
-        place = np.array([b ** d for d in range(need)], dtype=object)
+        # object dtype past int64: components of 2^63 and above divide exactly
+        dtype = np.int64 if b ** need < 2 ** 63 else object
+        comps = np.array(ls, dtype=dtype).reshape(len(ls), s, 1)
+        place = np.array([b ** d for d in range(need)], dtype=dtype)
         lam = (comps // place % b).astype(np.int64).reshape(len(ls), s * need).T
         tables = None
         if 0 < s * b ** need * len(ls) <= MAX_EXPONENT_TABLE:
             cell_digits = np.arange(b ** need)[:, None] // b ** np.arange(need) % b
-            tables = cell_digits @ lam.reshape(s, need, len(ls))
-        coefs = np.array([self.terms[l].to_complex() for l in ls],
-                         dtype=np.complex128)
+            # a float64 product through BLAS, exact: each sum is below 2^53
+            tables = (cell_digits @ lam.reshape(s, need, len(ls)).astype(float)
+                      ).astype(np.int64)
+        # Coefficient.to_complex term for term, with one square root per
+        # distinct root; n / d rounds once, as float() of a Fraction does
+        scales: dict[tuple[int, int], float] = {}
+        values = []
+        for c in map(self.terms.__getitem__, ls):
+            key = c.root.as_integer_ratio()
+            scale = scales[key] if key in scales else scales.setdefault(
+                key, math.sqrt(key[0] / key[1]))
+            (rn, rd), (i_n, i_d) = c.re.as_integer_ratio(), c.im.as_integer_ratio()
+            values.append(complex(rn / rd * scale, i_n / i_d * scale))
+        coefs = np.array(values, dtype=np.complex128)
         roots = np.array([root_of_unity(b, e) for e in range(b)], dtype=np.complex128)
         size = s * need * (b - 1) ** 2 + 1
         reduce = size > MAX_ROOT_TABLE
@@ -357,15 +360,14 @@ def _pythagorean_phase(rng: random.Random) -> tuple[Fraction, Fraction]:
 
 def _sample_shell(b: int, k_vec: tuple[int, ...],
                   rng: random.Random) -> list[tuple[int, ...]]:
+    ranges = _digit_ranges(b, k_vec)
     if shell_size(b, k_vec) <= SHELL_SUPPORT_CAP:
-        return list(enumerate_L_k(b, k_vec))
+        return list(product(*ranges))
     chosen: set[tuple[int, ...]] = set()
     while len(chosen) < SHELL_SUPPORT_CAP:
-        l = tuple(
-            0 if kj == 0 else rng.randrange(b ** (kj - 1), b ** kj)
-            for kj in k_vec
-        )
-        chosen.add(l)
+        # a zero component (range(1)) takes no draw
+        chosen.add(tuple(rng.randrange(rg.start, rg.stop) if rg.start else 0
+                         for rg in ranges))
     return sorted(chosen)
 
 
@@ -392,8 +394,7 @@ def random_decay_polynomial(
     any covariance statement consumes.
     """
     validate_base(b)
-    x = Fraction(x)
-    alpha = Fraction(alpha)
+    x, alpha = Fraction(x), Fraction(alpha)
     if alpha <= 0:
         raise ConfigurationError(f"alpha must be positive, got {alpha}")
     if not 0 <= x < Fraction(1, b):
@@ -409,32 +410,31 @@ def random_decay_polynomial(
         if not 0 <= a <= 1:
             raise ConfigurationError(f"a must lie in [0,1], got {a}")
     zero = (0,) * s
-    count = 1  # the constant term
-    for k_vec in length_vectors(s, k_max):
-        if k_vec != zero:
-            size = shell_size(b, k_vec)
-            count += size if kind == "per-index" else min(size, SHELL_SUPPORT_CAP)
-            if count > MAX_TERMS:
-                raise ConfigurationError(
-                    f"{kind} decay up to k_max={k_max} spans at least {count} "
-                    f"terms, more than {MAX_TERMS}")
+    # the terms counted, the constant first, stopping past MAX_TERMS
+    sizes = (shell_size(b, k) if kind == "per-index" else min(shell_size(b, k),
+             SHELL_SUPPORT_CAP) for k in length_vectors(s, k_max) if k != zero)
+    count = next((c for c in accumulate(sizes, initial=1) if c > MAX_TERMS), None)
+    if count is not None:
+        raise ConfigurationError(f"{kind} decay up to k_max={k_max} spans at least "
+                                 f"{count} terms, more than {MAX_TERMS}")
     rng = random.Random(seed)
-    terms: dict[tuple[int, ...], Coefficient] = {}
-    terms[zero] = Coefficient(Fraction(1), Fraction(0), root=alpha)
+    terms = {zero: Coefficient(Fraction(1), Fraction(0), root=alpha)}
     for k_vec in length_vectors(s, k_max):
         if k_vec == zero:
             continue
+        # each shell weight is one Fraction of integer parts
         k = sum(k_vec)
-        r = sum(1 for kj in k_vec if kj > 0)
         if kind == "per-index":
-            w = x ** k * alpha
-            support = enumerate_L_k(b, k_vec)
+            support = product(*_digit_ranges(b, k_vec))
+            num, den = x.numerator ** k, x.denominator ** k
         else:
-            total = a ** r * (b * x) ** k * alpha
             support = _sample_shell(b, k_vec, rng)
-            w = total / len(support)
-        if w == 0:
+            r = sum(1 for kj in k_vec if kj)
+            num = a.numerator ** r * (b * x.numerator) ** k
+            den = a.denominator ** r * x.denominator ** k * len(support)
+        if num == 0:
             continue
+        w = Fraction(num * alpha.numerator, den * alpha.denominator)
         for l in support:
             c, s_ = _pythagorean_phase(rng)
             terms[l] = Coefficient(c, s_, root=w)

@@ -4,6 +4,7 @@ The centerpiece is GammaGrid, an independent oracle for the pair covariance:
 it integrates (psi - 1) f(x) conj(f(y)) over the full digit grid in exact
 rational arithmetic, never touching the coefficient-space shortcut it is
 meant to check.  The rest is small: random rational Walsh series, the
+first-written decay-function builder and its per-term shell sums, the
 shell-by-shell Fraction sum of the covariance polynomial, an integer sign
 scan for dense polynomial grids, the chi-square tail, and the rerun policy
 for statistical gates.
@@ -20,7 +21,9 @@ import numpy as np
 
 from netcov.counting import joint_pdf_closed_form
 from netcov.covkernel import Psi
-from netcov.walsh import Coefficient, WalshPolynomial, index_digits
+from netcov.digits import length_vectors
+from netcov.walsh import (
+    Coefficient, WalshPolynomial, enumerate_L_k, index_digits, shell_of, shell_size)
 
 
 def random_rational(rng: random.Random, num_abs: int = 8, den_max: int = 4) -> Fraction:
@@ -47,6 +50,59 @@ def random_walsh_polynomial(
             continue
         terms[l] = Coefficient(random_rational(rng), random_rational(rng))
     return WalshPolynomial(b=b, s=s, terms=terms)
+
+
+def decay_polynomial_reference(b: int, s: int, kind: str, a, x, alpha, k_max: int,
+                               seed: int, cap: int) -> WalshPolynomial:
+    """random_decay_polynomial as it was first written, for its rewrite to
+    match term for term: each shell weight a chain of Fraction operations,
+    each support from the enumerated shell, the same random draws in the
+    same order, at most cap indices per shell.  Inputs are assumed valid."""
+    rng = random.Random(seed)
+    zero = (0,) * s
+    terms = {zero: Coefficient(Fraction(1), Fraction(0), root=alpha)}
+    for k_vec in length_vectors(s, k_max):
+        if k_vec == zero:
+            continue
+        k, r = sum(k_vec), sum(1 for kj in k_vec if kj > 0)
+        if kind == "per-index":
+            w = x ** k * alpha
+            support = enumerate_L_k(b, k_vec)
+        else:
+            total = a ** r * (b * x) ** k * alpha
+            if shell_size(b, k_vec) <= cap:
+                support = enumerate_L_k(b, k_vec)
+            else:
+                chosen = set()
+                while len(chosen) < cap:
+                    chosen.add(tuple(0 if kj == 0 else rng.randrange(b ** (kj - 1), b ** kj)
+                                     for kj in k_vec))
+                support = sorted(chosen)
+            w = total / len(support)
+        if w == 0:
+            continue
+        for l in support:
+            p, q = rng.randint(-12, 12), rng.randint(1, 12)
+            c, sn = Fraction(q * q - p * p, q * q + p * p), Fraction(2 * p * q, q * q + p * p)
+            if rng.random() < 0.5:
+                c, sn = sn, c
+            if rng.random() < 0.5:
+                c = -c
+            terms[l] = Coefficient(c, sn, root=w)
+    meta = {"kind": kind, "x": str(x), "alpha": str(alpha), "k_max": k_max, "seed": seed}
+    if kind == "per-shell":
+        meta["a"] = str(a)
+    return WalshPolynomial(b=b, s=s, terms=terms, metadata=meta)
+
+
+def shells_reference(f: WalshPolynomial) -> dict[tuple[int, ...], Fraction]:
+    """Squared coefficient mass per shell, one Fraction addition a term, in
+    the terms' order."""
+    out: dict[tuple[int, ...], Fraction] = {}
+    for l, c in f.terms.items():
+        k = shell_of(f.b, l)
+        out[k] = out.get(k, Fraction(0)) + (c.re ** 2 + c.im ** 2) * c.root
+    return out
 
 
 class GammaGrid:

@@ -573,7 +573,11 @@ def test_simulate_decay_past_the_term_cap_is_refused_at_once(
     ({"s": 3000}, "this construction needs s <= b, got s=3000 > b=2"),
     ({"s": 10 ** 12}, "this construction needs s <= b"),
     ({"m": 40}, "more than 16777216 digits"),
-], ids=["no-a", "negative-k_max", "negative-s", "s-past-b", "huge-s", "huge-m"])
+    # ran until killed before MAX_POINTS
+    ({"R": 10 ** 12}, "R=1000000000000 replications of 2^2 points are more "
+                      "than 16777216 points"),
+], ids=["no-a", "negative-k_max", "negative-s", "s-past-b", "huge-s", "huge-m",
+        "huge-R"])
 def test_simulate_refuses_a_bad_decay_or_net_shape_at_once(
         tmp_path, capsys, edit, message):
     config = tmp_path / "cfg.json"
@@ -585,6 +589,22 @@ def test_simulate_refuses_a_bad_decay_or_net_shape_at_once(
     assert time.perf_counter() - t0 < 0.5
     assert code == 2
     assert message in err
+
+
+@pytest.mark.parametrize("command,m,s", [
+    ("covpoly", 10 ** 8, 3), ("covpoly", 3, 10 ** 8),
+    ("qscan", 10 ** 8, 3), ("qscan", 3, 10 ** 8),
+])
+def test_polynomials_past_the_order_cap_are_refused_at_once(capsys, command,
+                                                            m, s):
+    # these ran until killed before MAX_ORDER
+    extra = ["--a", "1/2"] if command == "covpoly" else ["--x-grid", "0:1:1/10"]
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, command, "--base", "2", "--m", str(m),
+                       "--s", str(s), *extra)
+    assert time.perf_counter() - t0 < 0.5
+    assert code == 2
+    assert f"m + s = {m + s} is more than 512" in err
 
 
 @pytest.mark.parametrize("text,message", [

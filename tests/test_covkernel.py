@@ -28,6 +28,7 @@ from netcov.checks import (
     witness_difference_holds,
 )
 from netcov.covkernel import (
+    MAX_ORDER,
     Psi,
     cov_polynomial,
     delta_s,
@@ -279,6 +280,19 @@ def test_cov_polynomial_validation():
         cov_polynomial(2, 1, 0, Fraction(1, 2))
     with pytest.raises(ConfigurationError):
         cov_polynomial(2, 1, 1, Fraction(3, 2))
+
+
+def test_polynomial_builders_stop_at_the_order_cap():
+    # m + s = MAX_ORDER builds, in a fraction of a second at s = 1; one more
+    # is refused before any work
+    assert len(cov_polynomial(2, MAX_ORDER - 1, 1, Fraction(1, 2)).x_numerators) \
+        == MAX_ORDER
+    assert sum(q_s_polynomial(2, MAX_ORDER - 1, 1)) == 1 - 2 ** (MAX_ORDER - 1)
+    for build in (lambda m, s: cov_polynomial(2, m, s, Fraction(1, 2)),
+                  lambda m, s: q_s_polynomial(2, m, s)):
+        for m, s in ((MAX_ORDER, 1), (1, MAX_ORDER)):
+            with pytest.raises(ConfigurationError, match="is more than 512"):
+                build(m, s)
 
 
 def test_truncation_levels_beyond_the_polynomial_carry_nothing():

@@ -89,6 +89,15 @@ def test_config_from_dict_and_validation():
                          function_spec={"kind": "wal", "l": [1]})
 
 
+def test_replication_cap_admits_criterion_9_and_refuses_one_point_more():
+    # criterion 9's rerun: R = 4 x 20000 at n = 16
+    ExperimentConfig(b=2, m=4, s=2, R=80_000, seed=0, function_spec=WAL_SPEC)
+    R = estimators.MAX_POINTS // 16
+    ExperimentConfig(b=2, m=4, s=2, R=R, seed=0, function_spec=WAL_SPEC)
+    with pytest.raises(ConfigurationError, match=f"R={R + 1} replications of 2"):
+        ExperimentConfig(b=2, m=4, s=2, R=R + 1, seed=0, function_spec=WAL_SPEC)
+
+
 def test_experiments_are_deterministic():
     cfg = ExperimentConfig(b=2, m=2, s=2, R=6, seed=11, function_spec=WAL_SPEC)
     first = run_experiment(cfg)

@@ -6,17 +6,20 @@ else is property-level: group law in exponent arithmetic, shell partition,
 orthonormality and Parseval on the dyadic grid, exact shell weights.
 """
 
+import json
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from helpers import random_walsh_polynomial
-from netcov.digits import ConfigurationError, DigitPoint, PrecisionError
+from helpers import decay_polynomial_reference, random_walsh_polynomial, shells_reference
+from netcov.digits import ConfigurationError, DigitPoint, PrecisionError, length_vectors
 from netcov import walsh
+from netcov.estimators import build_function
 from netcov.nets import faure_net
 from netcov.walsh import (
     MAX_TERMS,
@@ -360,6 +363,37 @@ def test_matrix_evaluation_checks_precision():
     assert list(f.eval_digit_matrix(digits)) == [1, -1, -1, 1]
 
 
+def _decay(kind, b, s, alpha):
+    return random_decay_polynomial(b, s, kind, Fraction(2, 3), Fraction(1, 3 * b),
+                                   alpha, 3, seed=b)
+
+
+FLOAT_FILE = json.dumps({"b": 3, "s": 2, "terms": [
+    {"l": [0, 0], "re": 0.1, "im": -1e-300},
+    {"l": [1, 2], "re": -2.5e300, "im": 5e-324},
+    {"l": [4, 0], "re": -0.0, "im": 1 / 3}]})
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_function(3, 3, {"kind": "wal", "l": [1, 5, 0]}),
+    lambda: _decay("per-index", 2, 2, Fraction(2, 3)),
+    lambda: _decay("per-index", 5, 2, Fraction(7)),
+    lambda: _decay("per-shell", 3, 2, Fraction(5, 3)),
+    lambda: _decay("per-shell", 7, 1, Fraction(1)),
+    lambda: WalshPolynomial.from_json(_decay("per-shell", 2, 2, Fraction(3, 5)).to_json()),
+    lambda: WalshPolynomial.from_json(FLOAT_FILE),
+    # int parts, and a zero root that scales a negative part to -0.0
+    lambda: WalshPolynomial(b=2, s=1, terms={(0,): Coefficient(2, -3, root=Fraction(5)),
+                                             (1,): Coefficient(-1, 0, root=0)}),
+], ids=["wal", "per-index", "per-index-b5", "per-shell", "per-shell-alpha-1",
+        "decay-file", "float-file", "int-parts"])
+def test_plan_values_are_to_complex_bit_for_bit(make):
+    f = make()
+    want = np.array([f.terms[l].to_complex() for l in sorted(f.terms)],
+                    dtype=np.complex128)
+    assert f._plan[2].tobytes() == want.tobytes()
+
+
 def test_json_roundtrip_is_exact_for_dyadic_coefficients():
     f = WalshPolynomial(b=2, s=1, terms={
         (0,): Coefficient(Fraction(3, 8), Fraction(-1, 4)),
@@ -431,6 +465,34 @@ def test_large_shells_keep_exact_totals_under_the_cap(monkeypatch):
         assert shells[(k,)] == a * (2 * x) ** k * alpha
         support = sum(1 for l in f.terms if digit_length(2, l[0]) == k)
         assert support <= 16
+
+
+@settings(max_examples=80, deadline=None)
+@given(b=st.sampled_from([2, 3, 5, 7]), s=st.integers(1, 3),
+       kind=st.sampled_from(["per-index", "per-shell"]),
+       a=st.fractions(0, 1, max_denominator=9),
+       x_times_b=st.fractions(0, 1, max_denominator=12).filter(lambda v: v < 1),
+       alpha=st.fractions(Fraction(1, 9), 5, max_denominator=9).filter(lambda v: v != 1),
+       k_max=st.integers(0, 4), seed=st.integers(0, 2 ** 31 - 1),
+       cap=st.sampled_from([3, walsh.SHELL_SUPPORT_CAP]))
+# the real cap is passed: shells (3, 0) and (0, 3) hold 294 indices
+@example(b=7, s=2, kind="per-shell", a=Fraction(1, 2), x_times_b=Fraction(1, 3),
+         alpha=Fraction(2, 3), k_max=3, seed=5, cap=walsh.SHELL_SUPPORT_CAP)
+# shells of more than 2^63 indices, sampled
+@example(b=2 ** 31 - 1, s=2, kind="per-shell", a=Fraction(1, 3), x_times_b=Fraction(1, 2),
+         alpha=Fraction(7, 2), k_max=3, seed=8, cap=walsh.SHELL_SUPPORT_CAP)
+def test_decay_builder_matches_its_first_written_form(b, s, kind, a, x_times_b, alpha,
+                                                      k_max, seed, cap):
+    zero = (0,) * s
+    assume(sum(shell_size(b, k) if kind == "per-index" else min(shell_size(b, k), cap)
+               for k in length_vectors(s, k_max) if k != zero) <= 3000)
+    x = x_times_b / b
+    with mock.patch.object(walsh, "SHELL_SUPPORT_CAP", cap):
+        f = random_decay_polynomial(b, s, kind, a, x, alpha, k_max, seed)
+    ref = decay_polynomial_reference(b, s, kind, a, x, alpha, k_max, seed, cap)
+    assert list(f.terms.items()) == list(ref.terms.items())
+    assert list(f.shells().items()) == list(shells_reference(ref).items())
+    assert f.to_json() == ref.to_json()
 
 
 def test_decay_metadata_records_parameters():
