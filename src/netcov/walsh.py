@@ -20,7 +20,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import product
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
@@ -65,7 +65,7 @@ class Coefficient:
     root: Fraction = Fraction(1)
 
     def __post_init__(self):
-        if self.root.numerator < 0:
+        if self.root < 0:
             raise ConfigurationError("coefficient root factor must be >= 0")
 
     def weight_parts(self) -> tuple[int, int]:
@@ -151,10 +151,7 @@ def index_add(b: int, k: int, l: int) -> int:
 
 
 def shell_size(b: int, k_vec: Sequence[int]) -> int:
-    size = 1
-    for kj in k_vec:
-        size *= 1 if kj == 0 else (b - 1) * b ** (kj - 1)
-    return size
+    return math.prod(1 if kj == 0 else (b - 1) * b ** (kj - 1) for kj in k_vec)
 
 
 def _digit_ranges(b: int, k_vec: Sequence[int]) -> list[range]:
@@ -236,8 +233,11 @@ class WalshPolynomial:
         return max((kj for k in self.shells() for kj in k), default=0)
 
     def eval_point(self, x: DigitPoint) -> complex:
-        return sum((coef.to_complex() * wal_eval(self.b, l, x)
-                    for l, coef in self.terms.items()), 0j)
+        total = 0j
+        for l, coef in self.terms.items():
+            e = wal_exponent_vector(self.b, l, x)
+            total += coef.to_complex() * root_of_unity(self.b, e)
+        return total
 
     @functools.cached_property
     def _plan(self):
@@ -246,12 +246,13 @@ class WalshPolynomial:
         need reducing), terms in sorted order, need = max_digit_length().
 
         The exponent tables, of shape (s, b^need, terms), hold each
-        coordinate's partial exponents by the value of its first need
-        digits, so a point's exponents are s table rows added; past
-        MAX_EXPONENT_TABLE entries they are None and the exponents come from
-        the digit product.  The root table is indexed by the unreduced
-        exponent, at most s * need * (b-1)^2, or past MAX_ROOT_TABLE entries
-        holds the b roots."""
+        coordinate's partial exponents indexed by the value of its first
+        need digits, so a point's exponents are s table rows added; they
+        are None when empty or past MAX_EXPONENT_TABLE entries, and the
+        exponents then come from the digit product.  The root table is
+        indexed by the unreduced exponent, which is at most
+        s * need * (b-1)^2, unless that table would pass MAX_ROOT_TABLE
+        entries; then it holds the b roots."""
         b, s, need = self.b, self.s, self.max_digit_length()
         ls = sorted(self.terms)
         # object dtype past int64: components of 2^63 and above divide exactly
@@ -271,8 +272,9 @@ class WalshPolynomial:
         values = []
         for c in map(self.terms.__getitem__, ls):
             key = c.root.as_integer_ratio()
-            scale = scales[key] if key in scales else scales.setdefault(
-                key, math.sqrt(key[0] / key[1]))
+            if key not in scales:
+                scales[key] = math.sqrt(key[0] / key[1])
+            scale = scales[key]
             (rn, rd), (i_n, i_d) = c.re.as_integer_ratio(), c.im.as_integer_ratio()
             values.append(complex(rn / rd * scale, i_n / i_d * scale))
         coefs = np.array(values, dtype=np.complex128)
@@ -410,13 +412,13 @@ def random_decay_polynomial(
         if not 0 <= a <= 1:
             raise ConfigurationError(f"a must lie in [0,1], got {a}")
     zero = (0,) * s
-    # the terms counted, the constant first, stopping past MAX_TERMS
-    sizes = (shell_size(b, k) if kind == "per-index" else min(shell_size(b, k),
-             SHELL_SUPPORT_CAP) for k in length_vectors(s, k_max) if k != zero)
-    count = next((c for c in accumulate(sizes, initial=1) if c > MAX_TERMS), None)
-    if count is not None:
-        raise ConfigurationError(f"{kind} decay up to k_max={k_max} spans at least "
-                                 f"{count} terms, more than {MAX_TERMS}")
+    count = 0  # the zero shell, first, holds the constant term
+    for k_vec in length_vectors(s, k_max):
+        size = shell_size(b, k_vec)
+        count += size if kind == "per-index" else min(size, SHELL_SUPPORT_CAP)
+        if count > MAX_TERMS:
+            raise ConfigurationError(f"{kind} decay up to k_max={k_max} spans at least "
+                                     f"{count} terms, more than {MAX_TERMS}")
     rng = random.Random(seed)
     terms = {zero: Coefficient(Fraction(1), Fraction(0), root=alpha)}
     for k_vec in length_vectors(s, k_max):
