@@ -236,6 +236,10 @@ class NetReport:
 # a point, 18 us a shape on a 2-core Xeon: identical points stop in 0.5-1 s)
 MAX_PROFILE_WORK = 2 ** 26
 PROFILE_SHAPE_COST = 1024
+# Work cap of verify_net's walk, in the same units: C(s + m - t, s) shapes of
+# n + PROFILE_SHAPE_COST each.  Every net `net gen` writes fits; the largest,
+# (47,3,47), costs 2.06e9 and verifies in 13 s on a 2-core Xeon
+MAX_VERIFY_WORK = 2 ** 31
 
 
 def dominated_counts(ps: PointSet, max_total: int | None = None
@@ -290,13 +294,17 @@ def verify_net(ps: PointSet, t: int) -> NetReport:
     their pair count M(k) = sum c^2 - n is at least n (b^(m-|k|) - 1), with
     equality exactly when every cell holds b^(m-|k|): each shape is checked
     by one M(k) of dominated_counts, and only a failing shape is counted
-    cell by cell, to name its first bad interval.
+    cell by cell, to name its first bad interval.  A walk past
+    MAX_VERIFY_WORK is refused before it starts.
     """
     b, m, s = ps.b, ps.m, ps.s
     if not 0 <= t <= m:
         raise ConfigurationError(f"quality parameter t={t} must lie in 0..m={m}")
-    if b ** (m - t) > 2 ** 40:
-        raise ConfigurationError("interval count too large for exhaustive check")
+    walk = math.comb(s + m - t, s)
+    if walk * (ps.n + PROFILE_SHAPE_COST) > MAX_VERIFY_WORK:
+        raise ConfigurationError(
+            f"verifying {walk} shapes of {ps.n} points needs more than "
+            f"{MAX_VERIFY_WORK} units of work")
     dominated = dominated_counts(ps, m - t)
     intervals = shapes = 0
     for k in length_vectors(s, m - t):

@@ -44,9 +44,6 @@ from .digits import (
 SHELL_SUPPORT_CAP = 256
 # Most terms a random decay function may span; the counting stops past it.
 MAX_TERMS = 2 ** 16
-# Most entries of an evaluation plan's root table indexed by the unreduced
-# exponent; past it the exponents are reduced mod b instead.
-MAX_ROOT_TABLE = 2 ** 16
 # Most entries (coordinates x b^digits cells x terms) of an evaluation plan's
 # exponent tables; past it the exponents come from the digit product.
 MAX_EXPONENT_TABLE = 2 ** 16
@@ -81,8 +78,12 @@ class Coefficient:
         return Fraction(*self.weight_parts())
 
     def to_complex(self) -> complex:
-        scale = math.sqrt(float(self.root))
-        return complex(float(self.re) * scale, float(self.im) * scale)
+        """(re + i*im) * sqrt(root) in floats; each n / d of integer parts
+        rounds once, as float() of a Fraction does."""
+        (rn, rd), (i_n, i_d) = self.re.as_integer_ratio(), self.im.as_integer_ratio()
+        root_n, root_d = self.root.as_integer_ratio()
+        scale = math.sqrt(root_n / root_d)
+        return complex(rn / rd * scale, i_n / i_d * scale)
 
 
 def digit_length(b: int, l: int) -> int:
@@ -242,17 +243,16 @@ class WalshPolynomial:
     @functools.cached_property
     def _plan(self):
         """(exponent tables or None, index digit matrix of shape
-        (s * need, terms), coefficient values, root table, whether exponents
-        need reducing), terms in sorted order, need = max_digit_length().
+        (s * need, terms), coefficient values, root table), terms in sorted
+        order, need = max_digit_length().
 
         The exponent tables, of shape (s, b^need, terms), hold each
-        coordinate's partial exponents indexed by the value of its first
-        need digits, so a point's exponents are s table rows added; they
-        are None when empty or past MAX_EXPONENT_TABLE entries, and the
-        exponents then come from the digit product.  The root table is
-        indexed by the unreduced exponent, which is at most
-        s * need * (b-1)^2, unless that table would pass MAX_ROOT_TABLE
-        entries; then it holds the b roots."""
+        coordinate's partial exponents mod b indexed by the value of its
+        first need digits, so a point's exponents are s table rows added,
+        at most s(b-1).  They are None when empty or past
+        MAX_EXPONENT_TABLE entries; the exponents then come from the digit
+        product, taken mod b.  The root table holds omega_b^e for
+        e = 0..s(b-1) and serves both."""
         b, s, need = self.b, self.s, self.max_digit_length()
         ls = sorted(self.terms)
         # object dtype past int64: components of 2^63 and above divide exactly
@@ -265,25 +265,10 @@ class WalshPolynomial:
             cell_digits = np.arange(b ** need)[:, None] // b ** np.arange(need) % b
             # a float64 product through BLAS, exact: each sum is below 2^53
             tables = (cell_digits @ lam.reshape(s, need, len(ls)).astype(float)
-                      ).astype(np.int64)
-        # Coefficient.to_complex term for term, with one square root per
-        # distinct root; n / d rounds once, as float() of a Fraction does
-        scales: dict[tuple[int, int], float] = {}
-        values = []
-        for c in map(self.terms.__getitem__, ls):
-            key = c.root.as_integer_ratio()
-            if key not in scales:
-                scales[key] = math.sqrt(key[0] / key[1])
-            scale = scales[key]
-            (rn, rd), (i_n, i_d) = c.re.as_integer_ratio(), c.im.as_integer_ratio()
-            values.append(complex(rn / rd * scale, i_n / i_d * scale))
-        coefs = np.array(values, dtype=np.complex128)
+                      ).astype(np.int64) % b
+        coefs = np.array([self.terms[l].to_complex() for l in ls], dtype=np.complex128)
         roots = np.array([root_of_unity(b, e) for e in range(b)], dtype=np.complex128)
-        size = s * need * (b - 1) ** 2 + 1
-        reduce = size > MAX_ROOT_TABLE
-        if not reduce:
-            roots = roots[np.arange(size) % b]
-        return tables, lam, coefs, roots, reduce
+        return tables, lam, coefs, roots[np.arange(s * (b - 1) + 1) % b]
 
     def eval_digit_matrix(self, digits: np.ndarray) -> np.ndarray:
         """Evaluate at every row of an (n, s, P) digit array at once.
@@ -298,17 +283,15 @@ class WalshPolynomial:
         need = self.max_digit_length()
         if p < need:
             raise PrecisionError(f"function needs {need} digits, points carry {p}")
-        tables, lam, coefs, roots, reduce = self._plan
+        tables, lam, coefs, roots = self._plan
         digits = digits[:, :, :need].astype(np.int64)
         if tables is None:
-            exps = digits.reshape(n, s * need) @ lam
+            exps = digits.reshape(n, s * need) @ lam % self.b
         else:
             cells = digits @ self.b ** np.arange(need)
             exps = tables[0][cells[:, 0]]
             for j in range(1, s):
                 exps += tables[j][cells[:, j]]
-        if reduce:
-            exps %= self.b
         return roots[exps] @ coefs
 
     def to_json(self) -> str:

@@ -17,6 +17,7 @@ from netcov.digits import ConfigurationError
 from netcov.nets import (
     MAX_POINT_DIGITS,
     MAX_PROFILE_WORK,
+    MAX_VERIFY_WORK,
     PointSet,
     check_point_digits,
     load_point_set,
@@ -125,6 +126,21 @@ def test_net_verify_takes_a_net_in_a_thousand_dimensions(tmp_path, capsys):
     code, out, _ = run(capsys, "net", "verify", str(path))
     assert code == 0
     assert json.loads(out)["shapes_checked"] == 1001
+
+
+def test_net_verify_refuses_a_wide_walk_at_once(tmp_path, capsys):
+    # 256 random points in 40 dimensions: C(48, 8) shapes, which ran past
+    # 60 s before the cap
+    rng = np.random.default_rng(0)
+    path = tmp_path / "wide.txt"
+    path.write_text("2 8 40 0 8\n" + "".join(
+        " ".join("".join(map(str, c)) for c in point) + "\n"
+        for point in rng.integers(0, 2, (256, 40, 8))), encoding="utf-8")
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "net", "verify", str(path))
+    assert time.perf_counter() - t0 < 1
+    assert (code, out) == (2, "")
+    assert f"verifying 377348994 shapes of 256 points needs more than {MAX_VERIFY_WORK}" in err
 
 
 def test_net_verify_reports_corrupt_files(tmp_path, capsys):

@@ -13,9 +13,12 @@ from hypothesis import given, strategies as st
 from netcov import nets
 from netcov.digits import ConfigurationError, length_vectors
 from netcov.nets import (
+    MAX_VERIFY_WORK,
+    PROFILE_SHAPE_COST,
     PointSet,
     UnsupportedConstructionError,
     faure_matrices,
+    check_net_shape,
     faure_net,
     generate_points,
     index_digit_matrix,
@@ -121,6 +124,20 @@ def test_verifier_passes_a_large_faure_net():
     # 7^6 points in 7 dimensions: 1,716 shapes, none refused for work
     report = verify_net(faure_net(7, 6, 7), t=0)
     assert report.passed and report.shapes_checked == 1716
+
+
+def test_verify_work_cap_admits_every_net_gen_writes():
+    # the costliest (0,m,s)-net in a base the text format holds is (47,3,47)
+    costs = []
+    for b in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61):
+        for m, s in ((m, s) for m in range(25) for s in range(1, b + 1)):
+            try:
+                check_net_shape(b, m, s)
+            except ConfigurationError:
+                continue
+            costs.append((comb(s + m, s) * (b ** m + PROFILE_SHAPE_COST), (b, m, s)))
+    assert max(costs) == (2_055_001_200, (47, 3, 47))
+    assert max(costs)[0] <= MAX_VERIFY_WORK
 
 
 def _verify_bruteforce(ps, t):

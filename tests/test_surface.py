@@ -1,7 +1,7 @@
 """The public surface of ``src/netcov``: every public function, class and
-method is used by the package or the benchmark, the package's
-``__init__`` re-exports nothing, and README's library example runs as
-written."""
+method, and every module-level constant, is used by the package or the
+benchmark, the package's ``__init__`` re-exports nothing, and README's
+library example runs as written."""
 
 import ast
 import glob
@@ -41,23 +41,48 @@ def _public_names(path):
     return found
 
 
-def test_every_public_name_has_a_caller():
-    modules = [p for p in sorted(glob.glob(os.path.join(SRC, "*.py")))
-               if os.path.basename(p) != "__init__.py"]
-    sources = modules + sorted(glob.glob(os.path.join(ROOT, "perfbench", "*.py")))
-    # names read as code, so one that only a docstring or comment mentions
-    # has no caller
-    used = set()
-    for path in sources:
+def _module_constants(path):
+    """Every name a module assigns at its top level, dunders aside."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    targets = [target for node in tree.body if isinstance(node, ast.Assign)
+               for target in node.targets]
+    targets += [node.target for node in tree.body if isinstance(node, ast.AnnAssign)]
+    return [target.id for target in targets
+            if isinstance(target, ast.Name) and not target.id.startswith("__")]
+
+
+MODULES = [p for p in sorted(glob.glob(os.path.join(SRC, "*.py")))
+           if os.path.basename(p) != "__init__.py"]
+
+
+def _names_read():
+    """Names read as code in the package and the benchmark, so one that only
+    a docstring or comment mentions, or only its assignment, has no
+    reader."""
+    read = set()
+    for path in MODULES + sorted(glob.glob(os.path.join(ROOT, "perfbench", "*.py"))):
         with open(path, encoding="utf-8") as fh:
             for node in ast.walk(ast.parse(fh.read())):
-                if isinstance(node, ast.Name):
-                    used.add(node.id)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
                 elif isinstance(node, ast.Attribute):
-                    used.add(node.attr)
-    unused = {name for path in modules for name in _public_names(path)
-              if name not in used}
+                    read.add(node.attr)
+    return read
+
+
+def test_every_public_name_has_a_caller():
+    read = _names_read()
+    unused = {name for path in MODULES for name in _public_names(path)
+              if name not in read}
     assert unused == set(KEEP)
+
+
+def test_every_module_constant_is_read():
+    # a deleted code path cannot leave its cap behind
+    read = _names_read()
+    assert [name for path in MODULES for name in _module_constants(path)
+            if name not in read] == []
 
 
 def test_package_init_imports_nothing():

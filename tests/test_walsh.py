@@ -320,24 +320,23 @@ def test_matrix_and_pointwise_evaluation_agree():
         assert vals[i] == pytest.approx(f.eval_point(p), abs=1e-12)
 
 
-@pytest.mark.parametrize("b,k_cap,tables,reduce",
-                         [(2, 3, True, False), (251, 2, False, True),
-                          (251, 1, True, True)],
-                         ids=["direct-table", "reduced-mod-b", "tables-reduced-mod-b"])
-def test_matrix_evaluation_matches_pointwise_in_both_root_tables(b, k_cap, tables,
-                                                                 reduce):
-    # at b = 251 and s = 2 a root table indexed by the unreduced exponent
-    # would need 2 * k_cap * 250^2 + 1 > 2^16 entries, so the exponents are
-    # reduced mod b instead; at two digits the exponent tables would need
-    # 2 * 251^2 * 9 entries, so the exponents come from the digit product
-    rng = random.Random(b)
+@pytest.mark.parametrize("b,k_cap,tables",
+                         [(2, 3, True), (2, 12, False), (251, 2, False), (251, 1, True)],
+                         ids=["b2-tables", "b2-product", "b251-product", "b251-tables"])
+def test_matrix_evaluation_matches_pointwise_on_both_routes(b, k_cap, tables):
+    # s * b^k_cap * terms exponent table entries, 9 terms or 10: past 2^16
+    # at b = 2 with 12 digits and at b = 251 with 2, so the exponents come
+    # from the digit product there
+    rng = random.Random(b * k_cap)
     f = random_walsh_polynomial(rng, b=b, s=2, k_cap=k_cap, n_terms=8)
+    # with index (1, 1) the row of all b-1 digits reaches the largest table
+    # sum s(b-1), the root table's last entry
+    f = WalshPolynomial(b=b, s=2, terms={**f.terms, (1, 1): Coefficient(1, 0)})
     assert f.max_digit_length() == k_cap
     assert (f._plan[0] is not None) is tables
-    assert f._plan[4] is reduce
     digits = np.array([[[rng.randrange(b) for _ in range(k_cap + 1)]
                         for _ in range(2)] for _ in range(60)], dtype=np.uint8)
-    digits[0] = b - 1  # the largest exponent of every term
+    digits[0] = b - 1
     vals = f.eval_digit_matrix(digits)
     for i, row in enumerate(digits):
         point = DigitPoint(b, tuple(tuple(int(d) for d in c) for c in row))
@@ -388,10 +387,16 @@ FLOAT_FILE = json.dumps({"b": 3, "s": 2, "terms": [
 ], ids=["wal", "per-index", "per-index-b5", "per-shell", "per-shell-alpha-1",
         "decay-file", "float-file", "int-parts"])
 def test_plan_values_are_to_complex_bit_for_bit(make):
+    # the conversion as first written, through float() of each Fraction
+    def oracle(c):
+        r = math.sqrt(float(c.root))
+        return complex(float(c.re) * r, float(c.im) * r)
+
     f = make()
-    want = np.array([f.terms[l].to_complex() for l in sorted(f.terms)],
-                    dtype=np.complex128)
-    assert f._plan[2].tobytes() == want.tobytes()
+    coefs = [f.terms[l] for l in sorted(f.terms)]
+    want = np.array([oracle(c) for c in coefs], dtype=np.complex128).tobytes()
+    assert np.array([c.to_complex() for c in coefs], dtype=np.complex128).tobytes() == want
+    assert f._plan[2].tobytes() == want
 
 
 def test_json_roundtrip_is_exact_for_dyadic_coefficients():
