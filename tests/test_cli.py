@@ -129,8 +129,8 @@ def test_net_verify_takes_a_net_in_a_thousand_dimensions(tmp_path, capsys):
 
 
 def test_net_verify_refuses_a_wide_walk_at_once(tmp_path, capsys):
-    # 256 random points in 40 dimensions: C(48, 8) shapes, which ran past
-    # 60 s before the cap
+    # 256 random points in 40 dimensions: C(48, 8) shapes of 1,280 units
+    # each, refused before the walk
     rng = np.random.default_rng(0)
     path = tmp_path / "wide.txt"
     path.write_text("2 8 40 0 8\n" + "".join(
