@@ -32,8 +32,8 @@ from .nets import PointSet, check_point_digits
 # Default number of uniform guard digits appended past the input precision.
 GUARD_DIGITS = 31
 # uint64 words per temporary array of a block of replications; each
-# replication is charged n * s * (P + 1) words: one hash per point and
-# coordinate, and its output digits
+# replication is charged n * s * (P + 1) words, which covers one hash per
+# point, coordinate and depth, as all input depths are hashed at once
 BLOCK_WORDS = 2 ** 18
 
 _U64 = np.uint64
@@ -99,16 +99,24 @@ def _scramble_block(ps: PointSet, master: int, reps: Sequence[int],
     out = np.empty((len(reps), ps.n, ps.s, p_out), dtype=np.uint8)
     p_in = min(ps.precision, p_out)
     prefix = np.zeros((ps.n, ps.s), dtype=_U64)
-    for d in range(p_in):
-        symbol = _SYMBOLS[ps.digits[:, :, d]]
-        node = _mix(prefix ^ key[:, None, :, d])
+    # depths per pass: all of them unless one replication alone passes
+    # BLOCK_WORDS
+    step = max(1, BLOCK_WORDS // prefix.size // len(reps))
+    for d in range(0, p_in, step):
+        stop = min(d + step, p_in)
+        # the prefix hashes read input digits only, so they come first, one
+        # depth at a time on (n, s); then the pass's depths are hashed at once
+        symbol = _SYMBOLS[ps.digits[:, :, d:stop]]
+        prefixes = np.empty_like(symbol)
+        for i in range(stop - d):
+            prefixes[:, :, i] = prefix
+            prefix = _mix(prefix ^ symbol[:, :, i])
+        node = _mix(prefixes ^ key[:, None, :, d:stop])
         mine = _mix(node ^ symbol)
         rank = np.zeros(node.shape, dtype=np.uint8)
         for word in _SYMBOLS[:ps.b]:
             rank += _mix(node ^ word) < mine
-        out[..., d] = rank
-        prefix = _mix(prefix ^ symbol)
-    step = max(1, BLOCK_WORDS // prefix.size // len(reps))
+        out[..., d:stop] = rank
     for d in range(p_in, p_out, step):
         node = _mix(prefix[None, :, :, None] ^ key[:, None, :, d:d + step])
         out[..., d:d + step] = ((node >> _S32) * _U64(ps.b)) >> _S32

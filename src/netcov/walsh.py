@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from types import MappingProxyType
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -62,7 +62,9 @@ class Coefficient:
     root: Fraction = Fraction(1)
 
     def __post_init__(self):
-        if self.root < 0:
+        # the numerator's sign, for int, Fraction and float roots alike; a
+        # Fraction comparison costs five times as much
+        if self.root.as_integer_ratio()[0] < 0:
             raise ConfigurationError("coefficient root factor must be >= 0")
 
     def weight_parts(self) -> tuple[int, int]:
@@ -214,6 +216,22 @@ class WalshPolynomial:
             parts.setdefault(shell_of(self.b, l), []).append(coef.weight_parts())
         return MappingProxyType({k: fraction_sum(p) for k, p in parts.items()})
 
+    @functools.cached_property
+    def _values(self) -> Mapping[tuple[int, ...], complex]:
+        """Each term's coefficient as to_complex gives it."""
+        return {l: coef.to_complex() for l, coef in self.terms.items()}
+
+    @classmethod
+    def _with_sums(cls, b: int, s: int, terms, metadata,
+                   shells: dict, values: dict) -> "WalshPolynomial":
+        """A map whose builder already holds what _shells and _values would
+        compute: the shell totals in first-term order and every term's
+        to_complex value."""
+        f = cls(b=b, s=s, terms=terms, metadata=metadata)
+        f.__dict__["_shells"] = MappingProxyType(shells)
+        f.__dict__["_values"] = values
+        return f
+
     def variance_mc(self, n: int) -> Fraction:
         """Single-replication Monte-Carlo variance of the sample mean of n
         i.i.d. uniform evaluations: the weight off the zero shell, which
@@ -221,24 +239,10 @@ class WalshPolynomial:
         return fraction_sum([(w.numerator, w.denominator * n)
                              for k, w in self.shells().items() if any(k)])
 
-    def covariance_analytic(
-            self, psi_hat: Callable[[tuple[int, ...]], Fraction]) -> Fraction:
-        """Sum over nonzero indices l of |coefficient|^2 * psi_hat(shell of l),
-        exact."""
-        return sum((coef.weight * psi_hat(shell_of(self.b, l))
-                    for l, coef in self.terms.items() if any(l)), Fraction(0))
-
     def max_digit_length(self) -> int:
         """Digits of precision needed to evaluate this function: the longest
         coordinate of any shell."""
         return max((kj for k in self.shells() for kj in k), default=0)
-
-    def eval_point(self, x: DigitPoint) -> complex:
-        total = 0j
-        for l, coef in self.terms.items():
-            e = wal_exponent_vector(self.b, l, x)
-            total += coef.to_complex() * root_of_unity(self.b, e)
-        return total
 
     @functools.cached_property
     def _plan(self):
@@ -266,7 +270,7 @@ class WalshPolynomial:
             # a float64 product through BLAS, exact: each sum is below 2^53
             tables = (cell_digits @ lam.reshape(s, need, len(ls)).astype(float)
                       ).astype(np.int64) % b
-        coefs = np.array([self.terms[l].to_complex() for l in ls], dtype=np.complex128)
+        coefs = np.array([self._values[l] for l in ls], dtype=np.complex128)
         roots = np.array([root_of_unity(b, e) for e in range(b)], dtype=np.complex128)
         return tables, lam, coefs, roots[np.arange(s * (b - 1) + 1) % b]
 
@@ -297,7 +301,7 @@ class WalshPolynomial:
     def to_json(self) -> str:
         rows = []
         for l in sorted(self.terms):
-            z = self.terms[l].to_complex()
+            z = self._values[l]
             rows.append({"l": list(l), "re": z.real, "im": z.imag})
         return json.dumps(
             {"b": self.b, "s": self.s, "terms": rows,
@@ -326,21 +330,25 @@ class WalshPolynomial:
 
 
 @functools.cache
-def _circle_point(p: int, q: int) -> tuple[Fraction, Fraction]:
-    """The circle point at t = p/q; 300 (p, q) pairs are ever drawn."""
+def _circle_point(p: int, q: int, swap: bool,
+                  negate: bool) -> tuple[Fraction, Fraction, float, float]:
+    """The circle point at t = p/q, its parts swapped and its first part
+    negated as drawn, with each part's float n / d as to_complex rounds
+    it; 1,200 keys are ever drawn."""
     den = q * q + p * p
-    return Fraction(q * q - p * p, den), Fraction(2 * p * q, den)
-
-
-def _pythagorean_phase(rng: random.Random) -> tuple[Fraction, Fraction]:
-    """A uniform-ish exact rational point on the unit circle: at t = p/q,
-    ((1 - t^2) + 2t i)/(1 + t^2), in integers."""
-    c, s = _circle_point(rng.randint(-12, 12), rng.randint(1, 12))
-    if rng.random() < 0.5:
+    c, s = Fraction(q * q - p * p, den), Fraction(2 * p * q, den)
+    if swap:
         c, s = s, c
-    if rng.random() < 0.5:
+    if negate:
         c = -c
-    return c, s
+    return c, s, c.numerator / c.denominator, s.numerator / s.denominator
+
+
+def _pythagorean_phase(rng: random.Random) -> tuple[Fraction, Fraction, float, float]:
+    """A uniform-ish exact rational point on the unit circle: at t = p/q,
+    ((1 - t^2) + 2t i)/(1 + t^2), in integers, and its two floats."""
+    return _circle_point(rng.randint(-12, 12), rng.randint(1, 12),
+                         rng.random() < 0.5, rng.random() < 0.5)
 
 
 def _sample_shell(b: int, k_vec: tuple[int, ...],
@@ -403,28 +411,37 @@ def random_decay_polynomial(
             raise ConfigurationError(f"{kind} decay up to k_max={k_max} spans at least "
                                      f"{count} terms, more than {MAX_TERMS}")
     rng = random.Random(seed)
+    # every term of a shell has weight w, since c^2 + s^2 = 1 exactly, so
+    # the shell total is w times the shell's term count; each value is
+    # to_complex's n / d * sqrt(root) with one square root per shell
     terms = {zero: Coefficient(Fraction(1), Fraction(0), root=alpha)}
+    values = {zero: complex(math.sqrt(alpha.numerator / alpha.denominator), 0.0)}
+    shells = {zero: alpha}
     for k_vec in length_vectors(s, k_max):
         if k_vec == zero:
             continue
         # each shell weight is one Fraction of integer parts
         k = sum(k_vec)
         if kind == "per-index":
-            support = product(*_digit_ranges(b, k_vec))
+            support, size = product(*_digit_ranges(b, k_vec)), shell_size(b, k_vec)
             num, den = x.numerator ** k, x.denominator ** k
         else:
             support = _sample_shell(b, k_vec, rng)
+            size = len(support)
             r = sum(1 for kj in k_vec if kj)
             num = a.numerator ** r * (b * x.numerator) ** k
-            den = a.denominator ** r * x.denominator ** k * len(support)
+            den = a.denominator ** r * x.denominator ** k * size
         if num == 0:
             continue
         w = Fraction(num * alpha.numerator, den * alpha.denominator)
+        scale = math.sqrt(w.numerator / w.denominator)
         for l in support:
-            c, s_ = _pythagorean_phase(rng)
+            c, s_, c_float, s_float = _pythagorean_phase(rng)
             terms[l] = Coefficient(c, s_, root=w)
+            values[l] = complex(c_float * scale, s_float * scale)
+        shells[k_vec] = Fraction(num * size * alpha.numerator, den * alpha.denominator)
     meta = {"kind": kind, "x": str(x), "alpha": str(alpha),
             "k_max": k_max, "seed": seed}
     if kind == "per-shell":
         meta["a"] = str(a)
-    return WalshPolynomial(b=b, s=s, terms=terms, metadata=meta)
+    return WalshPolynomial._with_sums(b, s, terms, meta, shells, values)

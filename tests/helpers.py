@@ -4,10 +4,11 @@ The centerpiece is GammaGrid, an independent oracle for the pair covariance:
 it integrates (psi - 1) f(x) conj(f(y)) over the full digit grid in exact
 rational arithmetic, never touching the coefficient-space shortcut it is
 meant to check.  The rest is small: random rational Walsh series, the
-first-written decay-function builder and its per-term shell sums, the
-shell-by-shell Fraction sum of the covariance polynomial, an integer sign
-scan for dense polynomial grids, the chi-square tail, and the rerun policy
-for statistical gates.
+first-written decay-function builder and its per-term shell sums, a Walsh
+series evaluated point by point and its covariance summed index by index,
+the scramble hashed one input depth at a time, the shell-by-shell Fraction
+sum of the covariance polynomial, an integer sign scan for dense polynomial
+grids, the chi-square tail, and the rerun policy for statistical gates.
 """
 
 from __future__ import annotations
@@ -21,9 +22,12 @@ import numpy as np
 
 from netcov.counting import joint_pdf_closed_form
 from netcov.covkernel import Psi
-from netcov.digits import length_vectors
+from netcov.digits import DigitPoint, length_vectors
+from netcov.nets import PointSet
+from netcov.scramble import _S32, _SYMBOLS, _U64, _mix, _words
 from netcov.walsh import (
-    Coefficient, WalshPolynomial, enumerate_L_k, index_digits, shell_of, shell_size)
+    Coefficient, WalshPolynomial, enumerate_L_k, index_digits, root_of_unity, shell_of,
+    shell_size, wal_exponent_vector)
 
 
 def random_rational(rng: random.Random, num_abs: int = 8, den_max: int = 4) -> Fraction:
@@ -102,6 +106,50 @@ def shells_reference(f: WalshPolynomial) -> dict[tuple[int, ...], Fraction]:
     for l, c in f.terms.items():
         k = shell_of(f.b, l)
         out[k] = out.get(k, Fraction(0)) + (c.re ** 2 + c.im ** 2) * c.root
+    return out
+
+
+def eval_point(f: WalshPolynomial, x: DigitPoint) -> complex:
+    """f at one point, a character and a to_complex value a term."""
+    total = 0j
+    for l, coef in f.terms.items():
+        total += coef.to_complex() * root_of_unity(f.b, wal_exponent_vector(f.b, l, x))
+    return total
+
+
+def covariance_analytic(f: WalshPolynomial,
+                        psi_hat: Callable[[tuple[int, ...]], Fraction]) -> Fraction:
+    """Sum over nonzero indices l of |coefficient|^2 * psi_hat(shell of l),
+    exact, index by index: it never reads f.shells()."""
+    return sum((coef.weight * psi_hat(shell_of(f.b, l))
+                for l, coef in f.terms.items() if any(l)), Fraction(0))
+
+
+def scramble_block_reference(ps: PointSet, master: int, reps: Sequence[int],
+                             p_out: int) -> np.ndarray:
+    """scramble._scramble_block as first written: the node, own-digit and
+    rank hashes of one input depth at a time on (replication, n, s), the
+    prefix hash advanced after each depth, and every guard depth alone."""
+    counter = _words(np.arange(max(ps.s, p_out)))
+    seeds = _words([master, *reps])
+    key = _mix(_mix(seeds[:1]) ^ seeds[1:])
+    key = _mix(key[:, None] ^ counter[:ps.s])
+    key = _mix(key[:, :, None] ^ counter[:p_out])
+    out = np.empty((len(reps), ps.n, ps.s, p_out), dtype=np.uint8)
+    p_in = min(ps.precision, p_out)
+    prefix = np.zeros((ps.n, ps.s), dtype=_U64)
+    for d in range(p_in):
+        symbol = _SYMBOLS[ps.digits[:, :, d]]
+        node = _mix(prefix ^ key[:, None, :, d])
+        mine = _mix(node ^ symbol)
+        rank = np.zeros(node.shape, dtype=np.uint8)
+        for word in _SYMBOLS[:ps.b]:
+            rank += _mix(node ^ word) < mine
+        out[..., d] = rank
+        prefix = _mix(prefix ^ symbol)
+    for d in range(p_in, p_out):
+        node = _mix(prefix[None] ^ key[:, None, :, d])
+        out[..., d] = ((node >> _S32) * _U64(ps.b)) >> _S32
     return out
 
 

@@ -24,6 +24,7 @@ from itertools import product
 import conftest
 from helpers import (
     GammaGrid,
+    covariance_analytic,
     first_sign_violation,
     random_walsh_polynomial,
     run_with_rerun,
@@ -115,8 +116,8 @@ def test_criterion_04_coefficient_covariance_equals_grid_integral():
             grid = GammaGrid(2, m, s, resolution=m + (m + 2))
             for _ in range(20):
                 f = random_walsh_polynomial(rng, 2, s, m + 2, rng.randint(2, 6))
-                want = f.covariance_analytic(
-                    lambda idx: psi_hat_zero_t(2, m, idx))
+                want = covariance_analytic(
+                    f, lambda idx: psi_hat_zero_t(2, m, idx))
                 assert grid.covariance(f) == want
                 count += 1
         info["detail"] = f"{count} random functions, exact rational equality"

@@ -17,7 +17,8 @@ from itertools import product
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import GammaGrid, cov_polynomial_reference, random_walsh_polynomial
+from helpers import (
+    GammaGrid, cov_polynomial_reference, covariance_analytic, random_walsh_polynomial)
 from netcov import cli
 from netcov.checks import (
     assembly_matches_witness,
@@ -316,7 +317,7 @@ def test_grid_oracle_matches_coefficient_covariance():
         grid = GammaGrid(2, m, s, resolution=m + 3)
         for _ in range(4):
             f = random_walsh_polynomial(rng, 2, s, 3, rng.randint(2, 5))
-            want = f.covariance_analytic(lambda idx: psi_hat_zero_t(2, m, idx))
+            want = covariance_analytic(f, lambda idx: psi_hat_zero_t(2, m, idx))
             assert grid.covariance(f) == want
 
 

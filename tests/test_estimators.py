@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from helpers import random_walsh_polynomial
-from netcov import estimators, scramble
+from helpers import covariance_analytic, eval_point, random_walsh_polynomial
+from netcov import estimators, scramble, walsh
 from netcov.covkernel import psi_hat_zero_t
 from netcov.digits import ConfigurationError
 from netcov.estimators import (
@@ -188,7 +188,7 @@ def test_replications_match_a_per_replication_recomputation(monkeypatch, b, m, s
         assert report.pair_terms[r] == \
             (abs(total) ** 2 - float((np.abs(values) ** 2).sum())) / (n * (n - 1))
         # and the pointwise oracle
-        points = [f.eval_point(p) for p in ps]
+        points = [eval_point(f, p) for p in ps]
         total = sum(points)
         assert report.estimates[r] == pytest.approx(total / n, abs=1e-12)
         pair = (abs(total) ** 2 - sum(abs(v) ** 2 for v in points)) / (n * (n - 1))
@@ -213,13 +213,36 @@ def test_per_shell_references_equal_per_index_sums():
         n = b ** m
         for _ in range(3):
             f = random_walsh_polynomial(rng, b, s, 3, 12)
-            per_index = f.covariance_analytic(lambda idx: psi_hat_zero_t(b, m, idx))
+            per_index = covariance_analytic(f, lambda idx: psi_hat_zero_t(b, m, idx))
             assert analytic_covariance(f, b, m) == per_index
             variance = sum(
                 (c.weight * (1 + (n - 1) * psi_hat_zero_t(b, m, shell_of(b, l))) / n
                  for l, c in f.terms.items() if any(l)),
                 Fraction(0))
             assert analytic_variance(f, b, m) == variance
+
+
+def test_a_decay_run_regroups_no_term(monkeypatch):
+    # criterion 9's decay run: the builder hands over every shell total and
+    # term value, so only the constant coefficient is converted, once for
+    # the integral and once for its weight w0
+    calls = dict.fromkeys(["shell_of", "to_complex", "weight_parts"], 0)
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(walsh, "shell_of", counted("shell_of", walsh.shell_of))
+    for name in ("to_complex", "weight_parts"):
+        monkeypatch.setattr(Coefficient, name, counted(name, getattr(Coefficient, name)))
+    report = run_experiment(ExperimentConfig(
+        b=2, m=4, s=2, R=50, seed=202,
+        function_spec={"kind": "decay", "decay": "per-shell", "a": "1/2",
+                       "x": "3/20", "alpha": "1", "k_max": 5, "seed": 7}))
+    assert report.precision == 5
+    assert calls == {"shell_of": 0, "to_complex": 1, "weight_parts": 1}
 
 
 # any JSON value, floats including NaN and the infinities; integers stay

@@ -1,11 +1,13 @@
 """Digit scrambling: reproducibility, structure preservation, uniformity."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
-from helpers import chi2_sf
+from helpers import chi2_sf, scramble_block_reference
 from netcov import scramble
 from netcov.checks import gamma_preserved
 from netcov.counting import common_digits, profile_bruteforce
@@ -17,6 +19,7 @@ from netcov.scramble import (
     default_precision,
     owen_scramble,
     replicate,
+    replicate_blocks,
 )
 
 # family-wise tail of each statistical test below, split Bonferroni-style
@@ -173,6 +176,32 @@ def test_blocks_do_not_change_the_stream(monkeypatch, b, m, s, count, budget):
         assert np.array_equal(
             reps[r], owen_scramble(ps, ScrambleSeed(13, r)).digits)
     assert np.array_equal(reps[:3], _all_digits(ps, 13, 3, None))
+
+
+@settings(max_examples=60, deadline=None)
+@given(b=st.sampled_from([2, 3, 5, 7, 251]), m=st.integers(1, 3), s=st.integers(1, 3),
+       stored=st.integers(0, 2), guard=st.integers(-2, 5), count=st.integers(1, 7),
+       per_block=st.sampled_from([0.2, 0.5, 1, 2, 3.5]),
+       master=st.integers(0, 2 ** 64 - 1))
+# P_in < P_out at b = 251, one replication a block
+@example(b=251, m=1, s=2, stored=1, guard=3, count=4, per_block=1, master=5)
+# P_in = P_out, two replications a block
+@example(b=3, m=2, s=2, stored=2, guard=0, count=7, per_block=2, master=6)
+# P_in < P_out, the input depths hashed a few at a time
+@example(b=2, m=3, s=2, stored=1, guard=4, count=3, per_block=0.2, master=7)
+def test_all_depth_hashing_matches_the_per_depth_oracle(b, m, s, stored, guard, count,
+                                                         per_block, master):
+    assume(s <= b and b ** m <= 343)
+    ps = faure_net(b, m, s, precision=m + stored)
+    p_out = max(m, m + stored + guard)
+    # a budget of per_block replications: under one, a replication's input
+    # depths take several passes
+    budget = max(1, int(per_block * ps.n * s * (p_out + 1)))
+    with mock.patch.object(scramble, "BLOCK_WORDS", budget):
+        blocks = list(replicate_blocks(ps, master, count, p_out))
+    assert sum(len(block) for block in blocks) == count
+    want = scramble_block_reference(ps, master, range(count), p_out)
+    assert np.concatenate(blocks).tobytes() == want.tobytes()
 
 
 def test_a_point_scrambles_the_same_inside_any_point_set():

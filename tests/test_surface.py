@@ -13,8 +13,6 @@ SRC = os.path.join(ROOT, "src", "netcov")
 
 # names that only the tests call, each kept on purpose
 KEEP = {
-    "eval_point": "pointwise oracle for eval_digit_matrix",
-    "covariance_analytic": "per-index oracle for the per-shell analytic covariance",
     "to_fractions": "exact oracle for DigitPoint.from_fractions",
     "volume_prefix_ge": "oracle for the dominated-region volumes",
     "analytic_variance": "the scrambled-net variance the paper compares with Monte Carlo",

@@ -16,7 +16,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from helpers import decay_polynomial_reference, random_walsh_polynomial, shells_reference
+from helpers import (
+    covariance_analytic, decay_polynomial_reference, eval_point, random_walsh_polynomial,
+    shells_reference)
 from netcov.digits import ConfigurationError, DigitPoint, PrecisionError, length_vectors
 from netcov import walsh
 from netcov.estimators import build_function
@@ -243,8 +245,14 @@ def test_coefficient_square_root_extraction():
 
 
 def test_coefficient_rejects_negative_root():
-    with pytest.raises(ConfigurationError):
-        Coefficient(Fraction(1), Fraction(0), root=Fraction(-1))
+    for root in (-1, Fraction(-1, 3), -0.5):
+        with pytest.raises(ConfigurationError):
+            Coefficient(Fraction(1), Fraction(0), root=root)
+
+
+def test_coefficient_accepts_a_zero_root():
+    for root in (0, Fraction(0), 0.0, -0.0):
+        assert Coefficient(Fraction(1), Fraction(1), root=root).weight == 0
 
 
 # polynomial container
@@ -308,7 +316,7 @@ def test_covariance_analytic_skips_the_constant():
         (0,): Coefficient(Fraction(7), Fraction(0)),
         (1,): Coefficient(Fraction(1), Fraction(0)),
     })
-    assert f.covariance_analytic(lambda idx: Fraction(-1, 3)) == Fraction(-1, 3)
+    assert covariance_analytic(f, lambda idx: Fraction(-1, 3)) == Fraction(-1, 3)
 
 
 def test_matrix_and_pointwise_evaluation_agree():
@@ -317,7 +325,7 @@ def test_matrix_and_pointwise_evaluation_agree():
     ps = faure_net(3, 2, 2, precision=3)
     vals = f.eval_digit_matrix(ps.digits)
     for i, p in enumerate(ps):
-        assert vals[i] == pytest.approx(f.eval_point(p), abs=1e-12)
+        assert vals[i] == pytest.approx(eval_point(f, p), abs=1e-12)
 
 
 @pytest.mark.parametrize("b,k_cap,tables",
@@ -340,7 +348,7 @@ def test_matrix_evaluation_matches_pointwise_on_both_routes(b, k_cap, tables):
     vals = f.eval_digit_matrix(digits)
     for i, row in enumerate(digits):
         point = DigitPoint(b, tuple(tuple(int(d) for d in c) for c in row))
-        assert vals[i] == pytest.approx(f.eval_point(point), abs=1e-12)
+        assert vals[i] == pytest.approx(eval_point(f, point), abs=1e-12)
 
 
 def test_matrix_evaluation_checks_precision():
@@ -486,6 +494,13 @@ def test_large_shells_keep_exact_totals_under_the_cap(monkeypatch):
 # shells of more than 2^63 indices, sampled
 @example(b=2 ** 31 - 1, s=2, kind="per-shell", a=Fraction(1, 3), x_times_b=Fraction(1, 2),
          alpha=Fraction(7, 2), k_max=3, seed=8, cap=walsh.SHELL_SUPPORT_CAP)
+# every shell past the zero shell is skipped: x = 0, a = 0, or none is asked for
+@example(b=3, s=2, kind="per-index", a=None, x_times_b=Fraction(0),
+         alpha=Fraction(2, 3), k_max=3, seed=1, cap=3)
+@example(b=2, s=3, kind="per-shell", a=Fraction(0), x_times_b=Fraction(1, 2),
+         alpha=Fraction(5, 2), k_max=3, seed=2, cap=3)
+@example(b=5, s=2, kind="per-shell", a=Fraction(1, 3), x_times_b=Fraction(1, 4),
+         alpha=Fraction(1, 9), k_max=0, seed=3, cap=walsh.SHELL_SUPPORT_CAP)
 def test_decay_builder_matches_its_first_written_form(b, s, kind, a, x_times_b, alpha,
                                                       k_max, seed, cap):
     zero = (0,) * s
@@ -498,6 +513,15 @@ def test_decay_builder_matches_its_first_written_form(b, s, kind, a, x_times_b, 
     assert list(f.terms.items()) == list(ref.terms.items())
     assert list(f.shells().items()) == list(shells_reference(ref).items())
     assert f.to_json() == ref.to_json()
+    # the shell totals and values the builder hands over are what the same
+    # terms give when regrouped and converted one by one
+    plain = WalshPolynomial(b, s, f.terms)
+    assert list(f.shells().items()) == list(plain.shells().items())
+    assert f.max_digit_length() == plain.max_digit_length()
+    # the plan's coefficient column, without its b-entry root table
+    ls = sorted(f.terms)
+    assert np.array([f._values[l] for l in ls]).tobytes() == \
+        np.array([plain._values[l] for l in ls]).tobytes()
 
 
 def test_decay_metadata_records_parameters():
