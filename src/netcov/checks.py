@@ -269,7 +269,7 @@ def check_walsh_orthogonality() -> str:
         k = 2
         net = faure_net(b, k, 1, precision=k)
         for l in range(1, b ** k):
-            total = sum(wal_eval(b, (l,), p) for p in net)
+            total = sum(wal_eval(b, (l,), p) for p in net.digits)
             expect(abs(total) < 1e-9,
                    f"character sum over the base-{b} grid not zero at l={l}")
             checked += 1
@@ -289,7 +289,7 @@ def check_walsh_product_rule() -> str:
             k = rng.randrange(0, b ** 3)
             l = rng.randrange(0, b ** 3)
             kl = index_add(b, k, l)
-            for p in (net.point(0), net.point(1), net.point(net.n - 1)):
+            for p in net.digits[[0, 1, -1]]:
                 lhs = wal_eval(b, (k,), p) * wal_eval(b, (l,), p)
                 rhs = wal_eval(b, (kl,), p)
                 expect(abs(lhs - rhs) < 1e-9,

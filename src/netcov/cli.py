@@ -19,7 +19,7 @@ from typing import Sequence
 
 from .counting import common_digits, joint_pdf, pair_profile
 from .covkernel import cov_polynomial, horner, q_s_polynomial
-from .digits import ConfigurationError, DigitPoint
+from .digits import ConfigurationError, fraction_digits
 from .estimators import ExperimentConfig, run_experiment
 from .nets import faure_net, load_point_set, save_point_set, verify_net
 from .scramble import replicate
@@ -155,9 +155,8 @@ def _cmd_psi_profile(args) -> int:
     return 0
 
 
-def _parse_point(text: str, b: int, precision: int) -> DigitPoint:
-    values = [_parse_fraction(v) for v in text.split(",")]
-    return DigitPoint.from_fractions(values, base=b, precision=precision)
+def _parse_point(text: str, b: int, precision: int):
+    return fraction_digits([_parse_fraction(v) for v in text.split(",")], b, precision)
 
 
 def _cmd_psi_eval(args) -> int:

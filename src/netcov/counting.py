@@ -22,7 +22,6 @@ import numpy as np
 
 from .digits import (
     ConfigurationError,
-    DigitPoint,
     PrecisionError,
     length_vectors,
     validate_base,
@@ -101,16 +100,15 @@ def gamma_matrix(digits_j: np.ndarray) -> np.ndarray:
     return gam
 
 
-def common_digits(x: DigitPoint, y: DigitPoint) -> tuple[int, ...]:
-    """Common-digit vector of one pair, read off gamma_matrix: per coordinate,
-    the count of leading digits x and y share, where the stored precision
-    means every stored digit agrees."""
-    for what, u, v in (("base", x.base, y.base), ("dimension", x.s, y.s),
-                       ("precision", x.precision, y.precision)):
+def common_digits(x: np.ndarray, y: np.ndarray) -> tuple[int, ...]:
+    """Common-digit vector of two (s, P) digit rows, read off gamma_matrix:
+    per coordinate, the count of leading digits x and y share, where the
+    stored precision P means every stored digit agrees."""
+    for what, u, v in zip(("dimension", "precision"), x.shape, y.shape):
         if u != v:
             raise ConfigurationError(f"{what} mismatch: {u} vs {v}")
-    digits = np.array([x.coords, y.coords])
-    return tuple(int(gamma_matrix(digits[:, j])[0, 1]) for j in range(x.s))
+    digits = np.stack([x, y])
+    return tuple(int(gamma_matrix(digits[:, j])[0, 1]) for j in range(len(x)))
 
 
 # n(n-1)s cap for profile_bruteforce, which peaks near 25 bytes per pair cell
@@ -205,17 +203,19 @@ def joint_pdf_closed_form(b: int, m: int, s: int, i: Sequence[int]) -> Fraction:
     return _pair_density(b, m, i, N_closed_form(b, m, s, i))
 
 
-def joint_pdf(profile: PairProfile, x: DigitPoint, y: DigitPoint) -> Fraction:
-    """Density of the scrambled pair distribution at (x, y), read off the
-    measured profile: count of the pair's region, normalized by pair count
-    and region volume.  Zero when some coordinate agrees through all stored
-    digits (the two-distinct-points density vanishes there in the limit)."""
-    if x.base != profile.b:
-        raise ConfigurationError(f"base mismatch: {x.base} vs {profile.b}")
-    if x.s != profile.s:
-        raise ConfigurationError(f"dimension mismatch: {x.s} vs {profile.s}")
+def joint_pdf(profile: PairProfile, x: np.ndarray, y: np.ndarray) -> Fraction:
+    """Density of the scrambled pair distribution at the digit rows (x, y),
+    read off the measured profile: count of the pair's region, normalized by
+    pair count and region volume.  Zero when some coordinate agrees through
+    all stored digits (the two-distinct-points density vanishes there in the
+    limit)."""
+    if len(x) != profile.s:
+        raise ConfigurationError(f"dimension mismatch: {len(x)} vs {profile.s}")
     parts = common_digits(x, y)
-    count = 0 if x.precision in parts else profile.exact_count(parts)
+    top = int(max(x.max(initial=0), y.max(initial=0)))
+    if top >= profile.b:
+        raise ConfigurationError(f"digit {top} out of range for base {profile.b}")
+    count = 0 if x.shape[1] in parts else profile.exact_count(parts)
     return _pair_density(profile.b, profile.m, parts, count)
 
 

@@ -5,17 +5,18 @@ digits is ill-conditioned in floating point near cell boundaries, so every
 comparison happens on exact integer digits.  Conversion to float is deferred
 to function-evaluation time.
 
-A point coordinate x = sum_j d_j * b^(-j) is kept as the tuple (d_1, ..., d_P)
-with d_1 the most significant digit.  The finite representation is canonical:
-constructors never produce trailing-(b-1) tails, so digit equality is value
-equality.
+A point of [0,1)^s is an (s, P) uint8 digit row, as a PointSet holds it:
+coordinate x = sum_j d_j * b^(-j) is the row (d_1, ..., d_P), d_1 the most
+significant digit.  The finite representation is canonical: constructors
+never produce trailing-(b-1) tails, so digit equality is value equality.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 
 class ConfigurationError(ValueError):
@@ -40,6 +41,8 @@ def is_prime(n: int) -> bool:
 # Bases are refused from 2^32 on, before trial division, which takes about
 # 10 ms on the largest prime below the bound
 MAX_BASE = 2 ** 32
+# A digit row holds one uint8 per digit, so its base is at most 256
+MAX_DIGIT_BASE = 256
 
 
 def validate_base(b: int) -> None:
@@ -93,85 +96,39 @@ json_index = _json_typed((list,), "a list of integers",
                          lambda v: tuple(json_integer(c) for c in v))
 
 
-@dataclass(frozen=True)
-class DigitPoint:
-    """A point of [0,1)^s as s arrays of P exact base-b digits."""
-
-    base: int
-    coords: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        validate_base(self.base)
-        if not self.coords:
-            raise ConfigurationError("a point needs at least one coordinate")
-        p = len(self.coords[0])
-        if p < 1:
-            raise ConfigurationError("precision must be at least 1 digit")
-        for coord in self.coords:
-            if len(coord) != p:
-                raise ConfigurationError(
-                    "all coordinates must share the same precision"
-                )
-            for d in coord:
-                if not 0 <= d < self.base:
-                    raise ConfigurationError(
-                        f"digit {d} out of range for base {self.base}"
-                    )
-
-    @property
-    def s(self) -> int:
-        return len(self.coords)
-
-    @property
-    def precision(self) -> int:
-        return len(self.coords[0])
-
-    @classmethod
-    def from_fractions(
-        cls,
-        values: Iterable[Fraction | int | str],
-        base: int,
-        precision: int,
-    ) -> "DigitPoint":
-        """Expand exact rational coordinates to digits, truncating at
-        ``precision`` digits (no rounding control; that is out of scope)."""
-        coords = []
-        for v in values:
-            x = Fraction(v)
-            if not 0 <= x < 1:
-                raise ConfigurationError(f"coordinate {x} outside [0,1)")
-            digits = []
-            for _ in range(precision):
-                x *= base
-                d = int(x)
-                digits.append(d)
-                x -= d
-            coords.append(tuple(digits))
-        return cls(base, tuple(coords))
-
-    def to_fractions(self) -> tuple[Fraction, ...]:
-        out = []
-        for coord in self.coords:
-            acc = Fraction(0)
-            scale = Fraction(1, self.base)
-            for d in coord:
-                acc += d * scale
-                scale /= self.base
-            out.append(acc)
-        return tuple(out)
+def validate_digit_base(b: int) -> None:
+    """A prime base whose digits fit one byte, as every digit row holds them."""
+    validate_base(b)
+    if b > MAX_DIGIT_BASE:
+        raise ConfigurationError(
+            f"uint8 digit storage holds bases up to {MAX_DIGIT_BASE}, got {b}")
 
 
-def volume_prefix_ge(b: int, k: Sequence[int]) -> Fraction:
-    """Volume of the pair region where every coordinate shares a digit
-    prefix of length at least k_j: exactly b^(-sum k)."""
-    _check_nonnegative(k)
-    return Fraction(1, b ** sum(k))
+def fraction_digits(values: Iterable[Fraction | int | str], b: int,
+                    precision: int) -> np.ndarray:
+    """The (s, P) uint8 digit row of a point with exact rational coordinates,
+    each truncated at P digits (no rounding control; that is out of scope)."""
+    validate_digit_base(b)
+    if precision < 1:
+        raise ConfigurationError("precision must be at least 1 digit")
+    rows = []
+    for v in values:
+        x = Fraction(v)
+        if not 0 <= x < 1:
+            raise ConfigurationError(f"coordinate {x} outside [0,1)")
+        # the first P digits of x are those of floor(x b^P)
+        q = x.numerator * b ** precision // x.denominator
+        rows.append([q // b ** (precision - 1 - j) % b for j in range(precision)])
+    if not rows:
+        raise ConfigurationError("a point needs at least one coordinate")
+    return np.array(rows, dtype=np.uint8)
 
 
 def volume_prefix_eq(b: int, i: Sequence[int]) -> Fraction:
     """Volume of the pair region with per-coordinate common prefix exactly
     i_j: (b-1)^s / b^(s + sum i)."""
-    _check_nonnegative(i)
+    if any(c < 0 for c in i):
+        raise ConfigurationError(f"vector components must be >= 0, got {tuple(i)}")
     s = len(i)
     return Fraction((b - 1) ** s, b ** (s + sum(i)))
 
@@ -203,9 +160,3 @@ def length_vectors(s: int, total_max: int) -> Iterator[tuple[int, ...]]:
             return
         total -= k[j] - 1
         k[j], k[j - 1] = 0, k[j - 1] + 1
-
-
-def _check_nonnegative(vec: Sequence[int]) -> None:
-    if any(v < 0 for v in vec):
-        raise ConfigurationError(f"vector components must be >= 0, got {tuple(vec)}")
-

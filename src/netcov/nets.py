@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
-from .digits import ConfigurationError, DigitPoint, length_vectors, validate_base
+from .digits import (
+    ConfigurationError, length_vectors, validate_base, validate_digit_base)
 
 
 # Most digits n * s * P (one byte each) a generated or scrambled point set
@@ -63,7 +63,8 @@ class GeneratingMatrices:
 
 @dataclass(frozen=True, eq=False)
 class PointSet:
-    """n = b^m points as an (n, s, precision) array of exact digits.
+    """n = b^m points as an (n, s, precision) array of exact digits, so
+    digits[i] is point i's (s, P) digit row.
 
     Compared and hashed by identity: the digit array makes field-wise
     equality unusable."""
@@ -75,10 +76,7 @@ class PointSet:
     digits: np.ndarray
 
     def __post_init__(self):
-        validate_base(self.b)
-        if self.b > 256:
-            raise ConfigurationError(
-                f"uint8 digit storage holds bases up to 256, got {self.b}")
+        validate_digit_base(self.b)
         n, s, _ = self.digits.shape
         if s != self.s:
             raise ConfigurationError("digit array dimension does not match s")
@@ -101,13 +99,6 @@ class PointSet:
     @property
     def precision(self) -> int:
         return self.digits.shape[2]
-
-    def point(self, i: int) -> DigitPoint:
-        coords = tuple(tuple(int(d) for d in self.digits[i, j]) for j in range(self.s))
-        return DigitPoint(self.b, coords)
-
-    def __iter__(self) -> Iterator[DigitPoint]:
-        return (self.point(i) for i in range(self.n))
 
 
 def pascal_matrix_power(b: int, m: int, power: int) -> np.ndarray:

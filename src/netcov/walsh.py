@@ -28,7 +28,6 @@ import numpy as np
 
 from .digits import (
     ConfigurationError,
-    DigitPoint,
     PrecisionError,
     json_field,
     json_index,
@@ -38,6 +37,7 @@ from .digits import (
     json_object,
     length_vectors,
     validate_base,
+    validate_digit_base,
 )
 
 # Indices per shell kept when spreading a shell weight over a large shell.
@@ -117,22 +117,22 @@ def wal_exponent(b: int, l: int, digits: Sequence[int]) -> int:
     """Exponent e in Z_b with wal_l(x) = omega_b^e for x given by its digits.
 
     e = lambda_0 xi_1 + lambda_1 xi_2 + ... mod b, where lambda are the
-    digits of l (least significant first) and xi the digits of x.
+    digits of l (least significant first) and xi the digits of x, each
+    taken as an int: a product of uint8 digits would wrap.
     """
     need = digit_length(b, l)
     if len(digits) < need:
         raise PrecisionError(
             f"index {l} needs {need} digits, point has only {len(digits)}"
         )
-    return sum(lam * xi for lam, xi in zip(index_digits(b, l), digits)) % b
+    return sum(lam * int(xi) for lam, xi in zip(index_digits(b, l), digits)) % b
 
 
-def wal_exponent_vector(b: int, l: Sequence[int], x: DigitPoint) -> int:
-    if x.base != b:
-        raise ConfigurationError(f"base mismatch: {x.base} vs {b}")
-    if x.s != len(l):
-        raise ConfigurationError(f"dimension mismatch: {x.s} vs {len(l)}")
-    return sum(wal_exponent(b, lj, cj) for lj, cj in zip(l, x.coords)) % b
+def wal_exponent_vector(b: int, l: Sequence[int], x: np.ndarray) -> int:
+    """The exponent of wal_l at the (s, P) digit row x."""
+    if len(x) != len(l):
+        raise ConfigurationError(f"dimension mismatch: {len(x)} vs {len(l)}")
+    return sum(wal_exponent(b, lj, cj) for lj, cj in zip(l, x)) % b
 
 
 def root_of_unity(b: int, e: int) -> complex:
@@ -141,8 +141,8 @@ def root_of_unity(b: int, e: int) -> complex:
     return cmath.exp(2j * cmath.pi * (e % b) / b)
 
 
-def wal_eval(b: int, l: Sequence[int], x: DigitPoint) -> complex:
-    """wal_l(x) as a complex number on the unit circle."""
+def wal_eval(b: int, l: Sequence[int], x: np.ndarray) -> complex:
+    """wal_l at the (s, P) digit row x, a complex number on the unit circle."""
     return root_of_unity(b, wal_exponent_vector(b, l, x))
 
 
@@ -256,7 +256,10 @@ class WalshPolynomial:
         at most s(b-1).  They are None when empty or past
         MAX_EXPONENT_TABLE entries; the exponents then come from the digit
         product, taken mod b.  The root table holds omega_b^e for
-        e = 0..s(b-1) and serves both."""
+        e = 0..s(b-1) and serves both.  A base past MAX_DIGIT_BASE, which
+        no digit row holds, is refused before the root table's b entries
+        are built."""
+        validate_digit_base(self.b)
         b, s, need = self.b, self.s, self.max_digit_length()
         ls = sorted(self.terms)
         # object dtype past int64: components of 2^63 and above divide exactly

@@ -4,8 +4,9 @@ The centerpiece is GammaGrid, an independent oracle for the pair covariance:
 it integrates (psi - 1) f(x) conj(f(y)) over the full digit grid in exact
 rational arithmetic, never touching the coefficient-space shortcut it is
 meant to check.  The rest is small: random rational Walsh series, the
-first-written decay-function builder and its per-term shell sums, a Walsh
-series evaluated point by point and its covariance summed index by index,
+first-written decay-function builder and its per-term shell sums, the exact
+coordinates of a digit row, the dominated-region volume, a Walsh series
+evaluated point by point and its covariance summed index by index,
 the scramble hashed one input depth at a time, the shell-by-shell Fraction
 sum of the covariance polynomial, an integer sign scan for dense polynomial
 grids, the chi-square tail, and the rerun policy for statistical gates.
@@ -22,7 +23,7 @@ import numpy as np
 
 from netcov.counting import joint_pdf_closed_form
 from netcov.covkernel import Psi
-from netcov.digits import DigitPoint, length_vectors
+from netcov.digits import ConfigurationError, length_vectors
 from netcov.nets import PointSet
 from netcov.scramble import _S32, _SYMBOLS, _U64, _mix, _words
 from netcov.walsh import (
@@ -109,8 +110,24 @@ def shells_reference(f: WalshPolynomial) -> dict[tuple[int, ...], Fraction]:
     return out
 
 
-def eval_point(f: WalshPolynomial, x: DigitPoint) -> complex:
-    """f at one point, a character and a to_complex value a term."""
+def digits_to_fractions(row: np.ndarray, b: int) -> tuple[Fraction, ...]:
+    """The exact coordinates of an (s, P) digit row: the oracle that
+    fraction_digits inverts."""
+    return tuple(sum((Fraction(int(d), b ** (j + 1)) for j, d in enumerate(coord)),
+                     Fraction(0)) for coord in row)
+
+
+def volume_prefix_ge(b: int, k: Sequence[int]) -> Fraction:
+    """Volume of the pair region where every coordinate shares a digit
+    prefix of length at least k_j: exactly b^(-sum k)."""
+    if any(c < 0 for c in k):
+        raise ConfigurationError(f"vector components must be >= 0, got {tuple(k)}")
+    return Fraction(1, b ** sum(k))
+
+
+def eval_point(f: WalshPolynomial, x: np.ndarray) -> complex:
+    """f at one (s, P) digit row, a character and a to_complex value a
+    term."""
     total = 0j
     for l, coef in f.terms.items():
         total += coef.to_complex() * root_of_unity(f.b, wal_exponent_vector(f.b, l, x))

@@ -20,7 +20,7 @@ from netcov.counting import (
     pdf_normalization,
     profile_bruteforce,
 )
-from netcov.digits import ConfigurationError, DigitPoint, PrecisionError
+from netcov.digits import ConfigurationError, PrecisionError, fraction_digits
 from netcov.nets import PointSet, faure_net
 from netcov.scramble import ScrambleSeed, owen_scramble
 
@@ -112,7 +112,7 @@ def test_joint_pdf_from_measured_profile():
     b, m, s = 2, 3, 2
     ps = faure_net(b, m, s, precision=5)
     profile = profile_bruteforce(ps)
-    pts = list(ps)
+    pts = ps.digits
     for i in range(ps.n):
         for j in range(ps.n):
             if i == j:
@@ -125,14 +125,14 @@ def test_joint_pdf_from_measured_profile():
 def test_joint_pdf_vanishes_on_the_diagonal():
     ps = faure_net(2, 2, 2)
     profile = profile_bruteforce(ps)
-    p = ps.point(1)
+    p = ps.digits[1]
     assert joint_pdf(profile, p, p) == 0
 
 
 def test_joint_pdf_zero_outside_observed_regions():
     profile = profile_bruteforce(faure_net(2, 2, 2))
-    x = DigitPoint.from_fractions([Fraction(0), Fraction(0)], base=2, precision=2)
-    y = DigitPoint.from_fractions([Fraction(1, 4), Fraction(1, 4)], base=2, precision=2)
+    x = fraction_digits([Fraction(0), Fraction(0)], 2, 2)
+    y = fraction_digits([Fraction(1, 4), Fraction(1, 4)], 2, 2)
     # gamma = (1, 1) never occurs in this net
     assert joint_pdf(profile, x, y) == 0
 
@@ -143,20 +143,25 @@ def test_joint_pdf_reads_saturation_at_the_points_precision():
     # pairs with common-digit vector (2, 0)
     profile = profile_bruteforce(faure_net(2, 3, 2, precision=5))
     assert profile.exact_count((2, 0)) > 0
-    x = DigitPoint.from_fractions([Fraction(0), Fraction(0)], base=2, precision=2)
-    y = DigitPoint.from_fractions([Fraction(0), Fraction(1, 2)], base=2, precision=2)
+    x = fraction_digits([Fraction(0), Fraction(0)], 2, 2)
+    y = fraction_digits([Fraction(0), Fraction(1, 2)], 2, 2)
     assert common_digits(x, y) == (2, 0)
     assert joint_pdf(profile, x, y) == 0
 
 
 def test_joint_pdf_validates_inputs():
     profile = profile_bruteforce(faure_net(2, 2, 2))
-    x3 = DigitPoint.from_fractions([Fraction(0), Fraction(0)], base=3, precision=2)
-    with pytest.raises(ConfigurationError):
-        joint_pdf(profile, x3, x3)
-    x1 = DigitPoint.from_fractions([Fraction(0)], base=2, precision=2)
-    with pytest.raises(ConfigurationError):
+    # a digit at or past the profile's base, in either point
+    x = fraction_digits([Fraction(0), Fraction(0)], 2, 2)
+    y = fraction_digits([Fraction(0), Fraction(2, 3)], 3, 2)
+    for u, v in ((x, y), (y, x)):
+        with pytest.raises(ConfigurationError, match="digit 2 out of range for base 2"):
+            joint_pdf(profile, u, v)
+    x1 = fraction_digits([Fraction(0)], 2, 2)
+    with pytest.raises(ConfigurationError, match="dimension mismatch: 1 vs 2"):
         joint_pdf(profile, x1, x1)
+    with pytest.raises(ConfigurationError, match="dimension mismatch: 2 vs 1"):
+        joint_pdf(profile, x, x1)
 
 
 def test_profile_to_dict_format():

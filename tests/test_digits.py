@@ -7,62 +7,65 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from helpers import digits_to_fractions, volume_prefix_ge
 from netcov.counting import common_digits, gamma_matrix
 from netcov.digits import (
     ConfigurationError,
-    DigitPoint,
+    fraction_digits,
     length_vectors,
     validate_base,
     volume_prefix_eq,
-    volume_prefix_ge,
 )
-from netcov.nets import PointSet
+from netcov.nets import PointSet, faure_net
+from netcov.scramble import ScrambleSeed, owen_scramble
 
 
 def test_from_fractions_expands_exactly():
-    p = DigitPoint.from_fractions([Fraction(3, 4), Fraction(1, 3)],
-                                  base=2, precision=4)
-    assert p.coords[0] == (1, 1, 0, 0)
+    p = fraction_digits([Fraction(3, 4), Fraction(1, 3)], 2, 4)
+    assert p.tolist()[0] == [1, 1, 0, 0]
     # 1/3 in base 2 is 0.010101...; truncation keeps the first four digits
-    assert p.coords[1] == (0, 1, 0, 1)
+    assert p.tolist()[1] == [0, 1, 0, 1]
 
 
 def test_base3_expansion():
-    p = DigitPoint.from_fractions([Fraction(2, 3)], base=3, precision=3)
-    assert p.coords[0] == (2, 0, 0)
+    p = fraction_digits([Fraction(2, 3)], 3, 3)
+    assert p.tolist() == [[2, 0, 0]]
 
 
 def test_to_fractions_inverts_exact_expansions():
-    p = DigitPoint.from_fractions([Fraction(5, 8)], base=2, precision=3)
-    assert p.to_fractions() == (Fraction(5, 8),)
+    p = fraction_digits([Fraction(5, 8)], 2, 3)
+    assert digits_to_fractions(p, 2) == (Fraction(5, 8),)
 
 
 def test_point_properties():
-    p = DigitPoint(3, ((0, 1), (2, 0), (1, 1)))
-    assert p.s == 3
-    assert p.precision == 2
+    # a point is an (s, P) row of the same dtype a PointSet stores
+    p = fraction_digits([0, Fraction(1, 3), "1/2"], 3, 2)
+    assert p.shape == (3, 2)
+    assert p.dtype == faure_net(3, 1, 2).digits.dtype
 
 
 def test_coordinate_range_is_validated():
-    with pytest.raises(ConfigurationError):
-        DigitPoint.from_fractions([Fraction(3, 2)], base=2, precision=2)
-    with pytest.raises(ConfigurationError):
-        DigitPoint.from_fractions([Fraction(-1, 4)], base=2, precision=2)
+    with pytest.raises(ConfigurationError, match=r"coordinate 3/2 outside \[0,1\)"):
+        fraction_digits([Fraction(3, 2)], 2, 2)
+    with pytest.raises(ConfigurationError, match=r"coordinate -1/4 outside"):
+        fraction_digits([Fraction(-1, 4)], 2, 2)
 
 
 def test_digit_range_is_validated():
-    with pytest.raises(ConfigurationError):
-        DigitPoint(2, ((0, 2),))
-
-
-def test_mixed_precision_rejected():
-    with pytest.raises(ConfigurationError):
-        DigitPoint(2, ((0, 1), (0,)))
+    # a stored row's digits lie below the base, and the base fits one byte
+    with pytest.raises(ConfigurationError, match="digit value out of range"):
+        PointSet(b=2, m=0, s=1, t=0, digits=np.array([[[0, 2]]], dtype=np.uint8))
+    with pytest.raises(ConfigurationError, match="bases up to 256, got 257"):
+        fraction_digits([0], 257, 1)
+    with pytest.raises(ConfigurationError, match="prime"):
+        fraction_digits([0], 4, 1)
 
 
 def test_empty_point_rejected():
-    with pytest.raises(ConfigurationError):
-        DigitPoint(2, ())
+    with pytest.raises(ConfigurationError, match="at least one coordinate"):
+        fraction_digits([], 2, 2)
+    with pytest.raises(ConfigurationError, match="at least 1 digit"):
+        fraction_digits([0], 2, 0)
 
 
 def test_base_must_be_prime():
@@ -80,8 +83,8 @@ def test_base_refuses_primes_from_2_to_the_32_before_trial_division():
 
 
 def gamma(x, y):
-    """common_digits of two base-2 points given as tuples of digit tuples."""
-    return common_digits(DigitPoint(2, x), DigitPoint(2, y))
+    """common_digits of two points given as tuples of digit tuples."""
+    return common_digits(np.array(x, dtype=np.uint8), np.array(y, dtype=np.uint8))
 
 
 def test_gamma_counts_common_prefix():
@@ -167,7 +170,7 @@ def _points(data, b, s, p):
         x.append(tuple(xd))
         y.append(tuple(xd[:keep]) + tuple(
             data.draw(st.integers(0, b - 1)) for _ in range(p - keep)))
-    return DigitPoint(b, tuple(x)), DigitPoint(b, tuple(y))
+    return np.array(x, dtype=np.uint8), np.array(y, dtype=np.uint8)
 
 
 @given(st.data())
@@ -183,7 +186,7 @@ def test_gamma_matches_prefix_equality(data):
     b = data.draw(st.sampled_from([2, 3]))
     p = data.draw(st.integers(min_value=1, max_value=8))
     x, y = _points(data, b, data.draw(st.integers(1, 3)), p)
-    for g, xd, yd in zip(common_digits(x, y), x.coords, y.coords):
+    for g, xd, yd in zip(common_digits(x, y), x.tolist(), y.tolist()):
         # g < P: the first g digits agree and digit g + 1 differs;
         # g = P: all P digits agree
         assert 0 <= g <= p
@@ -200,20 +203,19 @@ def test_gamma_equals_gamma_matrix_of_a_point_set(data):
         np.uint8, (b ** m, s, data.draw(st.integers(1, 5))),
         elements=st.integers(0, b - 1))))
     i, j = (data.draw(st.integers(0, ps.n - 1)) for _ in range(2))
-    assert common_digits(ps.point(i), ps.point(j)) == tuple(
+    assert common_digits(ps.digits[i], ps.digits[j]) == tuple(
         int(gamma_matrix(ps.digits[:, k, :])[i, j]) for k in range(s))
 
 
 @given(st.data())
 def test_gamma_vector_rejects_mismatch(data):
-    # points differing in base, dimension or precision are refused
-    what = data.draw(st.sampled_from(["base", "dimension", "precision"]))
+    # rows differing in dimension or precision are refused
+    what = data.draw(st.sampled_from(["dimension", "precision"]))
     s = data.draw(st.integers(1, 3))
     p = data.draw(st.integers(1, 4))
-    x = DigitPoint(2, ((0,) * p,) * s)
-    y = {"base": DigitPoint(3, ((0,) * p,) * s),
-         "dimension": DigitPoint(2, ((0,) * p,) * (s + 1)),
-         "precision": DigitPoint(2, ((0,) * (p + 1),) * s)}[what]
+    x = np.zeros((s, p), dtype=np.uint8)
+    y = {"dimension": np.zeros((s + 1, p), dtype=np.uint8),
+         "precision": np.zeros((s, p + 1), dtype=np.uint8)}[what]
     with pytest.raises(ConfigurationError, match=f"{what} mismatch"):
         common_digits(x, y)
     with pytest.raises(ConfigurationError, match=f"{what} mismatch"):
@@ -223,6 +225,20 @@ def test_gamma_vector_rejects_mismatch(data):
 @given(st.fractions(min_value=Fraction(0), max_value=Fraction(99, 100)),
        st.integers(min_value=1, max_value=10))
 def test_truncation_error_bound(x, p):
-    pt = DigitPoint.from_fractions([x], base=2, precision=p)
-    (back,) = pt.to_fractions()
+    (back,) = digits_to_fractions(fraction_digits([x], 2, p), 2)
     assert 0 <= x - back < Fraction(1, 2 ** p)
+
+
+@given(st.data())
+def test_fraction_digits_reproduces_scrambled_rows(data):
+    # every stored row of a scrambled net is the row its exact coordinates
+    # expand to
+    b = data.draw(st.sampled_from([2, 3, 5, 7]), label="b")
+    m = data.draw(st.integers(0, {2: 4, 3: 3, 5: 2, 7: 1}[b]), label="m")
+    s = data.draw(st.integers(1, min(b, 3)), label="s")
+    p = data.draw(st.integers(max(m, 1), 6), label="P")
+    seed = ScrambleSeed(data.draw(st.integers(0, 2 ** 64 - 1), label="seed"))
+    ps = owen_scramble(faure_net(b, m, s, precision=max(m, 1)), seed, precision=p)
+    for row in ps.digits:
+        again = fraction_digits(digits_to_fractions(row, b), b, p)
+        assert again.dtype == row.dtype and np.array_equal(again, row)

@@ -188,7 +188,7 @@ def test_replications_match_a_per_replication_recomputation(monkeypatch, b, m, s
         assert report.pair_terms[r] == \
             (abs(total) ** 2 - float((np.abs(values) ** 2).sum())) / (n * (n - 1))
         # and the pointwise oracle
-        points = [eval_point(f, p) for p in ps]
+        points = [eval_point(f, p) for p in ps.digits]
         total = sum(points)
         assert report.estimates[r] == pytest.approx(total / n, abs=1e-12)
         pair = (abs(total) ** 2 - sum(abs(v) ** 2 for v in points)) / (n * (n - 1))

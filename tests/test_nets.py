@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from helpers import digits_to_fractions
 from netcov import nets
 from netcov.digits import ConfigurationError, length_vectors
 from netcov.nets import (
@@ -48,7 +49,7 @@ def test_pascal_powers_multiply():
 
 
 def test_base2_m2_point_values():
-    pts = {p.to_fractions() for p in faure_net(2, 2, 2)}
+    pts = {digits_to_fractions(p, 2) for p in faure_net(2, 2, 2).digits}
     assert pts == {
         (Fraction(0), Fraction(0)),
         (Fraction(1, 4), Fraction(3, 4)),
@@ -58,7 +59,7 @@ def test_base2_m2_point_values():
 
 
 def test_one_dimensional_order_is_radical_inverse():
-    pts = [p.to_fractions()[0] for p in faure_net(2, 2, 1)]
+    pts = [digits_to_fractions(p, 2)[0] for p in faure_net(2, 2, 1).digits]
     assert pts == [Fraction(0), Fraction(1, 2), Fraction(1, 4), Fraction(3, 4)]
 
 
@@ -221,9 +222,10 @@ def test_point_accessors():
     ps = faure_net(3, 1, 2)
     assert ps.n == 3
     assert ps.precision == 1
-    third = ps.point(2)
-    assert third.base == 3
-    assert [p.to_fractions() for p in ps][2] == third.to_fractions()
+    # point i is the (s, P) digit row digits[i]
+    third = ps.digits[2]
+    assert third.shape == (ps.s, ps.precision)
+    assert digits_to_fractions(third, ps.b) == (Fraction(2, 3), Fraction(2, 3))
 
 
 def test_save_load_roundtrip():

@@ -116,7 +116,7 @@ def test_identical_coordinates_stay_identical():
     ps = PointSet(b=2, m=1, s=2, t=1, digits=digits)
     out = owen_scramble(ps, ScrambleSeed(3), precision=5)
     assert np.array_equal(out.digits[0, 0], out.digits[1, 0])
-    assert common_digits(out.point(0), out.point(1))[0] == 5
+    assert common_digits(out.digits[0], out.digits[1])[0] == 5
 
 
 def test_pair_profile_is_scramble_invariant():

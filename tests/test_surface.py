@@ -13,8 +13,6 @@ SRC = os.path.join(ROOT, "src", "netcov")
 
 # names that only the tests call, each kept on purpose
 KEEP = {
-    "to_fractions": "exact oracle for DigitPoint.from_fractions",
-    "volume_prefix_ge": "oracle for the dominated-region volumes",
     "analytic_variance": "the scrambled-net variance the paper compares with Monte Carlo",
     "x_coefficients": "the coefficients criterion 6 compares with q_s_polynomial",
     "to_json": "writes the coefficient files simulate reads; "
@@ -52,14 +50,15 @@ def _module_constants(path):
 
 MODULES = [p for p in sorted(glob.glob(os.path.join(SRC, "*.py")))
            if os.path.basename(p) != "__init__.py"]
+# the package and the benchmark: a public name or constant needs a reader here
+PACKAGE = MODULES + sorted(glob.glob(os.path.join(ROOT, "perfbench", "*.py")))
 
 
-def _names_read():
-    """Names read as code in the package and the benchmark, so one that only
-    a docstring or comment mentions, or only its assignment, has no
-    reader."""
+def _names_read(paths):
+    """Names read as code in the given files, so one that only a docstring
+    or comment mentions, or only its assignment, has no reader."""
     read = set()
-    for path in MODULES + sorted(glob.glob(os.path.join(ROOT, "perfbench", "*.py"))):
+    for path in paths:
         with open(path, encoding="utf-8") as fh:
             for node in ast.walk(ast.parse(fh.read())):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -70,7 +69,7 @@ def _names_read():
 
 
 def test_every_public_name_has_a_caller():
-    read = _names_read()
+    read = _names_read(PACKAGE)
     unused = {name for path in MODULES for name in _public_names(path)
               if name not in read}
     assert unused == set(KEEP)
@@ -78,9 +77,15 @@ def test_every_public_name_has_a_caller():
 
 def test_every_module_constant_is_read():
     # a deleted code path cannot leave its cap behind
-    read = _names_read()
+    read = _names_read(PACKAGE)
     assert [name for path in MODULES for name in _module_constants(path)
             if name not in read] == []
+
+
+def test_every_kept_name_is_read_by_a_test():
+    # an oracle no test calls any more cannot stay listed
+    tests = _names_read(sorted(glob.glob(os.path.join(ROOT, "tests", "*.py"))))
+    assert set(KEEP) - tests == set()
 
 
 def test_package_init_imports_nothing():

@@ -9,6 +9,7 @@ orthonormality and Parseval on the dyadic grid, exact shell weights.
 import json
 import math
 import random
+import time
 from fractions import Fraction
 from unittest import mock
 
@@ -19,7 +20,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from helpers import (
     covariance_analytic, decay_polynomial_reference, eval_point, random_walsh_polynomial,
     shells_reference)
-from netcov.digits import ConfigurationError, DigitPoint, PrecisionError, length_vectors
+from netcov.digits import ConfigurationError, PrecisionError, fraction_digits, length_vectors
 from netcov import walsh
 from netcov.estimators import build_function
 from netcov.nets import faure_net
@@ -82,29 +83,35 @@ def test_wal_exponent_needs_enough_digits():
 
 
 def test_wal_eval_zero_vector_is_one():
-    x = DigitPoint(2, ((1, 0), (0, 1)))
+    x = np.array([[1, 0], [0, 1]], dtype=np.uint8)
     assert wal_eval(2, (0, 0), x) == 1
 
 
 def test_wal_eval_product_of_scalars():
-    x = DigitPoint.from_fractions([Fraction(3, 4), Fraction(1, 2)],
-                                  base=2, precision=2)
+    x = fraction_digits([Fraction(3, 4), Fraction(1, 2)], 2, 2)
     assert wal_eval(2, (1, 1), x) == 1
 
 
 def test_wal_eval_base3_value():
-    x = DigitPoint.from_fractions([Fraction(2, 3)], base=3, precision=1)
+    x = fraction_digits([Fraction(2, 3)], 3, 1)
     got = wal_eval(3, (1,), x)
     want = complex(math.cos(4 * math.pi / 3), math.sin(4 * math.pi / 3))
     assert got == pytest.approx(want)
 
 
 def test_wal_exponent_vector_validates():
-    x = DigitPoint(2, ((0,),))
-    with pytest.raises(ConfigurationError):
-        wal_exponent_vector(3, (1,), x)
-    with pytest.raises(ConfigurationError):
+    x = np.zeros((1, 1), dtype=np.uint8)
+    with pytest.raises(ConfigurationError, match="dimension mismatch: 1 vs 2"):
         wal_exponent_vector(2, (1, 1), x)
+
+
+def test_wal_exponent_vector_takes_uint8_digits_as_ints():
+    # 250 * 250 = 62500 = 1 mod 251, but 36 in uint8 arithmetic
+    b = 251
+    l = (250, 250 + 250 * b)
+    row = np.full((2, 2), 250, dtype=np.uint8)
+    assert wal_exponent_vector(b, l, row) == \
+        wal_exponent_vector(b, l, ((250, 250), (250, 250))) == 3
 
 
 def test_product_rule_on_random_indices():
@@ -186,14 +193,13 @@ def test_root_of_unity():
 def test_orthonormality_on_dyadic_cells():
     # exact cell averages of wal_k * conj(wal_l) over the 8 cells of width
     # 1/8: the identity matrix, computed in integer arithmetic
-    cells = [DigitPoint.from_fractions([Fraction(i, 8)], base=2, precision=3)
-             for i in range(8)]
+    cells = [fraction_digits([Fraction(i, 8)], 2, 3) for i in range(8)]
     for k in range(8):
         for l in range(8):
             total = 0
             for c in cells:
-                ek = wal_exponent(2, k, c.coords[0])
-                el = wal_exponent(2, l, c.coords[0])
+                ek = wal_exponent(2, k, c[0])
+                el = wal_exponent(2, l, c[0])
                 total += 1 if (ek - el) % 2 == 0 else -1
             assert total == (8 if k == l else 0)
 
@@ -324,7 +330,7 @@ def test_matrix_and_pointwise_evaluation_agree():
     f = random_walsh_polynomial(rng, b=3, s=2, k_cap=2, n_terms=4)
     ps = faure_net(3, 2, 2, precision=3)
     vals = f.eval_digit_matrix(ps.digits)
-    for i, p in enumerate(ps):
+    for i, p in enumerate(ps.digits):
         assert vals[i] == pytest.approx(eval_point(f, p), abs=1e-12)
 
 
@@ -347,8 +353,18 @@ def test_matrix_evaluation_matches_pointwise_on_both_routes(b, k_cap, tables):
     digits[0] = b - 1
     vals = f.eval_digit_matrix(digits)
     for i, row in enumerate(digits):
-        point = DigitPoint(b, tuple(tuple(int(d) for d in c) for c in row))
-        assert vals[i] == pytest.approx(eval_point(f, point), abs=1e-12)
+        assert vals[i] == pytest.approx(eval_point(f, row), abs=1e-12)
+
+
+@pytest.mark.parametrize("b", [1_048_573, 2 ** 31 - 1])
+def test_plan_refuses_a_base_no_digit_row_holds(b):
+    # the root table would take one root_of_unity call per residue below b
+    f = WalshPolynomial(b=b, s=1, terms={(1,): Coefficient(1, 0)})
+    start = time.perf_counter()
+    with pytest.raises(ConfigurationError, match=f"bases up to 256, got {b}"):
+        f.eval_digit_matrix(np.zeros((1, 1, 1), dtype=np.uint8))
+    assert time.perf_counter() - start < 0.1
+    assert "_plan" not in f.__dict__
 
 
 def test_matrix_evaluation_checks_precision():
@@ -518,7 +534,8 @@ def test_decay_builder_matches_its_first_written_form(b, s, kind, a, x_times_b, 
     plain = WalshPolynomial(b, s, f.terms)
     assert list(f.shells().items()) == list(plain.shells().items())
     assert f.max_digit_length() == plain.max_digit_length()
-    # the plan's coefficient column, without its b-entry root table
+    # the plan's coefficient column, read without a plan, which the
+    # example's b = 2^31 - 1 is refused
     ls = sorted(f.terms)
     assert np.array([f._values[l] for l in ls]).tobytes() == \
         np.array([plain._values[l] for l in ls]).tobytes()
