@@ -370,3 +370,13 @@ def test_covpoly_scans_are_pinned(tmp_path, capsys, b, m, s, a, grid, scale,
 def test_qscan_csvs_are_pinned(tmp_path, capsys, b, m, s, grid, digest):
     assert _scan_digest(tmp_path, capsys, "qscan", "--base", b, "--m", m,
                         "--s", s, "--x-grid", grid) == digest
+
+
+def test_verify_report_is_pinned(capsys):
+    # every check's name, verdict and detail string; the timings vary
+    assert cli.main(["--format", "json", "verify"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    for entry in doc["checks"]:
+        del entry["seconds"]
+    assert sha256(json.dumps(doc, sort_keys=True).encode()) == \
+        "c5bef80e672a864d13d9efce7d69695f5b7e41abe359c677703c4e857b8077eb"
