@@ -23,9 +23,10 @@ import numpy as np
 
 from . import counting, covkernel
 from .digits import length_vectors
+from .estimators import build_function
 from .nets import PointSet, dominated_counts, faure_net, verify_net
 from .scramble import ScrambleSeed, owen_scramble
-from .walsh import enumerate_L_k, index_add, shell_of, shell_size, wal_eval
+from .walsh import enumerate_L_k, index_add, shell_of, shell_size
 
 
 class CheckFailure(AssertionError):
@@ -263,13 +264,18 @@ def check_hypergeometric_assembly() -> str:
     return f"{checked} assembled values equal the witness"
 
 
+def _wal(b: int, l: int, digits: np.ndarray) -> np.ndarray:
+    """wal_l at each (n, 1, P) digit row, by simulate's map and plan."""
+    return build_function(b, 1, {"kind": "wal", "l": [l]}).eval_digit_matrix(digits)
+
+
 def check_walsh_orthogonality() -> str:
     checked = 0
     for b in (2, 3):
         k = 2
         net = faure_net(b, k, 1, precision=k)
         for l in range(1, b ** k):
-            total = sum(wal_eval(b, (l,), p) for p in net.digits)
+            total = _wal(b, l, net.digits).sum()
             expect(abs(total) < 1e-9,
                    f"character sum over the base-{b} grid not zero at l={l}")
             checked += 1
@@ -284,17 +290,15 @@ def check_walsh_product_rule() -> str:
     rng = random.Random(7)
     checked = 0
     for b in (2, 3, 5):
-        net = faure_net(b, 2, 1, precision=4)
+        points = faure_net(b, 2, 1, precision=4).digits[[0, 1, -1]]
         for _ in range(20):
             k = rng.randrange(0, b ** 3)
             l = rng.randrange(0, b ** 3)
-            kl = index_add(b, k, l)
-            for p in net.digits[[0, 1, -1]]:
-                lhs = wal_eval(b, (k,), p) * wal_eval(b, (l,), p)
-                rhs = wal_eval(b, (kl,), p)
-                expect(abs(lhs - rhs) < 1e-9,
-                       f"product rule fails at base {b}, k={k}, l={l}")
-                checked += 1
+            lhs = _wal(b, k, points) * _wal(b, l, points)
+            rhs = _wal(b, index_add(b, k, l), points)
+            expect(bool((abs(lhs - rhs) < 1e-9).all()),
+                   f"product rule fails at base {b}, k={k}, l={l}")
+            checked += len(points)
     return f"product rule holds at {checked} sample evaluations"
 
 

@@ -29,6 +29,9 @@ PRIMES_TO_53 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 CRITICAL = "critical"  # marks a = (b-1)/b, resolved per swept base
 # --x-grid point cap: 100x the largest grid a figure or scan needs (1001)
 MAX_GRID_POINTS = 100_000
+# Most points x (degree x bits of the grid's numbers)^2 a scan may take, the
+# cost of its Horner passes: about 3.5 s on a 2-core VM; a figure needs 10^7
+MAX_SCAN_WORK = 2 ** 39
 
 # name -> (swept parameter, its values, fixed parameters); the fixed ones
 # keep base, m, s, a order, which the CSV comment line prints
@@ -69,6 +72,11 @@ def _scan_rows(polys: Sequence[tuple[Sequence[int], int, str]],
     once; a value is one int/int division, correctly rounded, reduced or not,
     as float(Fraction) is."""
     numerators, q = grid
+    bits = max(q, abs(numerators[0]), abs(numerators[-1])).bit_length()
+    work = len(numerators) * sum(((len(c) - 1) * bits) ** 2 for c, _, _ in polys)
+    if work > MAX_SCAN_WORK:
+        raise ConfigurationError(f"a scan of {len(numerators)} points of {bits} bits "
+                                 f"takes {work} units of work, more than {MAX_SCAN_WORK}")
     labels = [f"{p / q!r}," for p in numerators]
     rows = []
     for coeffs, den, prefix in polys:
@@ -161,11 +169,12 @@ def _parse_point(text: str, b: int, precision: int):
 
 def _cmd_psi_eval(args) -> int:
     ps = _load_points(args.file)
-    profile = pair_profile(ps)
     x = _parse_point(args.x, ps.b, ps.precision)
     y = _parse_point(args.y, ps.b, ps.precision)
+    # x against y, then x against the file's s, before the profile is built
     parts = common_digits(x, y)
-    density = joint_pdf(profile, x, y)
+    common_digits(x, ps.digits[0])
+    density = joint_pdf(pair_profile(ps), x, y)
     # a component at the precision agrees through every stored digit
     saturated = "AT_LEAST_P"
     doc = {
@@ -340,8 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(fn=_cmd_simulate)
 
     p_verify = sub.add_parser("verify", help="run the identity suite")
-    p_verify.add_argument("what", nargs="?", default="identities",
-                          choices=("identities",))
     p_verify.add_argument("--out", default=None)
     p_verify.set_defaults(fn=_cmd_verify)
 

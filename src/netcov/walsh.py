@@ -99,51 +99,15 @@ def digit_length(b: int, l: int) -> int:
     return n
 
 
-def index_digits(b: int, l: int, length: int | None = None) -> tuple[int, ...]:
-    """Base-b digits of l, least significant first."""
-    k = digit_length(b, l)
-    length = k if length is None else length
-    if length < k:
-        raise ConfigurationError(f"{l} does not fit in {length} base-{b} digits")
-    return tuple(l // b ** i % b for i in range(length))
-
-
 def shell_of(b: int, l: Sequence[int]) -> tuple[int, ...]:
     """The shell of an index: the base-b digit length of each component."""
     return tuple(digit_length(b, lj) for lj in l)
-
-
-def wal_exponent(b: int, l: int, digits: Sequence[int]) -> int:
-    """Exponent e in Z_b with wal_l(x) = omega_b^e for x given by its digits.
-
-    e = lambda_0 xi_1 + lambda_1 xi_2 + ... mod b, where lambda are the
-    digits of l (least significant first) and xi the digits of x, each
-    taken as an int: a product of uint8 digits would wrap.
-    """
-    need = digit_length(b, l)
-    if len(digits) < need:
-        raise PrecisionError(
-            f"index {l} needs {need} digits, point has only {len(digits)}"
-        )
-    return sum(lam * int(xi) for lam, xi in zip(index_digits(b, l), digits)) % b
-
-
-def wal_exponent_vector(b: int, l: Sequence[int], x: np.ndarray) -> int:
-    """The exponent of wal_l at the (s, P) digit row x."""
-    if len(x) != len(l):
-        raise ConfigurationError(f"dimension mismatch: {len(x)} vs {len(l)}")
-    return sum(wal_exponent(b, lj, cj) for lj, cj in zip(l, x)) % b
 
 
 def root_of_unity(b: int, e: int) -> complex:
     if b == 2:
         return 1.0 + 0j if e % 2 == 0 else -1.0 + 0j
     return cmath.exp(2j * cmath.pi * (e % b) / b)
-
-
-def wal_eval(b: int, l: Sequence[int], x: np.ndarray) -> complex:
-    """wal_l at the (s, P) digit row x, a complex number on the unit circle."""
-    return root_of_unity(b, wal_exponent_vector(b, l, x))
 
 
 def index_add(b: int, k: int, l: int) -> int:

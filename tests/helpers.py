@@ -5,11 +5,11 @@ it integrates (psi - 1) f(x) conj(f(y)) over the full digit grid in exact
 rational arithmetic, never touching the coefficient-space shortcut it is
 meant to check.  The rest is small: random rational Walsh series, the
 first-written decay-function builder and its per-term shell sums, the exact
-coordinates of a digit row, the dominated-region volume, a Walsh series
-evaluated point by point and its covariance summed index by index,
-the scramble hashed one input depth at a time, the shell-by-shell Fraction
-sum of the covariance polynomial, an integer sign scan for dense polynomial
-grids, the chi-square tail, and the rerun policy for statistical gates.
+coordinates of a digit row, the dominated-region volume, the Walsh
+character by its definition, a Walsh series evaluated point by point with
+it and its covariance summed index by index, the scramble hashed one input
+depth at a time, the shell-by-shell Fraction sum of the covariance
+polynomial, the chi-square tail, and the rerun policy for statistical gates.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from netcov.digits import ConfigurationError, length_vectors
 from netcov.nets import PointSet
 from netcov.scramble import _S32, _SYMBOLS, _U64, _mix, _words
 from netcov.walsh import (
-    Coefficient, WalshPolynomial, enumerate_L_k, index_digits, root_of_unity, shell_of,
-    shell_size, wal_exponent_vector)
+    Coefficient, WalshPolynomial, digit_length, enumerate_L_k, root_of_unity, shell_of,
+    shell_size)
 
 
 def random_rational(rng: random.Random, num_abs: int = 8, den_max: int = 4) -> Fraction:
@@ -125,12 +125,33 @@ def volume_prefix_ge(b: int, k: Sequence[int]) -> Fraction:
     return Fraction(1, b ** sum(k))
 
 
+def index_digits(b: int, l: int, length: int) -> tuple[int, ...]:
+    """The first `length` base-b digits of l, least significant first."""
+    return tuple(l // b ** i % b for i in range(length))
+
+
+def wal_exponent(b: int, l: Sequence[int], x) -> int:
+    """The exponent e in Z_b with wal_l = omega_b^e at the (s, P) digit row
+    x, by the definition: per coordinate, lambda_0 xi_1 + lambda_1 xi_2 + ...
+    with lambda the digits of l_j (least significant first) and xi those of
+    x_j, each digit taken as an int since a product of uint8 digits wraps.
+    The pointwise oracle that WalshPolynomial's evaluation plan is checked
+    against."""
+    assert len(x) == len(l), f"dimension mismatch: {len(x)} vs {len(l)}"
+    total = 0
+    for lj, xj in zip(l, x):
+        need = digit_length(b, lj)
+        assert len(xj) >= need, f"index {lj} needs {need} digits"
+        total += sum(lam * int(xi) for lam, xi in zip(index_digits(b, lj, need), xj))
+    return total % b
+
+
 def eval_point(f: WalshPolynomial, x: np.ndarray) -> complex:
     """f at one (s, P) digit row, a character and a to_complex value a
     term."""
     total = 0j
     for l, coef in f.terms.items():
-        total += coef.to_complex() * root_of_unity(f.b, wal_exponent_vector(f.b, l, x))
+        total += coef.to_complex() * root_of_unity(f.b, wal_exponent(f.b, l, x))
     return total
 
 
@@ -286,23 +307,6 @@ def cov_polynomial_reference(b: int, m: int, s: int, a: Fraction) -> tuple[Fract
             total += ways * a ** r * Psi(b, r, max(k - m, 0))
         coeffs.append(total)
     return tuple(coeffs)
-
-
-def first_sign_violation(coeffs: Sequence[int], den: int) -> int | None:
-    """First i in 0..den with p(i/den) > 0, or None.
-
-    coeffs are integer polynomial coefficients, constant first.  Evaluation
-    is pure integer Horner on p(i/den) * den^deg, so the sign is exact.
-    """
-    d = len(coeffs) - 1
-    scaled = [c * den ** (d - k) for k, c in enumerate(coeffs)]
-    for i in range(den + 1):
-        acc = scaled[d]
-        for k in range(d - 1, -1, -1):
-            acc = acc * i + scaled[k]
-        if acc > 0:
-            return i
-    return None
 
 
 def chi2_sf(x: float, df: int) -> float:

@@ -25,7 +25,6 @@ import conftest
 from helpers import (
     GammaGrid,
     covariance_analytic,
-    first_sign_violation,
     random_walsh_polynomial,
     run_with_rerun,
 )
@@ -40,7 +39,7 @@ from netcov.checks import (
     witness_difference_holds,
 )
 from netcov.counting import pdf_normalization
-from netcov.covkernel import cov_polynomial, psi_hat_zero_t, q_s_polynomial
+from netcov.covkernel import cov_polynomial, horner, psi_hat_zero_t, q_s_polynomial
 from netcov.estimators import ExperimentConfig, run_experiment
 from netcov.nets import faure_net, verify_net
 from netcov.scramble import ScrambleSeed, owen_scramble
@@ -132,7 +131,10 @@ def test_criterion_05_witness_nonpositive_on_the_grid():
                     coeffs = q_s_polynomial(b, m, s)
                     assert coeffs[0] == 0
                     assert sum(coeffs) == 1 - b ** m
-                    hit = first_sign_violation(coeffs, 1000)
+                    # each numerator has the sign of q_s(i/1000): its
+                    # denominator is the positive 1000^deg
+                    nums, _ = horner(coeffs, range(1001), 1000)
+                    hit = next((i for i, v in enumerate(nums) if v > 0), None)
                     assert hit is None, \
                         f"positive at x={hit}/1000 for {(b, m, s)}"
                     scanned += 1

@@ -3,10 +3,12 @@ is planted in what it compares."""
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from netcov import checks, counting, covkernel, scramble
 from netcov.nets import PointSet, faure_net
+from netcov.walsh import WalshPolynomial, root_of_unity
 
 X = Fraction(1, 3)
 BASE = faure_net(2, 2, 2, precision=4)
@@ -15,6 +17,22 @@ BASE = faure_net(2, 2, 2, precision=4)
 def _plant(module, name, fault):
     original = getattr(module, name)
     return lambda mp: mp.setattr(module, name, lambda *a, **k: fault(original(*a, **k)))
+
+
+def _plant_plan(fault):
+    original = WalshPolynomial.eval_digit_matrix
+    return lambda mp: mp.setattr(WalshPolynomial, "eval_digit_matrix",
+                                 lambda f, digits: fault(original, f, digits))
+
+
+def _omega_shifted(evaluate, f, digits):
+    return evaluate(f, digits) * root_of_unity(f.b, 1)
+
+
+def _first_digit_only(evaluate, f, digits):
+    first = np.zeros_like(digits)
+    first[:, :, 0] = digits[:, :, 0]
+    return evaluate(f, first)
 
 
 def _scrambled():
@@ -53,6 +71,10 @@ def _rows_swapped(ps):
                  lambda: checks.recurrence_vanishes(2, 2, 2, X), id="residual"),
     pytest.param(_plant(scramble, "owen_scramble", _rows_swapped),
                  lambda: checks.gamma_preserved(BASE, _scrambled()), id="swapped-rows"),
+    pytest.param(_plant_plan(_omega_shifted), checks.check_walsh_product_rule,
+                 id="plan-omega-shift"),
+    pytest.param(_plant_plan(_first_digit_only), checks.check_walsh_orthogonality,
+                 id="plan-first-digit"),
 ])
 def test_planted_faults_are_caught(monkeypatch, plant, call):
     call()

@@ -230,6 +230,24 @@ def test_psi_eval_refuses_a_coordinate_that_is_not_rational(tmp_path, capsys,
     assert err == f"error: not a rational number: {coords!r}\n"
 
 
+@pytest.mark.parametrize("x,y,message", [
+    ("0,2", "0,0", "coordinate 2 outside [0,1)"),
+    ("0,0", "1/2,1/2,1/2", "dimension mismatch: 2 vs 3"),
+    ("0", "1/2", "dimension mismatch: 1 vs 2"),
+], ids=["range", "x-against-y", "against-the-file"])
+def test_psi_eval_refuses_a_bad_pair_before_the_profile(tmp_path, capsys,
+                                                        monkeypatch, x, y, message):
+    net = gen_net_file(tmp_path, capsys)
+
+    def fail(ps):
+        raise AssertionError("the profile was built")
+
+    monkeypatch.setattr(cli, "pair_profile", fail)
+    code, out, err = run(capsys, "psi", "eval", "--x", x, "--y", y, str(net))
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
 def test_covpoly_json_document(capsys):
     code, out, _ = run(capsys, "covpoly", "--base", "2", "--m", "1",
                        "--s", "2", "--a", "1/2")
@@ -433,6 +451,25 @@ def test_grid_size_is_capped_before_it_is_built(capsys):
         cli._parse_grid(f"0:{cli.MAX_GRID_POINTS}:1")
 
 
+@pytest.mark.parametrize("argv", [
+    ["covpoly", "--base", "2", "--m", "255", "--s", "256", "--a", "1/2"],
+    ["qscan", "--base", "2", "--m", "255", "--s", "256"],
+    ["figure-scan", "--preset", "3b"],
+], ids=["covpoly", "qscan", "figure-scan"])
+def test_a_scan_past_the_work_cap_is_refused_at_once(tmp_path, capsys, argv):
+    # two points over q = 10^4000: at m + s = 511 this ran past two minutes
+    out = tmp_path / "out"
+    flag = "--out-dir" if argv[0] == "figure-scan" else "--out"
+    t0 = time.perf_counter()
+    code, stdout, err = run(capsys, *argv, "--x-grid", "0:1e-4000:1e-4000",
+                            flag, str(out))
+    assert time.perf_counter() - t0 < 1
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: a scan of 2 points of 13288 bits takes ")
+    assert err.endswith(f"units of work, more than {cli.MAX_SCAN_WORK}\n")
+    assert not out.exists()
+
+
 def test_format_csv_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--format", "csv", "verify"])
@@ -452,6 +489,8 @@ def test_psi_refuses_profiles_past_the_memory_cap(tmp_path, capsys, command):
     same = tmp_path / "same.txt"
     same.write_text("2 10 3 0 40\n" + f"{'0' * 40} {'0' * 40} {'0' * 40}\n" * 1024,
                     encoding="utf-8")
+    # a pair in the file's three dimensions, since a bad pair is refused first
+    command = [{"0,0": "0,0,0"}.get(arg, arg) for arg in command]
     code, _, err = run(capsys, *command, str(same))
     assert code == 2 and f"more than {MAX_PROFILE_WORK}" in err
 

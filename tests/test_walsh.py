@@ -1,9 +1,11 @@
 """Walsh characters, index shells, and finite Walsh series.
 
 The pinned scalar cases fix the digit convention (digit length of 0 is 0,
-least-significant index digit pairs with the first point digit); everything
-else is property-level: group law in exponent arithmetic, shell partition,
-orthonormality and Parseval on the dyadic grid, exact shell weights.
+least-significant index digit pairs with the first point digit) on the
+evaluation plan, WalshPolynomial.eval_digit_matrix; everything else is
+property-level: the group law on the plan's values, shell partition,
+orthonormality on the dyadic grid, Parseval against the pointwise
+definition, exact shell weights.
 """
 
 import json
@@ -18,8 +20,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from helpers import (
-    covariance_analytic, decay_polynomial_reference, eval_point, random_walsh_polynomial,
-    shells_reference)
+    covariance_analytic, decay_polynomial_reference, eval_point, index_digits,
+    random_walsh_polynomial, shells_reference, wal_exponent)
 from netcov.digits import ConfigurationError, PrecisionError, fraction_digits, length_vectors
 from netcov import walsh
 from netcov.estimators import build_function
@@ -31,14 +33,10 @@ from netcov.walsh import (
     digit_length,
     enumerate_L_k,
     index_add,
-    index_digits,
     random_decay_polynomial,
     root_of_unity,
     shell_of,
     shell_size,
-    wal_eval,
-    wal_exponent,
-    wal_exponent_vector,
 )
 
 
@@ -54,55 +52,40 @@ def test_digit_length():
         digit_length(2, -1)
 
 
-def test_index_digits():
-    assert index_digits(2, 6) == (0, 1, 1)
-    assert index_digits(2, 6, 5) == (0, 1, 1, 0, 0)
-    assert index_digits(3, 0) == ()
-    with pytest.raises(ConfigurationError):
-        index_digits(2, 6, 2)
+def _wal(b, l, rows):
+    """The one-term map wal_l at each (s, P) digit row, through the plan."""
+    f = WalshPolynomial(b=b, s=len(l), terms={l: Coefficient(1, 0)})
+    return f.eval_digit_matrix(np.array(rows, dtype=np.uint8))
 
 
 def test_wal_exponent_zero_index():
-    assert wal_exponent(2, 0, (0, 1, 1)) == 0
-    assert wal_exponent(5, 0, ()) == 0
+    assert list(_wal(2, (0,), [[(0, 1, 1)]])) == [1]
+    assert list(_wal(5, (0,), np.zeros((1, 1, 0)))) == [1]
 
 
 def test_wal_exponent_base2():
     # x = 3/4 has digits (1, 1); lambda_0 * xi_1 = 1
-    assert wal_exponent(2, 1, (1, 1)) == 1
+    assert list(_wal(2, (1,), [[(1, 1)]])) == [-1]
 
 
 def test_wal_exponent_base3():
     # x = 2/3 has digits (2,); the character value is omega_3^2
-    assert wal_exponent(3, 1, (2,)) == 2
-
-
-def test_wal_exponent_needs_enough_digits():
-    with pytest.raises(PrecisionError, match="needs 2 digits"):
-        wal_exponent(2, 2, (1,))
+    assert list(_wal(3, (1,), [[(2,)]])) == [root_of_unity(3, 2)]
 
 
 def test_wal_eval_zero_vector_is_one():
-    x = np.array([[1, 0], [0, 1]], dtype=np.uint8)
-    assert wal_eval(2, (0, 0), x) == 1
+    assert list(_wal(2, (0, 0), [[(1, 0), (0, 1)]])) == [1]
 
 
 def test_wal_eval_product_of_scalars():
     x = fraction_digits([Fraction(3, 4), Fraction(1, 2)], 2, 2)
-    assert wal_eval(2, (1, 1), x) == 1
+    assert list(_wal(2, (1, 1), [x])) == [1]
 
 
 def test_wal_eval_base3_value():
     x = fraction_digits([Fraction(2, 3)], 3, 1)
-    got = wal_eval(3, (1,), x)
     want = complex(math.cos(4 * math.pi / 3), math.sin(4 * math.pi / 3))
-    assert got == pytest.approx(want)
-
-
-def test_wal_exponent_vector_validates():
-    x = np.zeros((1, 1), dtype=np.uint8)
-    with pytest.raises(ConfigurationError, match="dimension mismatch: 1 vs 2"):
-        wal_exponent_vector(2, (1, 1), x)
+    assert _wal(3, (1,), [x])[0] == pytest.approx(want)
 
 
 def test_wal_exponent_vector_takes_uint8_digits_as_ints():
@@ -110,8 +93,8 @@ def test_wal_exponent_vector_takes_uint8_digits_as_ints():
     b = 251
     l = (250, 250 + 250 * b)
     row = np.full((2, 2), 250, dtype=np.uint8)
-    assert wal_exponent_vector(b, l, row) == \
-        wal_exponent_vector(b, l, ((250, 250), (250, 250))) == 3
+    assert wal_exponent(b, l, row) == 3
+    assert list(_wal(b, l, [row])) == [root_of_unity(b, 3)]
 
 
 def test_product_rule_on_random_indices():
@@ -120,9 +103,9 @@ def test_product_rule_on_random_indices():
         b = rng.choice([2, 3, 5])
         k = rng.randrange(0, b ** 4)
         l = rng.randrange(0, b ** 4)
-        digits = tuple(rng.randrange(b) for _ in range(6))
-        lhs = (wal_exponent(b, k, digits) + wal_exponent(b, l, digits)) % b
-        assert lhs == wal_exponent(b, index_add(b, k, l), digits)
+        rows = [[tuple(rng.randrange(b) for _ in range(6))]]
+        lhs = _wal(b, (k,), rows) * _wal(b, (l,), rows)
+        assert lhs == pytest.approx(_wal(b, (index_add(b, k, l),), rows), abs=1e-12)
 
 
 def test_conjugation_rule_on_random_indices():
@@ -130,10 +113,10 @@ def test_conjugation_rule_on_random_indices():
     for _ in range(60):
         b = rng.choice([2, 3, 5])
         l = rng.randrange(0, b ** 4)
-        digits = tuple(rng.randrange(b) for _ in range(6))
+        rows = [[tuple(rng.randrange(b) for _ in range(6))]]
         # the index whose digits are the negated digits of l
-        neg = sum((-d) % b * b ** i for i, d in enumerate(index_digits(b, l)))
-        assert (wal_exponent(b, neg, digits) + wal_exponent(b, l, digits)) % b == 0
+        neg = sum((-d) % b * b ** i for i, d in enumerate(index_digits(b, l, 4)))
+        assert _wal(b, (neg,), rows) * _wal(b, (l,), rows) == pytest.approx([1], abs=1e-12)
         assert index_add(b, l, neg) == 0
 
 
@@ -191,17 +174,14 @@ def test_root_of_unity():
 
 
 def test_orthonormality_on_dyadic_cells():
-    # exact cell averages of wal_k * conj(wal_l) over the 8 cells of width
-    # 1/8: the identity matrix, computed in integer arithmetic
+    # exact cell sums of wal_k * conj(wal_l) over the 8 cells of width 1/8:
+    # 8 times the identity matrix, exact since base-2 values are +-1
     cells = [fraction_digits([Fraction(i, 8)], 2, 3) for i in range(8)]
+    values = [_wal(2, (k,), cells) for k in range(8)]
     for k in range(8):
         for l in range(8):
-            total = 0
-            for c in cells:
-                ek = wal_exponent(2, k, c[0])
-                el = wal_exponent(2, l, c[0])
-                total += 1 if (ek - el) % 2 == 0 else -1
-            assert total == (8 if k == l else 0)
+            assert set(values[k]) <= {1, -1}
+            assert (values[k] * values[l].conj()).sum() == (8 if k == l else 0)
 
 
 def test_random_series_refuse_more_terms_than_indices():
@@ -226,9 +206,7 @@ def test_parseval_on_the_digit_grid():
             # root is 1, so each coefficient is exactly re + i*im
             re = im = Fraction(0)
             for l, coef in f.terms.items():
-                e = sum(wal_exponent(2, lj, cj)
-                        for lj, cj in zip(l, coords)) % 2
-                sign = 1 if e == 0 else -1
+                sign = 1 if wal_exponent(2, l, coords) == 0 else -1
                 re += sign * coef.re
                 im += sign * coef.im
             total += re * re + im * im
