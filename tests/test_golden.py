@@ -294,6 +294,40 @@ def test_net_verify_reports_are_pinned(tmp_path, capsys, case, flags, code,
     assert sha256(capsys.readouterr().out.encode()) == digest
 
 
+def _finest_digit_changed(text, m):
+    """The last point's first coordinate with its digit at depth m flipped
+    (base 2): only the one shape of total m that reads that digit fails."""
+    lines = text.splitlines(keepends=True)
+    coords = lines[-1].split()
+    digit = coords[0][m - 1]
+    coords[0] = coords[0][:m - 1] + str(1 - int(digit)) + coords[0][m:]
+    lines[-1] = " ".join(coords) + "\n"
+    return "".join(lines)
+
+
+# a scrambled (2,10,2) net with one digit at depth m changed: net verify's
+# report names the bad interval of the finest shape (10, 0), and psi profile
+# counts a set that is no longer a (0,10,2)-net
+@pytest.mark.parametrize("command,digest", [
+    (("net", "verify"),
+     "dfd1fdab5dc5dde8aac01b83e4b373bea6a4fc8ba9ee624bc37e025e2ddbac63"),
+    (("psi", "profile"),
+     "ec3d1c3643b5628932491674d979d0309d1f96dd80a4d03129953173451caf11"),
+], ids=["net-verify", "psi-profile"])
+def test_outputs_of_a_net_failing_only_at_depth_m_are_pinned(tmp_path, capsys,
+                                                             command, digest):
+    net, points = tmp_path / "net.txt", tmp_path / "rep000.txt"
+    run(capsys, "net", "gen", "--base", "2", "--m", "10", "--s", "2",
+        "--out", str(net))
+    run(capsys, "scramble", "--seed", "7", "--out-prefix",
+        str(tmp_path / "rep"), str(net))
+    points.write_text(_finest_digit_changed(points.read_text(encoding="utf-8"), 10),
+                      encoding="utf-8")
+    code = cli.main([*command, str(points)])
+    assert code == {"verify": 1, "profile": 0}[command[1]]
+    assert sha256(capsys.readouterr().out.encode()) == digest
+
+
 # psi eval's JSON on stdout: a component that agrees through all P stored
 # digits prints as "AT_LEAST_P", and so does the total once any one does
 @pytest.mark.parametrize("net_args,scrambled,x,y,digest", [
