@@ -21,7 +21,7 @@ from itertools import product
 
 import numpy as np
 
-from . import counting, covkernel
+from . import counting, covkernel, nets
 from .digits import length_vectors
 from .estimators import build_function
 from .nets import PointSet, dominated_counts, faure_net, verify_net
@@ -38,22 +38,39 @@ def expect(cond: bool, msg: str) -> None:
         raise CheckFailure(msg)
 
 
-def profile_matches_closed_forms(ps: PointSet) -> int:
-    """The prefix-cell profile of a scrambled (0,m,s)-net equals the
-    pairwise oracle, and its exact counts and the dominated counts it is
-    differenced from equal the closed forms for every vector below the
-    stored precision."""
+def profile_matches_pairwise(ps: PointSet) -> int:
+    """On any point set, the profile differenced from dominated_counts equals
+    the pairwise oracle, and dominated_counts, whichever route it takes,
+    equals the prefix-cell walk."""
     b, m, s = ps.b, ps.m, ps.s
-    profile = counting.pair_profile(ps)
-    dominated = dominated_counts(ps)
-    expect(profile.counts == counting.profile_bruteforce(ps).counts,
+    expect(counting.pair_profile(ps).counts == counting.profile_bruteforce(ps).counts,
            f"prefix-cell and pairwise profiles differ at {(b, m, s)}")
+    expect(dominated_counts(ps) == nets._prefix_cell_walk(ps),
+           f"dominated-count routes differ at {(b, m, s)}")
+    return 2
+
+
+def profile_matches_closed_forms(ps: PointSet) -> int:
+    """On a scrambled (0,m,s)-net, profile_matches_pairwise holds, and the
+    profile's exact counts and the dominated counts it is differenced from
+    equal the closed forms for every vector below the stored precision."""
+    b, m, s = ps.b, ps.m, ps.s
+    profile_matches_pairwise(ps)
+    profile, dominated = counting.pair_profile(ps), dominated_counts(ps)
     for i in product(range(ps.precision), repeat=s):
         expect(profile.exact_count(i) == counting.N_closed_form(b, m, s, i),
                f"exact-count mismatch at {(b, m, s)}, i={i}")
         expect(dominated.get(i, 0) == counting.M_closed_form(b, m, i),
                f"dominated-count mismatch at {(b, m, s)}, k={i}")
     return 2 * ps.precision ** s
+
+
+def finest_digit_moved(ps: PointSet) -> PointSet:
+    """ps with the last point's last coordinate moved at depth m, so only the
+    finest shape (0, ..., 0, m) of a (0,m,s)-net stops being balanced."""
+    digits = ps.digits.copy()
+    digits[-1, -1, ps.m - 1] = (digits[-1, -1, ps.m - 1] + 1) % ps.b
+    return PointSet(b=ps.b, m=ps.m, s=ps.s, t=ps.t, digits=digits)
 
 
 def psi_hat_routes_agree(b: int, m: int, s: int, depth: int) -> int:
@@ -166,10 +183,12 @@ def check_scramble_gamma_preservation() -> str:
 
 
 def check_profile_closed_forms() -> str:
-    checked = sum(
-        profile_matches_closed_forms(owen_scramble(
-            faure_net(b, m, s), ScrambleSeed(5), precision=m + 2))
-        for b, m, s in [(2, 3, 2), (3, 2, 2), (3, 1, 3)])
+    checked = 0
+    for b, m, s in [(2, 3, 2), (3, 2, 2), (3, 1, 3)]:
+        ps = owen_scramble(faure_net(b, m, s), ScrambleSeed(5), precision=m + 2)
+        checked += profile_matches_closed_forms(ps)
+        # a set that only its finest shapes tell from a net takes the walk
+        profile_matches_pairwise(finest_digit_moved(ps))
     return f"{checked} profile counts equal their closed forms"
 
 

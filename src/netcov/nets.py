@@ -4,9 +4,8 @@ equidistribution checking.
 The generator is the classical power-of-Pascal construction: coordinate j
 uses the (j-1)-th power of the upper-triangular Pascal matrix modulo b,
 which yields a (0,m,s)-net whenever s <= b.  The verifier is
-construction-agnostic: it reads each cell shape's pair count off the same
-exact prefix-cell walk as the pair profile, so externally supplied point
-sets can be checked as well.
+construction-agnostic: it counts the points of every finest cell shape,
+so externally supplied point sets can be checked as well.
 """
 
 from __future__ import annotations
@@ -222,46 +221,104 @@ class NetReport:
         return d
 
 
-# Work cap of an unbounded dominated_counts walk, in points refined: a shape
-# costs its n points plus PROFILE_SHAPE_COST for numpy's per-call cost (15 ns
-# a point, 18 us a shape on a 2-core Xeon: identical points stop in 0.5-1 s)
+# Work cap of the dominated_counts walk, in points refined: a shape costs its
+# n points plus PROFILE_SHAPE_COST for numpy's per-call cost (15 ns a point,
+# 18 us a shape on a 2-core Xeon: identical points stop in 0.5-1 s)
 MAX_PROFILE_WORK = 2 ** 26
 PROFILE_SHAPE_COST = 1024
-# Work cap of verify_net's walk, in the same units: C(s + m - t, s) shapes of
+# Work cap of verify_net, in the same units: C(s + m - t, s) shapes of
 # n + PROFILE_SHAPE_COST each.  Every net `net gen` writes fits; the largest,
-# (47,3,47), costs 2.06e9 and verifies in 13 s on a 2-core Xeon
+# (47,3,47), costs 2.06e9 and verifies in 10 s on a 2-core Xeon
 MAX_VERIFY_WORK = 2 ** 31
+# int64 cell codes all pending batches of finest_shapes_balanced hold
+# together: each of the up to m - t levels keeps one batch of its nodes
+CELL_WORDS = 2 ** 18
 
 
-def dominated_counts(ps: PointSet, max_total: int | None = None
-                     ) -> dict[tuple[int, ...], int]:
-    """M(k) for every shape k where it is positive, and |k| <= max_total when
-    given: the ordered distinct pairs sharing an elementary cell of shape k,
-    sum c(c - 1) over its cells.
+def _canonical_children(nodes: list, s: int, total: int) -> tuple[list, list, list]:
+    """The children of a batch of canonical-tree nodes, in order: each
+    child's parent row, the row of its new digit in the (s * total, n)
+    digit columns, and its own node.  A node is (first, depth): the
+    coordinate its shape last grew and that coordinate's digit count, so a
+    child grows coordinate first one digit deeper, or a later coordinate
+    from depth 0."""
+    parents, columns, kids = [], [], []
+    for row, (first, depth) in enumerate(nodes):
+        parents.append(row)
+        columns.append(first * total + depth)
+        kids.append((first, depth + 1))
+        for j in range(first + 1, s):
+            parents.append(row)
+            columns.append(j * total)
+            kids.append((j, 1))
+    return parents, columns, kids
 
-    Each shape is visited once on the canonical tree (k grows only at or past
-    its last nonzero coordinate), pruned where M reaches 0 because a finer
-    shape only splits cells.  A child refines its parent's dense cell ranks
-    by one digit, so cell codes stay below n * b.  An unbounded walk whose
-    work would pass MAX_PROFILE_WORK is refused when it gets there."""
+
+def finest_shapes_balanced(ps: PointSet, total: int) -> bool:
+    """Whether every elementary cell of every shape k with |k| = total
+    (at most the stored precision) holds n / b^total points, which makes a
+    (m - total, m, s)-net: every coarser cell is a union of these.
+
+    A cell's raw prefix code reads the shape's digits as one base-b number,
+    a child's code being its parent's times b plus the new digit, so codes
+    stay below b^total <= n and no cell is re-ranked.  Codes are refined
+    along the canonical tree (k grows only at or past its last nonzero
+    coordinate) a level at a time, in batches within CELL_WORDS, and one
+    bincount per batch runs only at the finest level."""
+    n, s, _ = ps.digits.shape
+    b = ps.b
+    if total == 0:
+        return True
+    columns = np.ascontiguousarray(
+        ps.digits[:, :, :total].transpose(1, 2, 0)).reshape(s * total, n)
+    rows = max(1, CELL_WORDS // (n * total))
+    cells, expected = b ** total, n // b ** total
+    # a batch: its level, its parents' codes times b, and its children
+    stack = [(1, np.zeros((1, n), dtype=np.int64),
+              *_canonical_children([(0, 0)], s, total))]
+    while stack:
+        level, scaled, parents, cols, nodes = stack.pop()
+        if len(parents) > rows:
+            stack.append((level, scaled, parents[rows:], cols[rows:], nodes[rows:]))
+            parents, cols, nodes = parents[:rows], cols[:rows], nodes[:rows]
+        # a single parent row broadcasts, sparing a copy per child
+        code = (scaled if len(scaled) == 1 else scaled[parents]) + columns[cols]
+        if level < total:
+            code *= b
+            stack.append((level + 1, code, *_canonical_children(nodes, s, total)))
+            continue
+        # each shape's cells count apart; the batch holds len(code) * n
+        # points in as many times b^total cells, so a maximum of expected
+        # means every cell holds expected
+        if len(code) > 1:  # one shape needs no offset, sparing a pass at large n
+            code += np.arange(0, len(code) * cells, cells)[:, None]
+        if np.bincount(code.ravel()).max() != expected:
+            return False
+    return True
+
+
+def _prefix_cell_walk(ps: PointSet) -> dict[tuple[int, ...], int]:
+    """M(k) for every shape k where it is positive, by refining prefix
+    cells: each shape is visited once on the canonical tree, pruned where M
+    reaches 0 because a finer shape only splits cells.  A child refines its
+    parent's dense cell ranks by one digit, so cell codes stay below n * b.
+    A walk whose work would pass MAX_PROFILE_WORK is refused when it gets
+    there."""
     n, s, p = ps.digits.shape
     if n < 2:
         return {}
-    max_work = MAX_PROFILE_WORK if max_total is None else math.inf
-    columns = np.ascontiguousarray(ps.digits[:, :, :max_total].transpose(1, 2, 0))
+    columns = np.ascontiguousarray(ps.digits.transpose(1, 2, 0))
     root = (0,) * s
     dominated = {root: n * (n - 1)}
     stack = [(root, np.zeros(n, dtype=np.int64), 0)]
     work = 0
     while stack:
         k, cell, first = stack.pop()
-        if sum(k) == max_total:
-            continue
         for j in range(first, s):
             if k[j] == p:
                 continue
             work += n + PROFILE_SHAPE_COST
-            if work > max_work:
+            if work > MAX_PROFILE_WORK:
                 raise ConfigurationError(
                     f"profile of {n} points in {s} dimensions needs more than "
                     f"{MAX_PROFILE_WORK} units of work ({len(dominated)} "
@@ -276,17 +333,36 @@ def dominated_counts(ps: PointSet, max_total: int | None = None
     return dominated
 
 
+def dominated_counts(ps: PointSet) -> dict[tuple[int, ...], int]:
+    """M(k) for every shape k where it is positive: the ordered distinct
+    pairs sharing an elementary cell of shape k, sum c(c - 1) over its
+    cells.
+
+    When every cell of total m holds one point (the set is a (0,m,s)-net),
+    M(k) = n (b^(m - |k|) - 1) for |k| < m and 0 beyond; that is settled by
+    finest_shapes_balanced when m <= P, n >= 2 and its C(m + s - 1, s - 1)
+    shapes fit MAX_PROFILE_WORK.  Any other set takes the prefix-cell walk,
+    refused past MAX_PROFILE_WORK."""
+    n, s, p = ps.digits.shape
+    b, m = ps.b, ps.m
+    if (n >= 2 and m <= p
+            and math.comb(m + s - 1, s - 1) * (n + PROFILE_SHAPE_COST) <= MAX_PROFILE_WORK
+            and finest_shapes_balanced(ps, m)):
+        return {k: n * (b ** (m - sum(k)) - 1) for k in length_vectors(s, m - 1)}
+    return _prefix_cell_walk(ps)
+
+
 def verify_net(ps: PointSet, t: int) -> NetReport:
     """Exhaustively check the (t,m,s) equidistribution property.
 
     For every shape k with |k| <= m - t, every elementary interval
     prod [a_j b^(-k_j), (a_j+1) b^(-k_j)) must hold exactly b^(m-|k|)
-    points.  Its b^|k| cells hold n points in all, so by Cauchy-Schwarz
-    their pair count M(k) = sum c^2 - n is at least n (b^(m-|k|) - 1), with
-    equality exactly when every cell holds b^(m-|k|): each shape is checked
-    by one M(k) of dominated_counts, and only a failing shape is counted
-    cell by cell, to name its first bad interval.  A walk past
-    MAX_VERIFY_WORK is refused before it starts.
+    points.  Every such interval is a union of intervals of total m - t, so
+    when m - t <= P the set passes exactly when finest_shapes_balanced does,
+    and the counts of shapes and intervals follow by arithmetic.  Otherwise
+    each shape is counted cell by cell in length_vectors order, to name the
+    first bad interval.  A check past MAX_VERIFY_WORK is refused before it
+    starts.
     """
     b, m, s = ps.b, ps.m, ps.s
     if not 0 <= t <= m:
@@ -296,25 +372,36 @@ def verify_net(ps: PointSet, t: int) -> NetReport:
         raise ConfigurationError(
             f"verifying {walk} shapes of {ps.n} points needs more than "
             f"{MAX_VERIFY_WORK} units of work")
-    dominated = dominated_counts(ps, m - t)
+    if m - t <= ps.precision and finest_shapes_balanced(ps, m - t):
+        # C(L + s - 1, s - 1) shapes of b^L intervals at each total L
+        intervals = sum(math.comb(total + s - 1, s - 1) * b ** total
+                        for total in range(m - t + 1))
+        return NetReport(True, t, intervals, walk, None)
+    # length_vectors order is the canonical tree's preorder, each node's
+    # children taken from the last coordinate down; a cell's code reads the
+    # first k_j digits of each coordinate in turn as one base-b number
+    columns = np.ascontiguousarray(ps.digits[:, :, :m - t].transpose(1, 2, 0))
     intervals = shapes = 0
-    for k in length_vectors(s, m - t):
+    stack = [((0,) * s, None, 0)]
+    while stack:
+        k, parent, first = stack.pop()
         if max(k, default=0) > ps.precision:
             raise ConfigurationError(f"shape {k} needs more digits than the "
                                      f"stored precision {ps.precision}")
+        code = (np.zeros(ps.n, dtype=np.int64) if parent is None
+                else parent * b + columns[first, k[first] - 1])
         shapes += 1
         total = sum(k)
         intervals += b ** total
         expected = b ** (m - total)
-        if dominated.get(k, 0) != ps.n * (expected - 1):
-            # a cell's index reads the first k_j digits of each coordinate
-            # in turn as one base-b number
-            prefix = np.concatenate([ps.digits[:, j, :kj] for j, kj in enumerate(k)], 1)
-            counts = np.bincount(prefix @ b ** np.arange(total - 1, -1, -1),
-                                 minlength=b ** total)
-            cell = int(np.flatnonzero(counts != expected)[0])
+        counts = np.bincount(code, minlength=b ** total)
+        bad = np.flatnonzero(counts != expected)
+        if bad.size:
+            cell = int(bad[0])
             return NetReport(False, t, intervals, shapes,
                              IntervalFailure(k, cell, expected, int(counts[cell])))
+        if total < m - t:
+            stack.extend((k[:j] + (k[j] + 1,) + k[j + 1:], code, j) for j in range(first, s))
     return NetReport(True, t, intervals, shapes, None)
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from netcov import checks, counting, covkernel, scramble
+from netcov import checks, counting, covkernel, nets, scramble
 from netcov.nets import PointSet, faure_net
 from netcov.walsh import WalshPolynomial, root_of_unity
 
@@ -44,6 +44,13 @@ def _one_pair_more(dominated):
     return {**dominated, k: dominated[k] + 1}
 
 
+def _last_coordinate_ignored(mp):
+    # a finest check that sees only the first s - 1 coordinates
+    check = nets.finest_shapes_balanced
+    mp.setattr(nets, "finest_shapes_balanced", lambda ps, total: check(PointSet(
+        b=ps.b, m=ps.m, s=ps.s - 1, t=ps.t, digits=ps.digits[:, :-1]), total))
+
+
 def _rows_swapped(ps):
     digits = ps.digits.copy()
     digits[[0, 1]] = digits[[1, 0]]
@@ -57,6 +64,10 @@ def _rows_swapped(ps):
     pytest.param(_plant(counting, "dominated_counts", _one_pair_more),
                  lambda: checks.profile_matches_closed_forms(_scrambled()),
                  id="dominated-count"),
+    pytest.param(_last_coordinate_ignored, checks.check_profile_closed_forms,
+                 id="finest-check-last-coordinate"),
+    pytest.param(_plant(nets, "_prefix_cell_walk", _one_pair_more),
+                 checks.check_profile_closed_forms, id="walk-off-by-one"),
     pytest.param(_plant(covkernel, "Psi", lambda v: -v),
                  lambda: checks.psi_hat_routes_agree(2, 2, 2, 5), id="Psi-routes"),
     pytest.param(_plant(covkernel, "Psi", lambda v: -v),

@@ -13,7 +13,10 @@ from hypothesis import given, strategies as st
 from helpers import digits_to_fractions
 from netcov import nets
 from netcov.digits import ConfigurationError, length_vectors
+from netcov.checks import finest_digit_moved
+from netcov.counting import pair_profile, profile_bruteforce
 from netcov.nets import (
+    MAX_PROFILE_WORK,
     MAX_VERIFY_WORK,
     PROFILE_SHAPE_COST,
     PointSet,
@@ -122,9 +125,18 @@ def test_verifier_refuses_t_outside_0_to_m():
 
 
 def test_verifier_passes_a_large_faure_net():
-    # 7^6 points in 7 dimensions: 1,716 shapes, none refused for work
-    report = verify_net(faure_net(7, 6, 7), t=0)
+    # 7^6 points in 7 dimensions: 1,716 shapes, none refused for work.  The
+    # 4.7 MiB digit columns and one 0.9 MiB batch for each of 6 pending
+    # levels peak near 12 MiB; all 924 finest shapes at once took 5.67 GiB
+    ps = faure_net(7, 6, 7)
+    tracemalloc.start()
+    try:
+        report = verify_net(ps, t=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert report.passed and report.shapes_checked == 1716
+    assert peak < 16 * 2 ** 20
 
 
 def test_verify_work_cap_admits_every_net_gen_writes():
@@ -169,31 +181,98 @@ def _verify_bruteforce(ps, t):
             "shapes_checked": shapes}
 
 
+KINDS = ["faure", "scrambled", "random", "perturbed", "duplicated"]
+
+
+def _point_set(kind, b, m, s, p, rng):
+    """A set of b^m points: a Faure net at P = p digits, one scrambled to p
+    digits past max(m, 1), uniform random digits, or a Faure net with one
+    digit changed or one point copied over another."""
+    if kind == "random":
+        return PointSet(b=b, m=m, s=s, t=0,
+                        digits=rng.integers(0, b, (b ** m, s, p), dtype=np.uint8))
+    s = min(s, b)
+    if kind == "scrambled":
+        return owen_scramble(faure_net(b, m, s), ScrambleSeed(int(rng.integers(2 ** 32))),
+                             precision=max(m, 1) + p)
+    digits = np.array(faure_net(b, m, s, precision=max(m, p)).digits[:, :, :p])
+    rows = rng.integers(0, b ** m, size=2)
+    if kind == "perturbed":
+        digits[rows[0], rng.integers(0, s), rng.integers(0, p)] = rng.integers(0, b)
+    elif kind == "duplicated":
+        digits[rows[0]] = digits[rows[1]]
+    return PointSet(b=b, m=m, s=s, t=0, digits=digits)
+
+
 @given(st.sampled_from([(2, 4), (3, 3), (5, 2)]), st.integers(1, 3),
-       st.integers(0, 2), st.sampled_from(["random", "perturbed", "duplicated"]),
+       st.integers(0, 2),
+       st.sampled_from(["random", "perturbed", "duplicated", "finest"]),
        st.integers(0))
 def test_verifier_matches_a_bruteforce_count(bm, s, extra, kind, seed):
     (b, m_max), rng = bm, np.random.default_rng(seed)
     m = int(rng.integers(0, m_max + 1))
     p = int(rng.integers(1, m + extra + 2))
-    if kind == "random":
-        digits = rng.integers(0, b, (b ** m, s, p), dtype=np.uint8)
-    else:
-        s = min(s, b)
-        digits = np.array(faure_net(b, m, s, precision=max(m, p)).digits[:, :, :p])
-        rows = rng.integers(0, b ** m, size=2)
-        if kind == "perturbed":
-            digits[rows[0], rng.integers(0, s), rng.integers(0, p)] = rng.integers(0, b)
-        else:
-            digits[rows[0]] = digits[rows[1]]
-    ps = PointSet(b=b, m=m, s=s, t=0, digits=digits)
+    ps = base = _point_set("faure" if kind == "finest" else kind, b, m, s, p, rng)
     for t in range(m + 1):
+        if kind == "finest" and 0 < m - t <= p:
+            # one digit at depth m - t changed: only the finest shapes at
+            # t can see it; P < m - t leaves the net as it is
+            digits = np.array(base.digits)
+            j = rng.integers(0, base.s)
+            digits[-1, j, m - t - 1] = (digits[-1, j, m - t - 1] + rng.integers(1, b)) % b
+            ps = PointSet(b=b, m=m, s=base.s, t=0, digits=digits)
         want = _verify_bruteforce(ps, t)
         if want is None:
             with pytest.raises(ConfigurationError, match="stored precision"):
                 verify_net(ps, t)
         else:
             assert verify_net(ps, t).to_dict() == want
+
+
+@given(st.sampled_from([(2, 4), (3, 3), (5, 2), (7, 2)]), st.integers(1, 4),
+       st.integers(0, 2), st.sampled_from(KINDS), st.integers(0))
+def test_finest_check_and_dominated_counts_match_their_oracles(bm, s, extra, kind,
+                                                               seed):
+    # balanced finest shapes make a (t,m,s)-net, whatever the batch size, and
+    # dominated_counts takes the closed form there and the walk elsewhere
+    (b, m_max), rng = bm, np.random.default_rng(seed)
+    m = int(rng.integers(0, m_max + 1))
+    ps = _point_set(kind, b, m, s, int(rng.integers(1, m + extra + 2)), rng)
+    for total in range(min(m, ps.precision) + 1):
+        want = _verify_bruteforce(ps, m - total)["passed"]
+        for words in (1, 2 * ps.n * total, nets.CELL_WORDS):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(nets, "CELL_WORDS", words)
+                assert nets.finest_shapes_balanced(ps, total) == want
+    assert nets.dominated_counts(ps) == nets._prefix_cell_walk(ps)
+
+
+def test_profile_of_a_net_needs_only_its_finest_shapes(monkeypatch):
+    # a scrambled (3,3,3)-net: its finest check counts C(5, 2) = 10 shapes
+    # and its walk C(6, 3) - 1 = 19, so at a cap of 10 shapes the walk is
+    # refused but the profile is not
+    ps = owen_scramble(faure_net(3, 3, 3), ScrambleSeed(1))
+    monkeypatch.setattr(nets, "MAX_PROFILE_WORK", 10 * (27 + PROFILE_SHAPE_COST))
+    assert pair_profile(ps).counts == profile_bruteforce(ps).counts
+    with pytest.raises(ConfigurationError, match="more than"):
+        nets._prefix_cell_walk(ps)
+    with pytest.raises(ConfigurationError, match="more than"):
+        pair_profile(finest_digit_moved(ps))
+
+
+def test_profile_work_cap_admits_18_more_nets_net_gen_writes():
+    # nets whose walk passes MAX_PROFILE_WORK but whose finest check fits
+    admitted = []
+    for b, m, s in ((b, m, s) for b in range(2, 63) for m in range(1, 25)
+                    for s in range(1, b + 1)):
+        try:
+            check_net_shape(b, m, s)
+        except ConfigurationError:
+            continue
+        n = b ** m + PROFILE_SHAPE_COST
+        if comb(m + s - 1, s - 1) * n <= MAX_PROFILE_WORK < (comb(m + s, s) - 1) * n:
+            admitted.append((b, m, s))
+    assert len(admitted) == 18 and (7, 6, 6) in admitted
 
 
 def test_report_to_dict_on_pass():
