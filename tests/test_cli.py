@@ -12,12 +12,13 @@ import numpy as np
 import pytest
 
 import netcov
-from netcov import checks, cli
+from netcov import checks, cli, nets
 from netcov.digits import ConfigurationError
 from netcov.nets import (
     MAX_POINT_DIGITS,
     MAX_PROFILE_WORK,
     MAX_VERIFY_WORK,
+    PROFILE_SHAPE_COST,
     PointSet,
     check_point_digits,
     load_point_set,
@@ -493,6 +494,27 @@ def test_psi_refuses_profiles_past_the_memory_cap(tmp_path, capsys, command):
     command = [{"0,0": "0,0,0"}.get(arg, arg) for arg in command]
     code, _, err = run(capsys, *command, str(same))
     assert code == 2 and f"more than {MAX_PROFILE_WORK}" in err
+
+
+@pytest.mark.parametrize("text,shapes,counted", [
+    # identical points: every shape the walk counts has a repeated cell
+    ("2 2 2 0 3\n" + "000 000\n" * 4, 5, 6),
+    # distinct points: shapes without a repeated cell are counted but not
+    # descended, and the tally covers the shapes counted when the cap is hit,
+    # in the order the walk counts them
+    ("2 2 2 0 3\n000 000\n001 011\n100 101\n110 111\n", 6, 5),
+    ("2 2 2 0 3\n000 000\n001 011\n100 101\n110 111\n", 7, 5),
+], ids=["identical", "distinct-6", "distinct-7"])
+def test_psi_profile_refusal_names_the_shapes_counted(tmp_path, capsys, monkeypatch,
+                                                      text, shapes, counted):
+    points = tmp_path / "points.txt"
+    points.write_text(text, encoding="utf-8")
+    cap = shapes * (4 + PROFILE_SHAPE_COST)
+    monkeypatch.setattr(nets, "MAX_PROFILE_WORK", cap)
+    code, out, err = run(capsys, "psi", "profile", str(points))
+    assert (code, out) == (2, "")
+    assert err == (f"error: profile of 4 points in 2 dimensions needs more than {cap} "
+                   f"units of work ({counted} shapes counted so far)\n")
 
 
 def test_unknown_command_is_a_usage_error(capsys):

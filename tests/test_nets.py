@@ -118,6 +118,15 @@ def test_verifier_catches_a_broken_net():
     assert doc["failure"]["expected"] == report.failure.expected
 
 
+def test_verifier_names_the_first_shape_past_the_stored_precision():
+    # a (0,3,2)-net cut to P = 2: shapes (0, 1) and (0, 2) pass, so shape
+    # (0, 3) is the first that needs a third digit
+    digits = np.array(faure_net(2, 3, 2).digits[:, :, :2])
+    with pytest.raises(ConfigurationError) as exc:
+        verify_net(PointSet(b=2, m=3, s=2, t=0, digits=digits), t=0)
+    assert str(exc.value) == "shape (0, 3) needs more digits than the stored precision 2"
+
+
 def test_verifier_refuses_t_outside_0_to_m():
     for t in (-1, 3):
         with pytest.raises(ConfigurationError, match="must lie in 0..m=2"):
