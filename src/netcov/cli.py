@@ -21,8 +21,8 @@ from .counting import common_digits, joint_pdf, pair_profile
 from .covkernel import cov_polynomial, horner, q_s_polynomial
 from .digits import ConfigurationError, fraction_digits
 from .estimators import ExperimentConfig, run_experiment
-from .nets import faure_net, load_point_set, save_point_set, verify_net
-from .scramble import replicate
+from .nets import PointSet, faure_net, load_point_set, save_point_set, verify_net
+from .scramble import replicate_blocks
 from . import checks
 
 PRIMES_TO_53 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
@@ -147,9 +147,10 @@ def _cmd_net_verify(args) -> int:
 
 def _cmd_scramble(args) -> int:
     ps = _load_points(args.file)
-    for r, out in enumerate(replicate(ps, args.seed, args.reps, args.precision)):
+    blocks = replicate_blocks(ps, args.seed, args.reps, args.precision)
+    for r, digits in enumerate(d for block in blocks for d in block):
         buf = io.StringIO()
-        save_point_set(out, buf)
+        save_point_set(PointSet(b=ps.b, m=ps.m, s=ps.s, t=ps.t, digits=digits), buf)
         if args.out_prefix:
             _write(buf.getvalue(), f"{args.out_prefix}{r:03d}.txt")
         else:

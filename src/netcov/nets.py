@@ -297,40 +297,52 @@ def finest_shapes_balanced(ps: PointSet, total: int) -> bool:
     return True
 
 
-def _prefix_cell_walk(ps: PointSet) -> dict[tuple[int, ...], int]:
-    """M(k) for every shape k where it is positive, by refining prefix
-    cells: each shape is visited once on the canonical tree, pruned where M
-    reaches 0 because a finer shape only splits cells.  A child refines its
-    parent's dense cell ranks by one digit, so cell codes stay below n * b.
-    A walk whose work would pass MAX_PROFILE_WORK is refused when it gets
-    there."""
+def _cell_walk(ps: PointSet, depth: float = math.inf, budget: float = math.inf):
+    """(k, cell counts) for every shape k with |k| <= depth and no k_j past
+    P, in length_vectors order (the canonical tree's preorder, children
+    taken from the last coordinate down), descending only below a shape with
+    a cell of two or more points.  A cell's code is its parent's times b
+    plus the new digit: the interval number while b^|k| <= n, and past that
+    the codes are ranked densely before a descent, staying below n * b.  A
+    child's work is charged when its parent is visited, so the walk is
+    refused at the same child whatever order the shapes are counted in."""
     n, s, p = ps.digits.shape
-    if n < 2:
-        return {}
-    columns = np.ascontiguousarray(ps.digits.transpose(1, 2, 0))
-    root = (0,) * s
-    dominated = {root: n * (n - 1)}
-    stack = [(root, np.zeros(n, dtype=np.int64), 0)]
-    work = 0
+    columns = np.ascontiguousarray(ps.digits[:, :, :min(depth, p)].transpose(1, 2, 0))
+    stack = [((0,) * s, None, 0)]
+    work = repeated = 0
     while stack:
-        k, cell, first = stack.pop()
+        k, parent, first = stack.pop()
+        code = (np.zeros(n, dtype=np.int64) if parent is None
+                else parent * ps.b + columns[first, k[first] - 1])
+        counts = np.bincount(code)
+        yield k, counts
+        total = sum(k)
+        if total == depth or counts.max() < 2:
+            continue
+        repeated += 1
+        if ps.b ** total > n:
+            code = (np.cumsum(counts > 0) - 1)[code]
         for j in range(first, s):
             if k[j] == p:
                 continue
             work += n + PROFILE_SHAPE_COST
-            if work > MAX_PROFILE_WORK:
+            if work > budget:
+                # the shapes with a repeated cell charged so far: those
+                # visited, and those waiting, counted here
+                waiting = sum(int(np.bincount(c * ps.b + columns[i, kk[i] - 1]).max()) > 1
+                              for kk, c, i in stack)
                 raise ConfigurationError(
                     f"profile of {n} points in {s} dimensions needs more than "
-                    f"{MAX_PROFILE_WORK} units of work ({len(dominated)} "
-                    "shapes counted so far)")
-            code = cell * ps.b + columns[j, k[j]]
-            size = np.bincount(code)
-            pairs = int(size @ size) - n
-            if pairs:
-                child = k[:j] + (k[j] + 1,) + k[j + 1:]
-                dominated[child] = pairs
-                stack.append((child, (np.cumsum(size > 0) - 1)[code], j))
-    return dominated
+                    f"{budget} units of work ({repeated + waiting} shapes counted so far)")
+            stack.append((k[:j] + (k[j] + 1,) + k[j + 1:], code, j))
+
+
+def _prefix_cell_walk(ps: PointSet) -> dict[tuple[int, ...], int]:
+    """M(k) for every shape k where it is positive, summed over the cells of
+    every shape the walk visits; refused past MAX_PROFILE_WORK."""
+    n = ps.n
+    return {k: pairs for k, counts in _cell_walk(ps, budget=MAX_PROFILE_WORK)
+            if (pairs := int(counts @ counts) - n)}
 
 
 def dominated_counts(ps: PointSet) -> dict[tuple[int, ...], int]:
@@ -341,8 +353,9 @@ def dominated_counts(ps: PointSet) -> dict[tuple[int, ...], int]:
     When every cell of total m holds one point (the set is a (0,m,s)-net),
     M(k) = n (b^(m - |k|) - 1) for |k| < m and 0 beyond; that is settled by
     finest_shapes_balanced when m <= P, n >= 2 and its C(m + s - 1, s - 1)
-    shapes fit MAX_PROFILE_WORK.  Any other set takes the prefix-cell walk,
-    refused past MAX_PROFILE_WORK."""
+    shapes fit MAX_PROFILE_WORK.  Any other set takes the prefix-cell walk
+    verify_net's failure path takes, its codes interval numbers while
+    b^|k| <= n and dense ranks past that, refused past MAX_PROFILE_WORK."""
     n, s, p = ps.digits.shape
     b, m = ps.b, ps.m
     if (n >= 2 and m <= p
@@ -360,9 +373,10 @@ def verify_net(ps: PointSet, t: int) -> NetReport:
     points.  Every such interval is a union of intervals of total m - t, so
     when m - t <= P the set passes exactly when finest_shapes_balanced does,
     and the counts of shapes and intervals follow by arithmetic.  Otherwise
-    each shape is counted cell by cell in length_vectors order, to name the
-    first bad interval.  A check past MAX_VERIFY_WORK is refused before it
-    starts.
+    the prefix-cell walk dominated_counts shares counts each shape in
+    length_vectors order, its codes the interval numbers as b^|k| <= n, and
+    names the first bad interval.  A check past MAX_VERIFY_WORK is refused
+    before it starts.
     """
     b, m, s = ps.b, ps.m, ps.s
     if not 0 <= t <= m:
@@ -377,31 +391,21 @@ def verify_net(ps: PointSet, t: int) -> NetReport:
         intervals = sum(math.comb(total + s - 1, s - 1) * b ** total
                         for total in range(m - t + 1))
         return NetReport(True, t, intervals, walk, None)
-    # length_vectors order is the canonical tree's preorder, each node's
-    # children taken from the last coordinate down; a cell's code reads the
-    # first k_j digits of each coordinate in turn as one base-b number
-    columns = np.ascontiguousarray(ps.digits[:, :, :m - t].transpose(1, 2, 0))
-    intervals = shapes = 0
-    stack = [((0,) * s, None, 0)]
-    while stack:
-        k, parent, first = stack.pop()
-        if max(k, default=0) > ps.precision:
-            raise ConfigurationError(f"shape {k} needs more digits than the "
-                                     f"stored precision {ps.precision}")
-        code = (np.zeros(ps.n, dtype=np.int64) if parent is None
-                else parent * b + columns[first, k[first] - 1])
-        shapes += 1
+    intervals = 0
+    for shapes, (k, counts) in enumerate(_cell_walk(ps, m - t), 1):
         total = sum(k)
         intervals += b ** total
         expected = b ** (m - total)
-        counts = np.bincount(code, minlength=b ** total)
+        # empty cells past the last occupied one leave an earlier cell too full
         bad = np.flatnonzero(counts != expected)
         if bad.size:
             cell = int(bad[0])
             return NetReport(False, t, intervals, shapes,
                              IntervalFailure(k, cell, expected, int(counts[cell])))
-        if total < m - t:
-            stack.extend((k[:j] + (k[j] + 1,) + k[j + 1:], code, j) for j in range(first, s))
+        if k[-1] == ps.precision < m - t:
+            # the walk's first shapes are (0, ..., 0, j)
+            raise ConfigurationError(f"shape {k[:-1] + (k[-1] + 1,)} needs more digits "
+                                     f"than the stored precision {ps.precision}")
     return NetReport(True, t, intervals, shapes, None)
 
 

@@ -149,12 +149,3 @@ def replicate_blocks(ps: PointSet, master_seed: int, count: int,
     for start in range(0, count, block):
         yield _scramble_block(ps, master_seed,
                               range(start, min(start + block, count)), p_out)
-
-
-def replicate(ps: PointSet, master_seed: int, count: int,
-              precision: int | None = None) -> Iterator[PointSet]:
-    """Stream of independent scrambles, one point set per replication of
-    replicate_blocks."""
-    for block in replicate_blocks(ps, master_seed, count, precision):
-        for digits in block:
-            yield PointSet(b=ps.b, m=ps.m, s=ps.s, t=ps.t, digits=digits)

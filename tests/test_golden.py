@@ -15,7 +15,7 @@ import pytest
 
 from netcov import cli
 from netcov.nets import faure_net
-from netcov.scramble import ScrambleSeed, owen_scramble, replicate
+from netcov.scramble import ScrambleSeed, owen_scramble, replicate_blocks
 from netcov.walsh import random_decay_polynomial
 
 
@@ -168,9 +168,10 @@ def test_simulate_wal_run_is_pinned(tmp_path, capsys):
 ], ids=["53-1-2", "31-1-31"])
 def test_replicate_digits_in_large_bases_are_pinned(b, m, s, shape, digest):
     h = hashlib.sha256()
-    for ps in replicate(faure_net(b, m, s), 2020, 3):
-        assert ps.digits.shape == shape
-        h.update(ps.digits.tobytes())
+    for block in replicate_blocks(faure_net(b, m, s), 2020, 3):
+        for digits in block:
+            assert digits.shape == shape
+            h.update(digits.tobytes())
     assert h.hexdigest() == digest
 
 

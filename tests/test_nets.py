@@ -1,6 +1,7 @@
 """Net construction and the exhaustive equidistribution verifier."""
 
 import io
+import math
 import re
 import tracemalloc
 from fractions import Fraction
@@ -254,6 +255,49 @@ def test_finest_check_and_dominated_counts_match_their_oracles(bm, s, extra, kin
                 patch.setattr(nets, "CELL_WORDS", words)
                 assert nets.finest_shapes_balanced(ps, total) == want
     assert nets.dominated_counts(ps) == nets._prefix_cell_walk(ps)
+
+
+def _cell_codes(ps, k):
+    """Each point's interval number in shape k: the first k_j digits of each
+    coordinate in turn, read as one base-b number."""
+    code = np.zeros(ps.n, dtype=np.int64)
+    for j, kj in enumerate(k):
+        for d in range(kj):
+            code = code * ps.b + ps.digits[:, j, d]
+    return code
+
+
+@given(st.sampled_from([2, 3, 5]), st.integers(1, 3), st.integers(0, 2),
+       st.sampled_from(["faure", "scrambled", "duplicated", "random"]), st.integers(0))
+def test_cell_walk_visits_length_vectors_in_order(b, s, extra, kind, seed):
+    # verify_net names the first bad interval and the first shape past the
+    # precision by this order; a shape below one without a repeated cell is
+    # left out
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(0, {2: 4, 3: 3, 5: 2}[b] + 1))
+    ps = _point_set(kind, b, m, s, int(rng.integers(1, m + extra + 2)), rng)
+    deepest = ps.s * ps.precision
+
+    def descended(k):
+        return max(np.bincount(_cell_codes(ps, k))) > 1
+
+    def ancestors(k):
+        while any(k):
+            last = max(j for j, kj in enumerate(k) if kj)
+            k = k[:last] + (k[last] - 1,) + k[last + 1:]
+            yield k
+
+    for depth in (int(rng.integers(0, deepest + 1)), math.inf):
+        walked = list(nets._cell_walk(ps, depth))
+        want = [k for k in length_vectors(ps.s, min(depth, deepest))
+                if max(k) <= ps.precision and all(map(descended, ancestors(k)))]
+        assert [k for k, _ in walked] == want
+        for k, counts in walked:
+            cells = np.bincount(_cell_codes(ps, k))
+            if b ** sum(k) <= ps.n:  # interval numbers
+                assert counts.tolist() == cells.tolist()
+            else:
+                assert sorted(counts[counts > 0]) == sorted(cells[cells > 0])
 
 
 def test_profile_of_a_net_needs_only_its_finest_shapes(monkeypatch):

@@ -1,7 +1,7 @@
 """The public surface of ``src/netcov``: every public function, class and
-method, and every module-level constant, is used by the package or the
-benchmark, the package's ``__init__`` re-exports nothing, and README's
-library example runs as written."""
+method, every private helper, and every module-level constant, is used by
+the package or the benchmark, the package's ``__init__`` re-exports
+nothing, and README's library example runs as written."""
 
 import ast
 import glob
@@ -35,6 +35,16 @@ def _public_names(path):
     with open(path, encoding="utf-8") as fh:
         visit(ast.parse(fh.read()))
     return found
+
+
+def _private_names(path):
+    """Every private function and class name a module defines, at any depth,
+    dunders aside."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    return [node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")]
 
 
 def _module_constants(path):
@@ -79,6 +89,13 @@ def test_every_module_constant_is_read():
     # a deleted code path cannot leave its cap behind
     read = _names_read(PACKAGE)
     assert [name for path in MODULES for name in _module_constants(path)
+            if name not in read] == []
+
+
+def test_every_private_helper_is_read():
+    # a refactor cannot leave a dead helper behind
+    read = _names_read(PACKAGE)
+    assert [name for path in MODULES for name in _private_names(path)
             if name not in read] == []
 
 
