@@ -304,8 +304,8 @@ def _cell_walk(ps: PointSet, depth: float = math.inf, budget: float = math.inf):
     a cell of two or more points.  A cell's code is its parent's times b
     plus the new digit: the interval number while b^|k| <= n, and past that
     the codes are ranked densely before a descent, staying below n * b.  A
-    child's work is charged when its parent is visited, so the walk is
-    refused at the same child whatever order the shapes are counted in."""
+    child's work is charged when its parent is visited, and a walk past
+    budget is refused at the child that passes it."""
     n, s, p = ps.digits.shape
     columns = np.ascontiguousarray(ps.digits[:, :, :min(depth, p)].transpose(1, 2, 0))
     stack = [((0,) * s, None, 0)]
