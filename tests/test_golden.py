@@ -45,6 +45,35 @@ def test_owen_scramble_digits_are_pinned(b, m, s, r, shape, digest):
     assert sha256(out.digits.tobytes()) == digest
 
 
+@pytest.mark.parametrize("b,m,s,precision,digest", [
+    (2, 10, 2, None,
+     "19a04f46e47d8220ccbd141c940c48bb2dfca32edc9c7c7576347fd9a771cc1d"),
+    (3, 6, 3, None,
+     "e53651b8dd36ee904befaf3c97f6f3bd9c7d2610bec36a030c48a6dbbdd37f13"),
+    (2, 8, 2, None,
+     "e9b99e2f74d72a775c0bd821435447da7866b76bf02fe3730acf3a30d53313d2"),
+    (2, 4, 2, 5,
+     "a64a9b04b9fcf548f8e57dd3ba7adb5cba48f78347aa1aa57597cca574b87677"),
+    (7, 6, 7, None,
+     "8d4b08fe75f4c633e80afdc602446e8c8df6a928cfb05083e454b65fab8f60b7"),
+    (13, 3, 13, None,
+     "d57d869db8fbbba7f4492f71ffcebf149d5b301fe13b759f5b7a0c6824f0182a"),
+    (53, 2, 53, None,
+     "a75fbdb344c9754fb64a55185d1ea761f1ffd11cd9788515ff2ceb49b8762bc9"),
+    (5, 3, 5, 7,
+     "aae160f13a72874abb4fa29efd407c3072be7da1673109e824ec5e9704887a80"),
+    (2, 0, 1, 1,
+     "0faaf974a11ba0d8f97960d4bd4216830f9dc51cd3365d8c3469aec924fa0d9c"),
+], ids=["2-10-2", "3-6-3", "2-8-2", "2-4-2-p5", "7-6-7", "13-3-13",
+        "53-2-53", "5-3-5-p7", "2-0-1-p1"])
+def test_net_gen_files_are_pinned(tmp_path, capsys, b, m, s, precision, digest):
+    out = tmp_path / "net.txt"
+    flags = [] if precision is None else ["--precision", str(precision)]
+    run(capsys, "net", "gen", "--base", str(b), "--m", str(m), "--s", str(s),
+        *flags, "--out", str(out))
+    assert sha256(out.read_bytes()) == digest
+
+
 def test_scramble_command_files_are_pinned(tmp_path, capsys):
     net = tmp_path / "net.txt"
     run(capsys, "net", "gen", "--base", "3", "--m", "2", "--s", "2",
