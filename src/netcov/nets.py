@@ -1,9 +1,10 @@
 """Digital (0,m,s)-net construction in prime bases and exhaustive
 equidistribution checking.
 
-The generator is the classical power-of-Pascal construction: coordinate j
-uses the (j-1)-th power of the upper-triangular Pascal matrix modulo b,
-which yields a (0,m,s)-net whenever s <= b.  The verifier is
+The generator is Faure's construction: coordinate j (from 0) uses the j-th
+power of the upper-triangular Pascal matrix modulo b, which yields a
+(0,m,s)-net whenever s <= b.  The s matrices are one (s, P, m) array, each
+power the previous one times the Pascal matrix.  The verifier is
 construction-agnostic: it counts the points of every finest cell shape,
 so externally supplied point sets can be checked as well.
 """
@@ -24,40 +25,12 @@ from .digits import (
 MAX_POINT_DIGITS = 2 ** 24
 
 
-class UnsupportedConstructionError(ConfigurationError):
-    """The requested parameters fall outside what this generator covers."""
-
-
 def check_point_digits(b: int, m: int, s: int, precision: int) -> None:
     """Refuse, before allocating, b^m points of s coordinates and P digits
     past MAX_POINT_DIGITS; b^m >= 2^m, so a huge m never computes b^m."""
     if m >= MAX_POINT_DIGITS.bit_length() or b ** m * s * precision > MAX_POINT_DIGITS:
         raise ConfigurationError(f"{b}^{m} points x {s} coordinates x {precision} "
                                  f"digits is more than {MAX_POINT_DIGITS} digits")
-
-
-@dataclass(frozen=True)
-class GeneratingMatrices:
-    """s generating matrices of shape (precision, m) over the field Z_b."""
-
-    b: int
-    m: int
-    mats: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        validate_base(self.b)
-        for mat in self.mats:
-            if mat.shape[1] != self.m:
-                raise ConfigurationError("matrix column count must equal m")
-            mat.flags.writeable = False
-
-    @property
-    def s(self) -> int:
-        return len(self.mats)
-
-    @property
-    def precision(self) -> int:
-        return self.mats[0].shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,19 +73,6 @@ class PointSet:
         return self.digits.shape[2]
 
 
-def pascal_matrix_power(b: int, m: int, power: int) -> np.ndarray:
-    """The power-th power, mod b, of the m x m upper-triangular matrix with
-    entries binom(col, row)."""
-    pascal = np.zeros((m, m), dtype=np.int64)
-    for r in range(m):
-        for c in range(r, m):
-            pascal[r, c] = math.comb(c, r) % b
-    out = np.eye(m, dtype=np.int64)
-    for _ in range(power):
-        out = (out @ pascal) % b
-    return out
-
-
 def check_net_shape(b: int, m: int, s: int, precision: int | None = None) -> int:
     """Refuse, by arithmetic alone, a (0,m,s)-net in base b with P digits that
     faure_matrices cannot build; return P.  The precision defaults to m
@@ -124,9 +84,7 @@ def check_net_shape(b: int, m: int, s: int, precision: int | None = None) -> int
     if s < 1:
         raise ConfigurationError(f"s must be >= 1, got {s}")
     if s > b:
-        raise UnsupportedConstructionError(
-            f"this construction needs s <= b, got s={s} > b={b}"
-        )
+        raise ConfigurationError(f"this construction needs s <= b, got s={s} > b={b}")
     p = max(m, 1) if precision is None else precision
     if p < m:
         raise ConfigurationError(f"precision {p} smaller than m={m}")
@@ -134,22 +92,23 @@ def check_net_shape(b: int, m: int, s: int, precision: int | None = None) -> int
     return p
 
 
-def faure_matrices(b: int, m: int, s: int, precision: int | None = None) -> GeneratingMatrices:
-    """Generating matrices for a (0,m,s)-net in prime base b, s <= b, at the
-    precision check_net_shape settles.
+def faure_matrices(b: int, m: int, s: int, precision: int | None = None) -> np.ndarray:
+    """Generating matrices of a (0,m,s)-net in prime base b, s <= b, at the
+    precision P check_net_shape settles, as one (s, P, m) array.
 
-    Matrix j is the (j-1)-th Pascal power; rows beyond m (when a larger
+    Matrix j is the j-th power, mod b, of the m x m upper-triangular Pascal
+    matrix with entries binom(col, row); rows beyond m (when a larger
     precision is requested) are zero, matching the canonical finite digit
     expansion of the generated points.
     """
     p = check_net_shape(b, m, s, precision)
-    mats = []
-    for j in range(s):
-        top = pascal_matrix_power(b, m, j)
-        mat = np.zeros((p, m), dtype=np.int64)
-        mat[:m, :] = top
-        mats.append(mat)
-    return GeneratingMatrices(b, m, tuple(mats))
+    pascal = np.array([[math.comb(c, r) % b for c in range(m)] for r in range(m)],
+                      dtype=np.int64).reshape(m, m)
+    mats = np.zeros((s, p, m), dtype=np.int64)
+    mats[0, :m] = np.eye(m, dtype=np.int64)
+    for j in range(1, s):
+        mats[j, :m] = mats[j - 1, :m] @ pascal % b
+    return mats
 
 
 def index_digit_matrix(b: int, m: int, start: int = 0,
@@ -165,27 +124,26 @@ def index_digit_matrix(b: int, m: int, start: int = 0,
 GENERATE_BLOCK = 2 ** 15
 
 
-def generate_points(g: GeneratingMatrices) -> PointSet:
-    """All b^m points of the digital net defined by the matrices.
+def generate_points(b: int, m: int, mats: np.ndarray) -> PointSet:
+    """All b^m points of the digital net with (s, P, m) generating matrices.
 
-    Point i has coordinate-j digits M_j . digits(i) mod b, with digits(i)
-    the least-significant-first expansion of the index.
+    Point i has coordinate-j digits mats[j] . digits(i) mod b, with
+    digits(i) the least-significant-first expansion of the index.
     """
-    b, m = g.b, g.m
-    check_point_digits(b, m, g.s, g.precision)
+    s, p, _ = mats.shape
     n = b ** m
-    out = np.empty((n, g.s, g.precision), dtype=np.uint8)
+    out = np.empty((n, s, p), dtype=np.uint8)
     for start in range(0, n, GENERATE_BLOCK):
         stop = min(start + GENERATE_BLOCK, n)
         dmat = index_digit_matrix(b, m, start, stop)
-        for j, mat in enumerate(g.mats):
+        for j, mat in enumerate(mats):
             out[start:stop, j, :] = ((mat @ dmat) % b).T
-    return PointSet(b=b, m=m, s=g.s, t=0, digits=out)
+    return PointSet(b=b, m=m, s=s, t=0, digits=out)
 
 
 def faure_net(b: int, m: int, s: int, precision: int | None = None) -> PointSet:
     """Convenience: generate the (0,m,s)-net straight from parameters."""
-    return generate_points(faure_matrices(b, m, s, precision))
+    return generate_points(b, m, faure_matrices(b, m, s, precision))
 
 
 @dataclass(frozen=True)

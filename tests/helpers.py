@@ -4,8 +4,9 @@ The centerpiece is GammaGrid, an independent oracle for the pair covariance:
 it integrates (psi - 1) f(x) conj(f(y)) over the full digit grid in exact
 rational arithmetic, never touching the coefficient-space shortcut it is
 meant to check.  The rest is small: random rational Walsh series, the
-first-written decay-function builder and its per-term shell sums, the exact
-coordinates of a digit row, the dominated-region volume, the Walsh
+first-written decay-function builder and its per-term shell sums, Faure's
+generating matrices from their closed form, the exact coordinates of a
+digit row, the dominated-region volume, the Walsh
 character by its definition, a Walsh series evaluated point by point with
 it and its covariance summed index by index, the scramble hashed one input
 depth at a time, the shell-by-shell Fraction sum of the covariance
@@ -115,6 +116,15 @@ def digits_to_fractions(row: np.ndarray, b: int) -> tuple[Fraction, ...]:
     fraction_digits inverts."""
     return tuple(sum((Fraction(int(d), b ** (j + 1)) for j, d in enumerate(coord)),
                      Fraction(0)) for coord in row)
+
+
+def faure_matrices_reference(b: int, m: int, s: int, precision: int) -> list:
+    """Faure's s generating matrices as nested (s, P, m) lists, from the
+    closed form of the j-th Pascal power: entry (r, c) is
+    binom(c, r) j^(c - r) mod b, and rows past m are zero."""
+    return [[[math.comb(c, r) * j ** (c - r) % b if r <= c else 0
+              for c in range(m)]
+             for r in range(precision)] for j in range(s)]
 
 
 def volume_prefix_ge(b: int, k: Sequence[int]) -> Fraction:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import digits_to_fractions
+from helpers import digits_to_fractions, faure_matrices_reference
 from netcov import nets
 from netcov.digits import ConfigurationError, length_vectors
 from netcov.checks import finest_digit_moved
@@ -21,14 +21,12 @@ from netcov.nets import (
     MAX_VERIFY_WORK,
     PROFILE_SHAPE_COST,
     PointSet,
-    UnsupportedConstructionError,
     check_net_shape,
     faure_matrices,
     faure_net,
     generate_points,
     index_digit_matrix,
     load_point_set,
-    pascal_matrix_power,
     save_point_set,
     verify_net,
 )
@@ -36,20 +34,36 @@ from netcov.scramble import ScrambleSeed, owen_scramble
 
 
 def test_first_matrix_is_identity():
-    g = faure_matrices(3, 3, 2)
-    assert np.array_equal(g.mats[0], np.eye(3, dtype=np.int64))
+    mats = faure_matrices(3, 3, 2)
+    assert mats.shape == (2, 3, 3)
+    assert np.array_equal(mats[0], np.eye(3, dtype=np.int64))
 
 
 def test_second_matrix_is_pascal_mod_b():
-    g = faure_matrices(5, 4, 2)
+    mats = faure_matrices(5, 4, 2)
     expected = [[comb(c, r) % 5 for c in range(4)] for r in range(4)]
-    assert g.mats[1].tolist() == expected
+    assert mats[1].tolist() == expected
 
 
 def test_pascal_powers_multiply():
-    p1 = pascal_matrix_power(3, 4, 1)
-    p2 = pascal_matrix_power(3, 4, 2)
-    assert np.array_equal((p1 @ p1) % 3, p2)
+    mats = faure_matrices(3, 4, 3)
+    assert np.array_equal((mats[1] @ mats[1]) % 3, mats[2])
+
+
+@pytest.mark.parametrize("b", [p for p in range(2, 62)
+                               if all(p % q for q in range(2, p))])
+def test_matrices_match_the_closed_form(b):
+    for m in range(7):
+        for s in sorted({1, 2, b}):
+            for precision in (None, m + 3):
+                p = max(m, 1) if precision is None else precision
+                if b ** m * s * p > nets.MAX_POINT_DIGITS:
+                    with pytest.raises(ConfigurationError, match="digits is more than"):
+                        faure_matrices(b, m, s, precision)
+                    continue
+                mats = faure_matrices(b, m, s, precision)
+                assert mats.dtype == np.int64
+                assert mats.tolist() == faure_matrices_reference(b, m, s, p)
 
 
 def test_base2_m2_point_values():
@@ -68,9 +82,9 @@ def test_one_dimensional_order_is_radical_inverse():
 
 
 def test_dimension_cap():
-    with pytest.raises(UnsupportedConstructionError):
+    with pytest.raises(ConfigurationError, match="needs s <= b"):
         faure_matrices(3, 2, 4)
-    assert faure_matrices(3, 2, 3).s == 3  # s = b is allowed
+    assert faure_matrices(3, 2, 3).shape[0] == 3  # s = b is allowed
 
 
 def test_parameter_validation():
@@ -339,6 +353,12 @@ def test_point_count_enforced():
         PointSet(b=2, m=2, s=1, t=0, digits=np.zeros((3, 1, 2), dtype=np.uint8))
 
 
+def test_point_dimension_enforced():
+    with pytest.raises(ConfigurationError,
+                       match="digit array dimension does not match s"):
+        PointSet(b=2, m=1, s=2, t=0, digits=np.zeros((2, 1, 1), dtype=np.uint8))
+
+
 def test_digit_value_range_enforced():
     with pytest.raises(ConfigurationError):
         PointSet(b=2, m=1, s=1, t=0, digits=np.full((2, 1, 1), 5, dtype=np.uint8))
@@ -403,12 +423,12 @@ def test_extended_precision_pads_with_zeros():
 
 def test_generated_digits_match_matrix_arithmetic():
     b, m = 3, 2
-    g = faure_matrices(b, m, 2)
-    ps = generate_points(g)
+    mats = faure_matrices(b, m, 2)
+    ps = generate_points(b, m, mats)
     dmat = index_digit_matrix(b, m)
     for i in (0, 4, 8):
         for j in range(2):
-            manual = (g.mats[j] @ dmat[:, i]) % b
+            manual = (mats[j] @ dmat[:, i]) % b
             assert list(ps.digits[i, j]) == [int(v) for v in manual]
 
 
