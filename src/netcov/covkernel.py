@@ -236,8 +236,6 @@ def q_s(b: int, m: int, s: int, x) -> Fraction:
 def _poly_mul(p: Sequence[int], q: Sequence[int]) -> list[int]:
     out = [0] * (len(p) + len(q) - 1)
     for i, pi in enumerate(p):
-        if pi == 0:
-            continue
         for j, qj in enumerate(q):
             out[i + j] += pi * qj
     return out

@@ -1,6 +1,6 @@
 """The benchmark's tracer wraps netcov functions by module and qualified
-name, so renaming or moving one of them fails here instead of in a traced
-benchmark run.  Only reads ``perfbench/``."""
+name, and its workloads import netcov names, so renaming or moving one of
+them fails here instead of in a benchmark run.  Only reads ``perfbench/``."""
 
 import importlib
 import os
@@ -13,6 +13,7 @@ PERFBENCH = os.path.join(
 sys.path.insert(0, PERFBENCH)
 try:
     import tracer
+    import workloads  # noqa: F401  (fails on a netcov name it imports)
 finally:
     sys.path.remove(PERFBENCH)
 

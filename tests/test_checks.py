@@ -92,3 +92,24 @@ def test_planted_faults_are_caught(monkeypatch, plant, call):
     plant(monkeypatch)
     with pytest.raises(checks.CheckFailure):
         call()
+
+
+def test_verify_all_reports_a_crashing_check_and_runs_the_rest(monkeypatch):
+    ran = []
+
+    def crash():
+        ran.append("crash")
+        return 1 / 0
+
+    def fine():
+        ran.append("fine")
+        return "ok"
+
+    monkeypatch.setattr(checks, "CHECKS", [("crash", crash), ("fine", fine)])
+    report = checks.verify_all()
+    assert ran == ["crash", "fine"]
+    assert report["passed"] is False
+    crashed, passed = report["checks"]
+    assert (crashed["name"], crashed["passed"]) == ("crash", False)
+    assert crashed["detail"] == "ZeroDivisionError: division by zero"
+    assert (passed["name"], passed["passed"], passed["detail"]) == ("fine", True, "ok")

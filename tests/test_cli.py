@@ -313,6 +313,15 @@ def test_qscan_names_a_first_bad_x_below_zero(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("grid", ["0:1:0", "1:0:1/2"])
+def test_grid_bounds_are_checked(capsys, grid):
+    # a zero step or hi below lo is refused while the arguments are parsed
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["qscan", "--base", "2", "--m", "1", "--s", "1", "--x-grid", grid])
+    assert exc.value.code == 2
+    assert f"bad grid bounds in {grid!r}" in capsys.readouterr().err
+
+
 def test_a_grid_from_a_negative_lo_is_passed_with_an_equals_sign(capsys):
     # argparse reads "-1:1:1/64" after a space as an option, not a value
     argv = ["covpoly", "--base", "3", "--m", "2", "--s", "3", "--a", "2/3"]
@@ -354,6 +363,17 @@ def test_figure_scan_emits_all_presets(tmp_path, capsys):
     names = sorted(p.name for p in out_dir.iterdir())
     assert names == ["fig3a.csv", "fig3b.csv", "fig3c.csv", "fig4.csv",
                      "fig5a.csv", "fig5b.csv", "fig5c.csv"]
+
+
+def test_figure_scan_without_out_dir_writes_every_file_to_stdout(tmp_path, capsys):
+    out_dir = tmp_path / "figs"
+    code, _, _ = run(capsys, "figure-scan", "--x-grid", "0:1:1/4",
+                     "--out-dir", str(out_dir))
+    assert code == 0
+    code, out, _ = run(capsys, "figure-scan", "--x-grid", "0:1:1/4")
+    assert code == 0
+    assert out == "".join(p.read_text(encoding="utf-8")
+                          for p in sorted(out_dir.iterdir()))
 
 
 def test_figure_scans_do_not_fill_the_tuple_free_lists():

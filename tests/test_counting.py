@@ -149,6 +149,12 @@ def test_joint_pdf_reads_saturation_at_the_points_precision():
     assert joint_pdf(profile, x, y) == 0
 
 
+def test_bruteforce_profile_refuses_past_the_pair_cell_cap():
+    with pytest.raises(ConfigurationError,
+                       match="needs 8384512 pair cells, more than 4194304"):
+        profile_bruteforce(faure_net(2, 11, 2))
+
+
 def test_joint_pdf_validates_inputs():
     profile = profile_bruteforce(faure_net(2, 2, 2))
     # a digit at or past the profile's base, in either point

@@ -431,6 +431,11 @@ def test_witness_validation():
         q_s(2, 1, -1, Fraction(1, 2))
 
 
+def test_witness_polynomial_validation():
+    with pytest.raises(ConfigurationError, match="need m >= 1 and s >= 0"):
+        q_s_polynomial(3, 0, 3)
+
+
 def test_witness_polynomial_pinned():
     assert q_s_polynomial(2, 1, 1) == (0, -1)
     assert q_s_polynomial(2, 1, 2) == (0, -2, 1)
