@@ -6,11 +6,11 @@ rational arithmetic, never touching the coefficient-space shortcut it is
 meant to check.  The rest is small: random rational Walsh series, the
 first-written decay-function builder and its per-term shell sums, Faure's
 generating matrices from their closed form, the exact coordinates of a
-digit row, the dominated-region volume, the Walsh
-character by its definition, a Walsh series evaluated point by point with
-it and its covariance summed index by index, the scramble hashed one input
-depth at a time, the shell-by-shell Fraction sum of the covariance
-polynomial, the chi-square tail, and the rerun policy for statistical gates.
+digit row, the dominated-region volume, the Walsh character by its
+definition, a Walsh series evaluated point by point with it and its
+covariance summed index by index, the scramble hashed one input depth at a
+time, the shell-by-shell Fraction sum of the covariance polynomial, the
+chi-square tail, and the rerun policy for statistical gates.
 """
 
 from __future__ import annotations

@@ -429,9 +429,6 @@ def test_witness_validation():
         q_s(2, 0, 1, Fraction(1, 2))
     with pytest.raises(ConfigurationError):
         q_s(2, 1, -1, Fraction(1, 2))
-
-
-def test_witness_polynomial_validation():
     with pytest.raises(ConfigurationError, match="need m >= 1 and s >= 0"):
         q_s_polynomial(3, 0, 3)
 
