@@ -8,13 +8,15 @@ pair-profile digests do not depend on the stream.
 """
 
 import hashlib
+import io
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from netcov import cli
-from netcov.nets import faure_net
+from netcov.nets import PointSet, faure_net, save_point_set
 from netcov.scramble import ScrambleSeed, owen_scramble, replicate_blocks
 from netcov.walsh import random_decay_polynomial
 
@@ -72,6 +74,20 @@ def test_net_gen_files_are_pinned(tmp_path, capsys, b, m, s, precision, digest):
     run(capsys, "net", "gen", "--base", str(b), "--m", str(m), "--s", str(s),
         *flags, "--out", str(out))
     assert sha256(out.read_bytes()) == digest
+
+
+@pytest.mark.parametrize("precision,digest", [
+    (1, "a003fc9073018916d7c49e9ccc95da071cab1122cf0a81dc96ed7e6011b7ac49"),
+    (3, "415ab97d6b326d24a85c1b3898c6e40babfbb59a99bb5ab0f693d37e1cd365c3"),
+], ids=["P1", "P3"])
+def test_saved_files_of_every_base_61_digit_are_pinned(precision, digest):
+    # 61 points of 2 coordinates; 7 is a unit mod 61, so every depth holds
+    # every digit value 0..60, each written as its own character
+    values = np.arange(61 * 2 * precision).reshape(61, 2, precision) * 7 % 61
+    ps = PointSet(b=61, m=1, s=2, t=0, digits=values.astype(np.uint8))
+    buf = io.StringIO()
+    save_point_set(ps, buf)
+    assert sha256(buf.getvalue().encode("ascii")) == digest
 
 
 def test_scramble_command_files_are_pinned(tmp_path, capsys):

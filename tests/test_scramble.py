@@ -161,16 +161,19 @@ def _all_digits(ps, seed, count, precision):
 
 
 @pytest.mark.parametrize("b,m,s,count,budget", [
-    # the default budget holds 3 replications of this net per block
+    # a budget of 3 replications of this net per block
+    (2, 10, 2, 7, 3 * 1024 * 2 * (default_precision(2, 10) + 1)),
+    # the default budget
     (2, 10, 2, 7, scramble.BLOCK_WORDS),
     # blocks of one replication, guard depths drawn a few at a time
     (3, 2, 2, 7, 40),
-])
+], ids=["2-10-2-7-three-a-block", "2-10-2-7-default", "3-2-2-7-40"])
 def test_blocks_do_not_change_the_stream(monkeypatch, b, m, s, count, budget):
     monkeypatch.setattr(scramble, "BLOCK_WORDS", budget)
     ps = faure_net(b, m, s)
     p_out = default_precision(b, m)
-    assert budget // (ps.n * s * (p_out + 1)) <= 3
+    # the count takes more than one block
+    assert budget // (ps.n * s * (p_out + 1)) < count
     reps = _all_digits(ps, 13, count, None)
     for r in range(count):
         assert np.array_equal(
