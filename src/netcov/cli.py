@@ -20,7 +20,7 @@ from typing import Sequence
 from .counting import common_digits, joint_pdf, pair_profile
 from .covkernel import cov_polynomial, horner, q_s_polynomial
 from .digits import ConfigurationError, fraction_digits
-from .estimators import ExperimentConfig, run_experiment
+from .estimators import MAX_POINTS, ExperimentConfig, run_experiment
 from .nets import PointSet, faure_net, load_point_set, save_point_set, verify_net
 from .scramble import replicate_blocks
 from . import checks
@@ -147,6 +147,9 @@ def _cmd_net_verify(args) -> int:
 
 def _cmd_scramble(args) -> int:
     ps = _load_points(args.file)
+    if args.reps * ps.n > MAX_POINTS:
+        raise ConfigurationError(f"--reps {args.reps} replications of {ps.n} "
+                                 f"points are more than {MAX_POINTS} points")
     blocks = replicate_blocks(ps, args.seed, args.reps, args.precision)
     for r, digits in enumerate(d for block in blocks for d in block):
         buf = io.StringIO()

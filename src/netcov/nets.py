@@ -371,6 +371,10 @@ def verify_net(ps: PointSet, t: int) -> NetReport:
 # format holds every prime base up to 61
 DIGIT_CHARS = "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 _CHAR_CODES = np.frombuffer(DIGIT_CHARS.encode("ascii"), dtype=np.uint8)
+# save_point_set writes digit values and two separator codes above them, then
+# maps every byte to its character through this table
+_SPACE, _NEWLINE = len(DIGIT_CHARS), len(DIGIT_CHARS) + 1
+_SAVE_TABLE = (DIGIT_CHARS + " \n").encode("ascii").ljust(256, b"?")
 
 
 def _check_text_base(b: int) -> None:
@@ -388,13 +392,13 @@ def save_point_set(ps: PointSet, fh) -> None:
     n, s, p = ps.digits.shape
     if p < 1:
         raise ConfigurationError(f"need P >= 1 to write a point file, got P={p}")
-    # each coordinate's digit characters, then its separator
+    # each coordinate's digit values, then its separator code
     body = np.empty((n, s, p + 1), dtype=np.uint8)
-    body[:, :, :p] = _CHAR_CODES[ps.digits]
-    body[:, :, p] = ord(" ")
-    body[:, -1, p] = ord("\n")
+    body[:, :, :p] = ps.digits
+    body[:, :, p] = _SPACE
+    body[:, -1, p] = _NEWLINE
     fh.write(f"{ps.b} {ps.m} {s} {ps.t} {p}\n")
-    fh.write(body.tobytes().decode("ascii"))
+    fh.write(body.tobytes().translate(_SAVE_TABLE).decode("ascii"))
 
 
 # Point lines load_point_set reads as one chunk of the layout save_point_set

@@ -14,6 +14,7 @@ import pytest
 import netcov
 from netcov import checks, cli, nets
 from netcov.digits import ConfigurationError
+from netcov.estimators import MAX_POINTS
 from netcov.nets import (
     MAX_POINT_DIGITS,
     MAX_PROFILE_WORK,
@@ -744,6 +745,20 @@ def test_oversized_scrambles_are_refused(tmp_path, capsys):
     net = gen_net_file(tmp_path, capsys, m=4)
     code, _, err = run(capsys, "scramble", "--precision", "20000000", str(net))
     assert code == 2 and f"more than {MAX_POINT_DIGITS} digits" in err
+
+
+@pytest.mark.parametrize("reps", [10 ** 9, MAX_POINTS // 9 + 1])
+def test_scrambles_past_the_point_budget_are_refused_at_once(tmp_path, capsys, reps):
+    # a billion replications of a 9-point net ran until killed, one file each
+    net = gen_net_file(tmp_path, capsys, b=3, m=2)
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "scramble", "--reps", str(reps),
+                         "--out-prefix", str(tmp_path / "rep"), str(net))
+    assert time.perf_counter() - t0 < 0.5
+    assert code == 2
+    assert (f"--reps {reps} replications of 9 points are more than "
+            f"{MAX_POINTS} points") in err
+    assert out == "" and not list(tmp_path.glob("rep*"))
 
 
 def test_the_digit_cap_admits_the_largest_net_it_names():

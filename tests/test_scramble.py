@@ -1,6 +1,7 @@
 """Digit scrambling: reproducibility, structure preservation, uniformity."""
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -205,6 +206,20 @@ def test_all_depth_hashing_matches_the_per_depth_oracle(b, m, s, stored, guard, 
     assert sum(len(block) for block in blocks) == count
     want = scramble_block_reference(ps, master, range(count), p_out)
     assert np.concatenate(blocks).tobytes() == want.tobytes()
+
+
+def test_a_wide_net_scrambles_within_a_mebibyte():
+    # 1,024 points at 41 digits: hashing all 31 guard depths in one pass of
+    # about 500 KiB temporaries peaked at 1,752 KiB
+    ps = faure_net(2, 10, 2)
+    tracemalloc.start()
+    try:
+        (block,) = replicate_blocks(ps, 11, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert block.shape == (1, 1024, 2, default_precision(2, 10))
+    assert peak <= 2 ** 20
 
 
 def test_a_point_scrambles_the_same_inside_any_point_set():
