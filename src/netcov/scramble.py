@@ -38,8 +38,12 @@ GUARD_DIGITS = 31
 # coordinate and depth; one past that hashes its depths a few at a time, and
 # one at a time, n * s words, once n * s passes BLOCK_WORDS.  At 2^18 the
 # (2,10,2) and (3,6,3) nets hashed all 31 guard depths in one pass of about
-# 500 KiB arrays: one replication peaked at 1,753 and 1,581 KiB under
-# tracemalloc, against 885 and 787 KiB at 2^14
+# 500 KiB arrays.  Against 2^18, one replication of either at default
+# precision peaks at half the tracemalloc bytes (885 and 787 KiB, from 1,753
+# and 1,581), the net-tools benchmark's peak RSS is 1.2 MiB lower (37.2 from
+# 38.4 MiB), and a 2^13- or 2^14-point net scrambles in half the time; the
+# blocks of those two nets, whose guard depths take 4 and 5 passes, take
+# about 5% longer
 BLOCK_WORDS = 2 ** 14
 
 _U64 = np.uint64

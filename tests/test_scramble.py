@@ -210,7 +210,7 @@ def test_all_depth_hashing_matches_the_per_depth_oracle(b, m, s, stored, guard, 
 
 def test_a_wide_net_scrambles_within_a_mebibyte():
     # 1,024 points at 41 digits: hashing all 31 guard depths in one pass of
-    # about 500 KiB temporaries peaked at 1,752 KiB
+    # about 500 KiB temporaries peaked at 1,753 KiB
     ps = faure_net(2, 10, 2)
     tracemalloc.start()
     try:
