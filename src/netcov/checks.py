@@ -25,7 +25,7 @@ from . import counting, covkernel, nets
 from .digits import length_vectors
 from .estimators import build_function
 from .nets import PointSet, dominated_counts, faure_net, verify_net
-from .scramble import ScrambleSeed, owen_scramble
+from .scramble import owen_scramble
 from .walsh import enumerate_L_k, index_add, shell_of, shell_size
 
 
@@ -165,7 +165,7 @@ def check_scramble_net_quality() -> str:
     for b, m, s in [(2, 3, 2), (3, 2, 3)]:
         base = faure_net(b, m, s)
         for master in range(3):
-            ps = owen_scramble(base, ScrambleSeed(master), precision=m + 4)
+            ps = owen_scramble(base, master, precision=m + 4)
             report = verify_net(ps, t=0)
             expect(report.passed,
                    f"scrambled base-{b} m={m} s={s} seed={master}: {report.failure}")
@@ -177,15 +177,14 @@ def check_scramble_gamma_preservation() -> str:
     pairs = 0
     for b, m, s in [(2, 3, 2), (3, 2, 3)]:
         base = faure_net(b, m, s)
-        pairs += gamma_preserved(
-            base, owen_scramble(base, ScrambleSeed(17), precision=m + 2))
+        pairs += gamma_preserved(base, owen_scramble(base, 17, precision=m + 2))
     return f"gamma preserved on {pairs} ordered pairs"
 
 
 def check_profile_closed_forms() -> str:
     checked = 0
     for b, m, s in [(2, 3, 2), (3, 2, 2), (3, 1, 3)]:
-        ps = owen_scramble(faure_net(b, m, s), ScrambleSeed(5), precision=m + 2)
+        ps = owen_scramble(faure_net(b, m, s), 5, precision=m + 2)
         checked += profile_matches_closed_forms(ps)
         # a set that only its finest shapes tell from a net takes the walk
         profile_matches_pairwise(finest_digit_moved(ps))

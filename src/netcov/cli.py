@@ -32,6 +32,9 @@ MAX_GRID_POINTS = 100_000
 # Most points x (degree x bits of the grid's numbers)^2 a scan may take, the
 # cost of its Horner passes: about 3.5 s on a 2-core VM; a figure needs 10^7
 MAX_SCAN_WORK = 2 ** 39
+# Most replications scramble --out-prefix writes, one file each: 2^14 files
+# of a 9-point net take 1.3-1.5 s on a 2-core VM, within MAX_SCAN_WORK's 3.5 s
+MAX_SCRAMBLE_FILES = 2 ** 14
 
 # name -> (swept parameter, its values, fixed parameters); the fixed ones
 # keep base, m, s, a order, which the CSV comment line prints
@@ -150,6 +153,9 @@ def _cmd_scramble(args) -> int:
     if args.reps * ps.n > MAX_POINTS:
         raise ConfigurationError(f"--reps {args.reps} replications of {ps.n} "
                                  f"points are more than {MAX_POINTS} points")
+    if args.out_prefix and args.reps > MAX_SCRAMBLE_FILES:
+        raise ConfigurationError(f"--reps {args.reps} with --out-prefix writes more "
+                                 f"than {MAX_SCRAMBLE_FILES} files")
     blocks = replicate_blocks(ps, args.seed, args.reps, args.precision)
     for r, digits in enumerate(d for block in blocks for d in block):
         buf = io.StringIO()

@@ -16,14 +16,14 @@ permutation.  At a guard depth, past the stored precision, every input digit
 is the zero pad, so one hash per (replication, prefix, depth) gives sigma(0)
 by a 32-bit multiply-high.  Replications are hashed in blocks, and depths in
 passes, whose temporary arrays hold at most BLOCK_WORDS words (or one
-depth's n * s).  Output depends only on (master seed, replication), never
-on global RNG state or on how replications are blocked.
+depth's n * s).  A scramble is keyed by two integers below 2^64, the master
+seed and the replication index, and by nothing else: not by global RNG
+state, nor by how replications are blocked.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -68,20 +68,6 @@ def _words(values) -> np.ndarray:
 
 
 _SYMBOLS = _words(np.arange(256))  # one word per digit value
-
-
-@dataclass(frozen=True)
-class ScrambleSeed:
-    """(64-bit master seed, replication index) uniquely fix the scramble."""
-
-    master: int
-    replication: int = 0
-
-    def __post_init__(self):
-        if not 0 <= self.master < 2 ** 64:
-            raise ConfigurationError("master seed must fit in 64 bits")
-        if not 0 <= self.replication < 2 ** 64:
-            raise ConfigurationError("replication index must fit in 64 bits")
 
 
 def default_precision(b: int, m: int) -> int:
@@ -133,15 +119,21 @@ def _scramble_block(ps: PointSet, master: int, reps: Sequence[int],
     return out
 
 
-def owen_scramble(ps: PointSet, seed: ScrambleSeed, precision: int | None = None) -> PointSet:
-    """Scramble every coordinate through a fresh random permutation tree.
+def owen_scramble(ps: PointSet, master: int, replication: int = 0,
+                  precision: int | None = None) -> PointSet:
+    """Scramble every coordinate through a fresh random permutation tree:
+    replication ``replication`` of ``replicate_blocks(ps, master, ...)``.
 
     Output digits beyond the input precision are i.i.d. uniform (each comes
     from a permutation keyed by a prefix that already distinguishes the
     points).  The result is again a valid point set with the same claimed t.
     """
+    if not 0 <= master < 2 ** 64:
+        raise ConfigurationError("master seed must fit in 64 bits")
+    if not 0 <= replication < 2 ** 64:
+        raise ConfigurationError("replication index must fit in 64 bits")
     p_out = _output_precision(ps, precision)
-    digits = _scramble_block(ps, seed.master, [seed.replication], p_out)[0]
+    digits = _scramble_block(ps, master, [replication], p_out)[0]
     return PointSet(b=ps.b, m=ps.m, s=ps.s, t=ps.t, digits=digits)
 
 
@@ -153,7 +145,8 @@ def replicate_blocks(ps: PointSet, master_seed: int, count: int,
     run-length independent."""
     if count < 1:
         raise ConfigurationError(f"replication count must be >= 1, got {count}")
-    ScrambleSeed(master_seed)
+    if not 0 <= master_seed < 2 ** 64:
+        raise ConfigurationError("master seed must fit in 64 bits")
     p_out = _output_precision(ps, precision)
     block = max(1, BLOCK_WORDS // (ps.n * ps.s * (p_out + 1)))
     for start in range(0, count, block):

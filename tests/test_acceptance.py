@@ -42,7 +42,7 @@ from netcov.counting import pdf_normalization
 from netcov.covkernel import cov_polynomial, horner, psi_hat_zero_t, q_s_polynomial
 from netcov.estimators import ExperimentConfig, run_experiment
 from netcov.nets import faure_net, verify_net
-from netcov.scramble import ScrambleSeed, owen_scramble
+from netcov.scramble import owen_scramble
 
 # small nets where brute force is instant
 NET_FAMILY = (
@@ -88,7 +88,7 @@ def test_criterion_01_pair_counts_match_closed_forms():
             precision = m + 3
             checked += profile_matches_closed_forms(owen_scramble(
                 faure_net(b, m, s, precision=precision),
-                ScrambleSeed(31, 10 * m + s), precision=precision))
+                31, 10 * m + s, precision=precision))
         info["detail"] = f"{len(NET_FAMILY)} scrambled nets, {checked} exact counts"
 
 
@@ -241,12 +241,12 @@ def test_criterion_10_scrambling_preserves_structure():
             precision = m + 2
             base = faure_net(b, m, s, precision=precision)
             gamma_preserved(
-                base, owen_scramble(base, ScrambleSeed(404), precision=precision))
+                base, owen_scramble(base, 404, precision=precision))
         seeds_checked = 0
         for b, m, s in ((2, 3, 2), (3, 2, 3)):
             base = faure_net(b, m, s)
             for seed in range(50):
-                scr = owen_scramble(base, ScrambleSeed(seed), precision=m)
+                scr = owen_scramble(base, seed, precision=m)
                 assert verify_net(scr, t=0).passed
                 seeds_checked += 1
         R = 10 ** 4
@@ -254,7 +254,7 @@ def test_criterion_10_scrambling_preserves_structure():
             base = faure_net(b, 1, 1)
             counts = [0] * b
             for rep in range(R):
-                scr = owen_scramble(base, ScrambleSeed(77, rep), precision=1)
+                scr = owen_scramble(base, 77, rep, precision=1)
                 counts[int(scr.digits[0][0][0])] += 1
             sd = math.sqrt(R * (1 / b) * (1 - 1 / b))
             assert all(abs(c - R / b) <= 4 * sd for c in counts), counts

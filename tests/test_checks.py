@@ -36,7 +36,7 @@ def _first_digit_only(evaluate, f, digits):
 
 
 def _scrambled():
-    return scramble.owen_scramble(BASE, scramble.ScrambleSeed(1), precision=4)
+    return scramble.owen_scramble(BASE, 1, precision=4)
 
 
 def _one_pair_more(dominated):

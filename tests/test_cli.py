@@ -761,6 +761,40 @@ def test_scrambles_past_the_point_budget_are_refused_at_once(tmp_path, capsys, r
     assert out == "" and not list(tmp_path.glob("rep*"))
 
 
+def test_scrambles_past_the_file_cap_are_refused_at_once(tmp_path, capsys):
+    # within the point budget, 1.47 M files of a 9-point net were written in
+    # two minutes, one per replication
+    net = gen_net_file(tmp_path, capsys, b=3, m=2)
+    reps = cli.MAX_SCRAMBLE_FILES + 1
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "scramble", "--reps", str(reps),
+                         "--out-prefix", str(tmp_path / "rep"), str(net))
+    assert time.perf_counter() - t0 < 0.5
+    assert code == 2
+    assert (f"--reps {reps} with --out-prefix writes more than "
+            f"{cli.MAX_SCRAMBLE_FILES} files") in err
+    assert out == "" and not list(tmp_path.glob("rep*"))
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+def test_seeds_past_64_bits_are_refused(tmp_path, capsys, seed):
+    net = gen_net_file(tmp_path, capsys)
+    code, out, err = run(capsys, "scramble", "--seed", seed,
+                         "--out-prefix", str(tmp_path / "rep"), str(net))
+    assert code == 2 and "master seed must fit in 64 bits" in err
+    assert out == "" and not list(tmp_path.glob("rep*"))
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "b": 2, "m": 2, "s": 2, "R": 4,
+        "function": {"kind": "wal", "l": [1, 1]},
+    }), encoding="utf-8")
+    report = tmp_path / "report.json"
+    code, out, err = run(capsys, "--seed", seed, "simulate", "--config", str(config),
+                         "--out", str(report))
+    assert code == 2 and "master seed must fit in 64 bits" in err
+    assert out == "" and not report.exists()
+
+
 def test_the_digit_cap_admits_the_largest_net_it_names():
     check_point_digits(2, 18, 2, 32)  # 2^24 digits
     with pytest.raises(ConfigurationError):

@@ -22,7 +22,7 @@ from netcov.counting import (
 )
 from netcov.digits import ConfigurationError, PrecisionError, fraction_digits
 from netcov.nets import PointSet, faure_net
-from netcov.scramble import ScrambleSeed, owen_scramble
+from netcov.scramble import owen_scramble
 
 
 def test_profile_of_the_smallest_net():
@@ -41,7 +41,7 @@ def test_profile_counts_total_pairs():
 @pytest.mark.parametrize("b,m,s", [(2, 3, 2), (3, 2, 2), (5, 1, 2), (2, 2, 1)])
 def test_closed_forms_on_scrambled_nets(b, m, s):
     profile_matches_closed_forms(owen_scramble(
-        faure_net(b, m, s, precision=m + 2), ScrambleSeed(31), precision=m + 2))
+        faure_net(b, m, s, precision=m + 2), 31, precision=m + 2))
 
 
 def test_dominated_count_sums_exact_counts():

@@ -47,7 +47,7 @@ from netcov.covkernel import (
 from netcov.counting import M_closed_form
 from netcov.digits import ConfigurationError, length_vectors
 from netcov.nets import dominated_counts, faure_net
-from netcov.scramble import ScrambleSeed, owen_scramble
+from netcov.scramble import owen_scramble
 from netcov.walsh import Coefficient, WalshPolynomial, shell_of
 
 
@@ -115,8 +115,7 @@ def test_psi_hat_from_measured_counts():
     # the general route fed with the prefix-cell counts of an actual
     # scrambled net, against the closed form
     b, m, s = 2, 3, 2
-    ps = owen_scramble(faure_net(b, m, s, precision=m + 2),
-                       ScrambleSeed(17), precision=m + 2)
+    ps = owen_scramble(faure_net(b, m, s, precision=m + 2), 17, precision=m + 2)
     counts = dominated_counts(ps)
     for k_vec in length_vectors(s, m + 1):
         if any(k_vec):

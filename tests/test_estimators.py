@@ -21,7 +21,7 @@ from netcov.estimators import (
     run_experiment,
 )
 from netcov.nets import faure_net
-from netcov.scramble import ScrambleSeed, owen_scramble
+from netcov.scramble import owen_scramble
 from netcov.walsh import Coefficient, WalshPolynomial, shell_of
 
 WAL_SPEC = {"kind": "wal", "l": [1, 1]}
@@ -180,7 +180,7 @@ def test_replications_match_a_per_replication_recomputation(monkeypatch, b, m, s
     n = b ** m
     base = faure_net(b, m, s, precision=3)
     for r in range(R):
-        ps = owen_scramble(base, ScrambleSeed(13, r), precision=3)
+        ps = owen_scramble(base, 13, r, precision=3)
         values = f.eval_digit_matrix(ps.digits)
         total = values.sum()
         # the formula as evaluated one replication at a time, to the bit

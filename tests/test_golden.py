@@ -17,7 +17,7 @@ import pytest
 
 from netcov import cli
 from netcov.nets import PointSet, faure_net, save_point_set
-from netcov.scramble import ScrambleSeed, owen_scramble, replicate_blocks
+from netcov.scramble import owen_scramble, replicate_blocks
 from netcov.walsh import random_decay_polynomial
 
 
@@ -42,7 +42,7 @@ def run(capsys, *argv):
      "8d5ac327fa45ef2642297e7b610f4db702f87781da7961a27a654b5af951fb8e"),
 ], ids=["2-4-2-r0", "2-4-2-r5", "3-3-3-r0", "3-3-3-r5"])
 def test_owen_scramble_digits_are_pinned(b, m, s, r, shape, digest):
-    out = owen_scramble(faure_net(b, m, s), ScrambleSeed(2020, r))
+    out = owen_scramble(faure_net(b, m, s), 2020, r)
     assert out.digits.shape == shape
     assert sha256(out.digits.tobytes()) == digest
 

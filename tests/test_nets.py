@@ -30,7 +30,7 @@ from netcov.nets import (
     save_point_set,
     verify_net,
 )
-from netcov.scramble import ScrambleSeed, owen_scramble
+from netcov.scramble import owen_scramble
 
 
 def test_first_matrix_is_identity():
@@ -217,7 +217,7 @@ def _point_set(kind, b, m, s, p, rng):
                         digits=rng.integers(0, b, (b ** m, s, p), dtype=np.uint8))
     s = min(s, b)
     if kind == "scrambled":
-        return owen_scramble(faure_net(b, m, s), ScrambleSeed(int(rng.integers(2 ** 32))),
+        return owen_scramble(faure_net(b, m, s), int(rng.integers(2 ** 32)),
                              precision=max(m, 1) + p)
     digits = np.array(faure_net(b, m, s, precision=max(m, p)).digits[:, :, :p])
     rows = rng.integers(0, b ** m, size=2)
@@ -318,7 +318,7 @@ def test_profile_of_a_net_needs_only_its_finest_shapes(monkeypatch):
     # a scrambled (3,3,3)-net: its finest check counts C(5, 2) = 10 shapes
     # and its walk C(6, 3) - 1 = 19, so at a cap of 10 shapes the walk is
     # refused but the profile is not
-    ps = owen_scramble(faure_net(3, 3, 3), ScrambleSeed(1))
+    ps = owen_scramble(faure_net(3, 3, 3), 1)
     monkeypatch.setattr(nets, "MAX_PROFILE_WORK", 10 * (27 + PROFILE_SHAPE_COST))
     assert pair_profile(ps).counts == profile_bruteforce(ps).counts
     with pytest.raises(ConfigurationError, match="more than"):
@@ -476,7 +476,7 @@ def test_load_errors_name_the_line(text, line, monkeypatch):
 @pytest.mark.parametrize("block", [nets.LOAD_BLOCK, 3])
 def test_saved_files_load_as_whole_chunks(tmp_path, monkeypatch, block):
     # the scrambled (2,10,2) net at 41 digits never reaches the line reader
-    ps = owen_scramble(faure_net(2, 10, 2), ScrambleSeed(9973))
+    ps = owen_scramble(faure_net(2, 10, 2), 9973)
     path = tmp_path / "net.txt"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         save_point_set(ps, fh)

@@ -16,7 +16,6 @@ from netcov.digits import ConfigurationError
 from netcov.nets import MAX_POINT_DIGITS, PointSet, faure_net, verify_net
 from netcov.scramble import (
     GUARD_DIGITS,
-    ScrambleSeed,
     default_precision,
     owen_scramble,
     replicate_blocks,
@@ -27,42 +26,45 @@ from netcov.scramble import (
 FAMILY_ALPHA = 1e-6
 
 
-def test_seed_validation():
-    with pytest.raises(ConfigurationError):
-        ScrambleSeed(-1)
-    with pytest.raises(ConfigurationError):
-        ScrambleSeed(2 ** 64)
-    with pytest.raises(ConfigurationError):
-        ScrambleSeed(0, -1)
-    with pytest.raises(ConfigurationError):
-        ScrambleSeed(0, 2 ** 64)
+@pytest.mark.parametrize("scramble_it,key", [
+    (lambda ps: owen_scramble(ps, -1), "master seed"),
+    (lambda ps: owen_scramble(ps, 2 ** 64), "master seed"),
+    (lambda ps: owen_scramble(ps, 0, -1), "replication index"),
+    (lambda ps: owen_scramble(ps, 0, 2 ** 64), "replication index"),
+    (lambda ps: list(replicate_blocks(ps, -1, 1)), "master seed"),
+    (lambda ps: list(replicate_blocks(ps, 2 ** 64, 1)), "master seed"),
+], ids=["owen-master-low", "owen-master-high", "owen-replication-low",
+        "owen-replication-high", "blocks-master-low", "blocks-master-high"])
+def test_seed_validation(scramble_it, key):
+    with pytest.raises(ConfigurationError, match=f"^{key} must fit in 64 bits$"):
+        scramble_it(faure_net(2, 1, 1))
 
 
 def test_scramble_is_reproducible():
     ps = faure_net(2, 3, 2)
-    a = owen_scramble(ps, ScrambleSeed(11, 0), precision=6)
-    b = owen_scramble(ps, ScrambleSeed(11, 0), precision=6)
+    a = owen_scramble(ps, 11, 0, precision=6)
+    b = owen_scramble(ps, 11, 0, precision=6)
     assert np.array_equal(a.digits, b.digits)
 
 
 def test_master_seed_changes_output():
     ps = faure_net(2, 3, 2)
-    a = owen_scramble(ps, ScrambleSeed(1), precision=6)
-    b = owen_scramble(ps, ScrambleSeed(2), precision=6)
+    a = owen_scramble(ps, 1, precision=6)
+    b = owen_scramble(ps, 2, precision=6)
     assert not np.array_equal(a.digits, b.digits)
 
 
 def test_replication_index_changes_output():
     ps = faure_net(3, 2, 2)
-    a = owen_scramble(ps, ScrambleSeed(5, 0), precision=4)
-    b = owen_scramble(ps, ScrambleSeed(5, 1), precision=4)
+    a = owen_scramble(ps, 5, 0, precision=4)
+    b = owen_scramble(ps, 5, 1, precision=4)
     assert not np.array_equal(a.digits, b.digits)
 
 
 def test_master_seed_and_replication_index_do_not_commute():
     ps = faure_net(2, 3, 2)
-    a = owen_scramble(ps, ScrambleSeed(5, 7), precision=6)
-    b = owen_scramble(ps, ScrambleSeed(7, 5), precision=6)
+    a = owen_scramble(ps, 5, 7, precision=6)
+    b = owen_scramble(ps, 7, 5, precision=6)
     assert not np.array_equal(a.digits, b.digits)
 
 
@@ -70,7 +72,7 @@ def test_replicate_matches_manual_seeds():
     ps = faure_net(3, 2, 2)
     reps = np.concatenate(list(replicate_blocks(ps, 5, 3, precision=4)))
     for r, digits in enumerate(reps):
-        manual = owen_scramble(ps, ScrambleSeed(5, r), precision=4)
+        manual = owen_scramble(ps, 5, r, precision=4)
         assert np.array_equal(digits, manual.digits)
 
 
@@ -81,7 +83,7 @@ def test_replicate_count_validated():
 
 def test_precision_floor():
     with pytest.raises(ConfigurationError):
-        owen_scramble(faure_net(2, 3, 1), ScrambleSeed(0), precision=2)
+        owen_scramble(faure_net(2, 3, 1), 0, precision=2)
 
 
 def test_default_precision():
@@ -92,19 +94,19 @@ def test_default_precision():
 
 def test_output_shape_and_parameters():
     ps = faure_net(2, 2, 2)
-    out = owen_scramble(ps, ScrambleSeed(9), precision=7)
+    out = owen_scramble(ps, 9, precision=7)
     assert (out.b, out.m, out.s, out.t) == (2, 2, 2, 0)
     assert out.precision == 7
 
 
 def test_gamma_profile_is_preserved_pairwise():
     ps = faure_net(2, 3, 2, precision=5)
-    gamma_preserved(ps, owen_scramble(ps, ScrambleSeed(42), precision=5))
+    gamma_preserved(ps, owen_scramble(ps, 42, precision=5))
 
 
 def test_gamma_is_preserved_at_the_default_guard_precision():
     ps = faure_net(3, 2, 3)
-    out = owen_scramble(ps, ScrambleSeed(42))
+    out = owen_scramble(ps, 42)
     assert out.precision > ps.precision
     assert gamma_preserved(ps, out) == 9 * 8
 
@@ -115,7 +117,7 @@ def test_identical_coordinates_stay_identical():
     digits = np.array([[[0, 1], [0, 0]],
                        [[0, 1], [1, 0]]], dtype=np.uint8)
     ps = PointSet(b=2, m=1, s=2, t=1, digits=digits)
-    out = owen_scramble(ps, ScrambleSeed(3), precision=5)
+    out = owen_scramble(ps, 3, precision=5)
     assert np.array_equal(out.digits[0, 0], out.digits[1, 0])
     assert common_digits(out.digits[0], out.digits[1])[0] == 5
 
@@ -123,7 +125,7 @@ def test_identical_coordinates_stay_identical():
 def test_pair_profile_is_scramble_invariant():
     ps = faure_net(2, 3, 2, precision=4)
     base_counts = profile_bruteforce(ps).counts
-    out = owen_scramble(ps, ScrambleSeed(8), precision=4)
+    out = owen_scramble(ps, 8, precision=4)
     assert profile_bruteforce(out).counts == base_counts
 
 
@@ -131,14 +133,14 @@ def test_pair_profile_is_scramble_invariant():
 def test_scrambled_net_keeps_equidistribution(b, m, s):
     ps = faure_net(b, m, s)
     for seed in range(5):
-        out = owen_scramble(ps, ScrambleSeed(seed), precision=m + 2)
+        out = owen_scramble(ps, seed, precision=m + 2)
         assert verify_net(out, t=0).passed
 
 
 def test_guard_digits_are_seed_dependent():
     ps = faure_net(2, 2, 1)
-    a = owen_scramble(ps, ScrambleSeed(1), precision=10)
-    b = owen_scramble(ps, ScrambleSeed(2), precision=10)
+    a = owen_scramble(ps, 1, precision=10)
+    b = owen_scramble(ps, 2, precision=10)
     assert not np.array_equal(a.digits[:, :, 2:], b.digits[:, :, 2:])
 
 
@@ -178,7 +180,7 @@ def test_blocks_do_not_change_the_stream(monkeypatch, b, m, s, count, budget):
     reps = _all_digits(ps, 13, count, None)
     for r in range(count):
         assert np.array_equal(
-            reps[r], owen_scramble(ps, ScrambleSeed(13, r)).digits)
+            reps[r], owen_scramble(ps, 13, r).digits)
     assert np.array_equal(reps[:3], _all_digits(ps, 13, 3, None))
 
 
@@ -226,9 +228,8 @@ def test_a_point_scrambles_the_same_inside_any_point_set():
     net = faure_net(2, 4, 2)
     rows = [3, 7, 8, 12]
     subset = PointSet(b=2, m=2, s=2, t=2, digits=net.digits[rows].copy())
-    seed = ScrambleSeed(21, 4)
-    whole = owen_scramble(net, seed, precision=12).digits
-    assert np.array_equal(owen_scramble(subset, seed, precision=12).digits,
+    whole = owen_scramble(net, 21, 4, precision=12).digits
+    assert np.array_equal(owen_scramble(subset, 21, 4, precision=12).digits,
                           whole[rows])
 
 
@@ -236,7 +237,7 @@ def test_scrambles_past_the_digit_cap_are_refused():
     ps = faure_net(2, 4, 2)
     too_deep = MAX_POINT_DIGITS // (ps.n * ps.s) + 1
     with pytest.raises(ConfigurationError, match="digits"):
-        owen_scramble(ps, ScrambleSeed(1), precision=too_deep)
+        owen_scramble(ps, 1, precision=too_deep)
     with pytest.raises(ConfigurationError, match="digits"):
         next(replicate_blocks(ps, 1, 2, precision=too_deep))
 

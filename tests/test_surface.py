@@ -1,12 +1,16 @@
 """The public surface of ``src/netcov``: every public function, class and
 method, every private helper, and every module-level constant, is used by
 the package or the benchmark, the package's ``__init__`` re-exports
-nothing, and README's library example runs as written."""
+nothing, README's library example runs as written, and its command lines
+parse."""
 
 import ast
 import glob
 import os
 import re
+import shlex
+
+from netcov import cli
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "netcov")
@@ -119,3 +123,15 @@ def test_readme_library_example_runs():
         blocks = re.findall(r"```python\n(.*?)```", fh.read(), re.DOTALL)
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
+
+
+def test_readme_command_lines_parse():
+    # a flag renamed or removed without a README edit fails here
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        blocks = re.findall(r"```sh\n(.*?)```", fh.read(), re.DOTALL)
+    lines = [line for block in blocks for line in block.splitlines()
+             if line.startswith("netcov ")]
+    assert len(lines) >= 16
+    parser = cli.build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])
